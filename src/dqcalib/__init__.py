@@ -1,12 +1,14 @@
 """Extrinsic sensor calibration from per-sensor ego-motion using dual quaternions."""
 
-from .constraints import ConstraintMode, assemble_Z, eval_g, multiplier_matrices
+from .constraints import (ConstraintMode, assemble_Z, eval_g,
+                          multiplier_matrices, solve_planar)
 from .cost import CostAccumulator, MotionPair, accumulate, cost_value, pair_cost_matrix
 from .dualquat import (DualQuat, canonicalize, conjugate, dq_mul,
                        from_rot_trans, left_mat, right_mat, to_rot_trans,
                        transform_point)
 from .global_solver import (CalibSolution, DualSolveOptions, DualSolution,
-                            recover_primal, solve_dual, solve_global)
+                            probe_degeneracy, recover_primal, solve_dual,
+                            solve_global)
 from .local_solver import LocalSolveOptions, LocalSolution, solve_local
 from .metrics import CalibError, calib_error
 from .online import OnlineCalibrator, OnlineConfig, replay
@@ -29,8 +31,9 @@ __all__ = [
     "calib_error", "canonicalize", "certify", "conjugate", "cost_value",
     "dq_mul", "eval_g", "fit_ground_plane", "from_rot_trans", "generate_path",
     "left_mat", "lift_calibration", "multiplier_matrices", "pair_cost_matrix",
-    "planar_rig", "plane_alignment_dq", "project_motion", "random_unit_dq",
-    "recover_primal", "replay", "right_mat", "sensor_pair_motions",
-    "simulate_pairs", "solve_dual", "solve_global", "solve_local",
+    "planar_rig", "plane_alignment_dq", "probe_degeneracy", "project_motion",
+    "random_unit_dq", "recover_primal", "replay", "right_mat",
+    "sensor_pair_motions", "simulate_pairs", "solve_dual", "solve_global",
+    "solve_local", "solve_planar",
     "to_rot_trans", "transform_plane", "transform_point",
 ]

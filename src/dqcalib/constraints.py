@@ -1,17 +1,19 @@
-"""Equality constraints on the 8-vector calibration variable.
+"""Equality constraints on the 8-vector calibration variable, and the planar solve.
 
-Two constraint sets are supported: the full rigid-displacement set
-(real-part normalization g1 and real/dual orthogonality g2) and the planar
-set which adds g3 (no roll/pitch: q2^2 + q3^2 = 0) and g4 (no out-of-plane
-translation: q1*q8 - q4*q5 = 0).
+Full 3D mode has two constraints, both quadratic forms: real-part
+normalization g1 = 1 - |q_r|^2 and real/dual orthogonality
+g2 = 2 q_r . q_d.  With g(q) = q^T G q + c the Lagrangian is
+q^T Z(lam) q + lam_1 with Z(lam) = Q + lam_1 G1 + lam_2 G2.
 
-Every constraint is a quadratic form plus constant, g_i(q) = q^T G_i q + c_i,
-so the Lagrangian is q^T Z(lam) q + lam_1 with Z(lam) = Q + sum_i lam_i G_i.
-
-The quadratic g3 has vanishing gradient on its own zero set, which breaks
-constraint qualification for Newton-type solvers.  The ``local`` variants
-therefore replace it by the linear pair q2 = 0, q3 = 0 (identical feasible
-set); the dual/SDP path keeps the quadratic form.
+Planar mode adds the ground-plane prior: no roll or pitch (q2 = q3 = 0) and
+no out-of-plane translation (g4 = q1 q8 - q4 q5 = 0).  Together with g2,
+whose determinant q1^2 + q4^2 = 1 is nonzero, these force q5 = q8 = 0, so
+the planar feasible set is exactly {(q1, q4) on the unit circle} x
+{(q6, q7) in R^2}.  :func:`solve_planar` minimizes over that set in closed
+form: eliminating (q6, q7) by a Schur complement leaves the smallest
+eigenpair of a 2x2 matrix.  Planar residuals are g1 and the four
+coordinates that set forces to zero, all on the linear scale, so one
+feasibility tolerance means the same thing in both modes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ from __future__ import annotations
 from enum import Enum
 
 import numpy as np
+
+from .dualquat import DualQuat
+from .errors import NonUniqueSolution
 
 
 class ConstraintMode(Enum):
@@ -39,129 +44,119 @@ def _g2_matrix() -> np.ndarray:
     return G
 
 
-def _g3_matrix() -> np.ndarray:
-    G = np.zeros((8, 8))
-    G[1, 1] = 1.0
-    G[2, 2] = 1.0
-    return G
-
-
-def _g4_matrix() -> np.ndarray:
-    G = np.zeros((8, 8))
-    G[0, 7] = G[7, 0] = 0.5
-    G[3, 4] = G[4, 3] = -0.5
-    return G
-
-
 _G1 = _g1_matrix()
 _G2 = _g2_matrix()
-_G3 = _g3_matrix()
-_G4 = _g4_matrix()
-for _m in (_G1, _G2, _G3, _G4):
+for _m in (_G1, _G2):
     _m.setflags(write=False)
 
-_CONSTANTS_3D = np.array([1.0, 0.0])
-_CONSTANTS_PLANAR = np.array([1.0, 0.0, 0.0, 0.0])
+# the only coordinates a planar-feasible q may carry: the yaw (q1, q4) and
+# the in-plane translation part (q6, q7)
+_PLANAR_ROT = [0, 3]
+_PLANAR_TRANS = [5, 6]
+_PLANAR_COORDS = _PLANAR_ROT + _PLANAR_TRANS
 
 
-def constraint_count(mode: ConstraintMode) -> int:
-    return 2 if mode is ConstraintMode.FULL_3D else 4
-
-
-def constraint_matrices(mode: ConstraintMode) -> list[np.ndarray]:
-    """Quadratic-form matrices G_i, ordered (g1, g2[, g3, g4])."""
-    if mode is ConstraintMode.FULL_3D:
-        return [_G1, _G2]
-    return [_G1, _G2, _G3, _G4]
+def constraint_matrices() -> list[np.ndarray]:
+    """Quadratic-form matrices (G1, G2) of the 3D constraints."""
+    return [_G1, _G2]
 
 
 def eval_g(q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """Constraint residuals; all zero iff q is a valid displacement for the mode."""
+    """Constraint residuals; all zero iff q is a valid displacement for the mode.
+
+    3D: (g1, g2).  Planar: (g1, q2, q3, q5, q8).  q2 and q3 are the tilt;
+    at zero tilt, q5 = q8 = 0 is equivalent to g2 = 0 and no out-of-plane
+    translation (q1 q8 - q4 q5 = 0), whose 2x2 system has determinant
+    q1^2 + q4^2 = 1.
+    """
     q = np.asarray(q, dtype=float).reshape(8)
     g1 = 1.0 - q[:4] @ q[:4]
-    g2 = 2.0 * (q[:4] @ q[4:])
     if mode is ConstraintMode.FULL_3D:
-        return np.array([g1, g2])
-    g3 = q[1] * q[1] + q[2] * q[2]
-    g4 = q[0] * q[7] - q[3] * q[4]
-    return np.array([g1, g2, g3, g4])
+        return np.array([g1, 2.0 * (q[:4] @ q[4:])])
+    return np.array([g1, q[1], q[2], q[4], q[7]])
 
 
-def grad_g(q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """Jacobian of eval_g, one row per constraint (rows are 2 * G_i @ q)."""
+def grad_g(q: np.ndarray) -> np.ndarray:
+    """Jacobian of the 3D residuals, one row per constraint (rows are 2 G_i q)."""
     q = np.asarray(q, dtype=float).reshape(8)
-    return np.stack([2.0 * (G @ q) for G in constraint_matrices(mode)])
+    return np.stack([2.0 * (G @ q) for G in constraint_matrices()])
 
 
-def multiplier_matrices(lam: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """P(lam) = sum_i lam_i G_i, so q^T P q + lam_1 = lam^T g(q)."""
-    lam = np.asarray(lam, dtype=float).reshape(constraint_count(mode))
-    P = np.zeros((8, 8))
-    for li, G in zip(lam, constraint_matrices(mode)):
-        P += li * G
-    return P
+def multiplier_matrices(lam: np.ndarray) -> np.ndarray:
+    """P(lam) = lam_1 G1 + lam_2 G2, so q^T P q + lam_1 = lam^T g(q)."""
+    lam = np.asarray(lam, dtype=float).reshape(2)
+    return lam[0] * _G1 + lam[1] * _G2
 
 
-def assemble_Z(Q: np.ndarray, lam: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """Z(lam) = Q + P(lam); the Hessian of the Lagrangian (up to a factor 2)."""
-    lam = np.asarray(lam, dtype=float).reshape(constraint_count(mode))
+def assemble_Z(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Z(lam) = Q + P(lam); the Hessian of the 3D Lagrangian (up to a factor 2)."""
+    lam = np.asarray(lam, dtype=float).reshape(2)
     Z = np.array(Q, dtype=float, copy=True)
     idx = np.arange(4)
     Z[idx, idx] -= lam[0]
     Z[idx, idx + 4] += lam[1]
     Z[idx + 4, idx] += lam[1]
-    if mode is ConstraintMode.PLANAR:
-        Z[1, 1] += lam[2]
-        Z[2, 2] += lam[2]
-        Z[0, 7] += 0.5 * lam[3]
-        Z[7, 0] += 0.5 * lam[3]
-        Z[3, 4] -= 0.5 * lam[3]
-        Z[4, 3] -= 0.5 * lam[3]
     return Z
 
 
-# -- regular constraint set for Newton-type local solvers -------------------
+def solve_planar(Q: np.ndarray, null_tol: float = 1e-7):
+    """Global minimum of q^T Q q over the planar feasible set, in closed form.
 
-def local_constraint_count(mode: ConstraintMode) -> int:
-    return 2 if mode is ConstraintMode.FULL_3D else 5
-
-
-def eval_g_local(q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """Residuals of the solver constraint set: (g1, g2[, q2, q3, g4])."""
-    q = np.asarray(q, dtype=float).reshape(8)
-    g1 = 1.0 - q[:4] @ q[:4]
-    g2 = 2.0 * (q[:4] @ q[4:])
-    if mode is ConstraintMode.FULL_3D:
-        return np.array([g1, g2])
-    g4 = q[0] * q[7] - q[3] * q[4]
-    return np.array([g1, g2, q[1], q[2], g4])
-
-
-def grad_g_local(q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    q = np.asarray(q, dtype=float).reshape(8)
-    rows = [2.0 * (_G1 @ q), 2.0 * (_G2 @ q)]
-    if mode is ConstraintMode.PLANAR:
-        e2 = np.zeros(8)
-        e2[1] = 1.0
-        e3 = np.zeros(8)
-        e3[2] = 1.0
-        rows += [e2, e3, 2.0 * (_G4 @ q)]
-    return np.stack(rows)
-
-
-def hess_g_local(mode: ConstraintMode) -> list[np.ndarray]:
-    """Constant constraint Hessians matching eval_g_local's ordering."""
-    if mode is ConstraintMode.FULL_3D:
-        return [2.0 * _G1, 2.0 * _G2]
-    zero = np.zeros((8, 8))
-    return [2.0 * _G1, 2.0 * _G2, zero, zero, 2.0 * _G4]
-
-
-def local_sign_flip_mask(mode: ConstraintMode) -> np.ndarray:
-    """Multiplier signs to flip when the iterate is negated.
-
-    Quadratic constraints are even in q, the linear ones are odd.
+    With A, B, C the (q1,q4)-(q1,q4), (q1,q4)-(q6,q7) and (q6,q7)-(q6,q7)
+    blocks of Q, the cost minimized over the translation part is r^T S r
+    with S = A - B C^+ B^T, at (q6, q7) = -C^+ B^T r.  Returns
+    ``(q8, p_star, degeneracy)``: the sign-canonical minimizer, the exact
+    optimum p* = lambda_min(S), and ``None`` or a
+    :class:`NonUniqueSolution` (not raised) when C is singular or the two
+    eigenvalues of S tie, judged by ``null_tol * max(1, trace Q)``.  Its
+    8-row basis spans the minimizer and the unobservable directions, the
+    near-null space of the reduced Lagrangian Hessian.
     """
-    if mode is ConstraintMode.FULL_3D:
-        return np.ones(2)
-    return np.array([1.0, 1.0, -1.0, -1.0, 1.0])
+    Q = np.asarray(Q, dtype=float).reshape(8, 8)
+    A = Q[np.ix_(_PLANAR_ROT, _PLANAR_ROT)]
+    B = Q[np.ix_(_PLANAR_ROT, _PLANAR_TRANS)]
+    C = Q[np.ix_(_PLANAR_TRANS, _PLANAR_TRANS)]
+    scale = max(1.0, float(np.trace(Q)))
+    wc, Uc = np.linalg.eigh(C)
+    # exact pseudo-inverse: only rounding-level eigenvalues are dropped, so
+    # p* stays a true minimum (a dropped genuine eigenvalue would raise it)
+    inv = np.divide(1.0, wc, out=np.zeros(2), where=wc > 1e-12 * scale)
+    F = (Uc * inv) @ Uc.T @ B.T  # (q6, q7) = -F r
+    ws, Us = np.linalg.eigh(A - B @ F)
+
+    def lift(r):
+        v = np.zeros(8)
+        v[_PLANAR_ROT] = r
+        v[_PLANAR_TRANS] = -F @ r
+        return v
+
+    q8 = DualQuat.from_vec(lift(Us[:, 0])).canonicalized().vec()
+    p_star = float(ws[0])
+
+    thresh = null_tol * scale
+    tie = ws[1] - ws[0] < thresh
+    free = np.flatnonzero(wc < thresh)
+    if not tie and free.size == 0:
+        return q8, p_star, None
+    basis = [lift(Us[:, j]) for j in range(2 if tie else 1)]
+    for k in free:
+        v = np.zeros(8)
+        v[_PLANAR_TRANS] = Uc[:, k]
+        basis.append(v)
+    reasons = []
+    if tie:
+        reasons.append("yaw unobservable (reduced eigenvalues tie)")
+    if free.size:
+        reasons.append("in-plane translation unobservable (singular translation block)")
+    return q8, p_star, NonUniqueSolution(
+        "; ".join(reasons), basis=np.column_stack(basis), null_dim=len(basis))
+
+
+def planar_lagrangian(Q: np.ndarray, lam1: float, q: np.ndarray):
+    """Z(lam1, 0) and q restricted to the planar coordinates (q1, q4, q6, q7).
+
+    On those coordinates G2 vanishes, so ``lam1`` is the only multiplier;
+    at lam1 = p* the returned 4x4 matrix is positive semidefinite.
+    """
+    Z = assemble_Z(Q, [lam1, 0.0])[np.ix_(_PLANAR_COORDS, _PLANAR_COORDS)]
+    return Z, np.asarray(q, dtype=float).reshape(8)[_PLANAR_COORDS]

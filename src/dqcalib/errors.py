@@ -21,14 +21,6 @@ class DegenerateInit(DQCalibError):
     """Initial point cannot be projected onto the constraint manifold."""
 
 
-class MaxIterExceeded(DQCalibError):
-    """Iteration budget exhausted without convergence."""
-
-
-class Infeasible(DQCalibError):
-    """Dual solve broke down numerically."""
-
-
 class NonUniqueSolution(DQCalibError):
     """The feasible set inside the recovered null space is not a single point.
 

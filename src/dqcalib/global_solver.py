@@ -1,11 +1,10 @@
-"""Certifiably global solver via the Lagrangian dual of the calibration QCQP.
+"""Certifiably global solver for the calibration QCQP.
 
-The dual problem maximizes lam_1 subject to Z(lam) >= 0.  Because
-lam -> lambda_min(Z(lam)) is concave, the feasible lam_1 values form an
-interval: the solver bisects on lam_1 and, at each candidate, maximizes the
-minimum eigenvalue over the remaining multipliers (golden-section in 3D
-mode, coordinate-ascent sweeps with a supergradient fallback in planar
-mode).  The primal is recovered from the (near-)null space of Z at the
+3D mode solves the Lagrangian dual: maximize lam_1 subject to
+Z(lam) >= 0.  Because lam -> lambda_min(Z(lam)) is concave, the feasible
+lam_1 values form an interval: the solver bisects on lam_1 and, at each
+candidate, maximizes the minimum eigenvalue over lam_2 by golden-section
+search.  The primal is recovered from the (near-)null space of Z at the
 optimum.
 
 Consistent (noise-free) data always carries structural extra null
@@ -14,6 +13,10 @@ closes every motion loop but is not a unit dual quaternion.  Recovery
 therefore selects the unique constraint-satisfying combination inside the
 null space instead of assuming it is one-dimensional; a genuine continuum
 of feasible solutions (unobservable data) raises NonUniqueSolution.
+
+Planar mode needs no dual search: the feasible set is a circle times a
+plane, and :func:`dqcalib.constraints.solve_planar` returns the exact
+optimum of the reduced 2x2 eigenproblem, which is its own lower bound.
 """
 
 from __future__ import annotations
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintMode, assemble_Z, constraint_matrices, eval_g
+from .constraints import (ConstraintMode, assemble_Z, constraint_matrices,
+                          eval_g, solve_planar)
 from .cost import CostAccumulator
 from .dualquat import DualQuat
 from .errors import EmptyData, NoNullSpace, NonUniqueSolution
@@ -58,7 +62,15 @@ class DualSolution:
 
 @dataclass(frozen=True)
 class CalibSolution:
-    """Solver output: estimate, duality diagnostics, and provenance."""
+    """Solver output: estimate, duality diagnostics, and provenance.
+
+    ``lam`` holds the multipliers of (g1, g2) and ``dual_value`` the lower
+    bound lam_1.  In planar mode ``lam`` is (p*, 0) and ``dual_value`` is
+    p*, the exact planar optimum: restricted to the planar coordinates, G2
+    vanishes and Q - p* G1 is positive semidefinite.  ``null_dim`` counts
+    the near-null directions of Z at the optimum (1 for a unique planar
+    optimum).
+    """
 
     q_hat: DualQuat
     lam: np.ndarray
@@ -75,8 +87,8 @@ class CalibSolution:
     plane_derived: tuple[str, ...] | None = None
 
 
-def _min_eig(Q: np.ndarray, lam, mode: ConstraintMode) -> float:
-    return float(np.linalg.eigvalsh(assemble_Z(Q, lam, mode))[0])
+def _min_eig(Q: np.ndarray, lam) -> float:
+    return float(np.linalg.eigvalsh(assemble_Z(Q, lam))[0])
 
 
 def _golden_max(f, center: float, tol: float, exit_level: float | None):
@@ -156,89 +168,47 @@ def _golden_max(f, center: float, tol: float, exit_level: float | None):
     return best_x, best_f
 
 
-def _inner_max(Q: np.ndarray, lam1: float, mode: ConstraintMode,
-               warm: np.ndarray, exit_level: float | None,
-               tol: float = 1e-8):
-    """max over the remaining multipliers of lambda_min(Z(lam1, rest))."""
-    if mode is ConstraintMode.FULL_3D:
-        def f(l2):
-            return _min_eig(Q, np.array([lam1, l2]), mode)
-        x, val = _golden_max(f, float(warm[0]), tol, exit_level)
-        return np.array([x]), val
+def _inner_max(Q: np.ndarray, lam1: float, warm: np.ndarray,
+               exit_level: float | None, tol: float = 1e-8):
+    """max over lam_2 of lambda_min(Z(lam1, lam_2))."""
+    def f(l2):
+        return _min_eig(Q, np.array([lam1, l2]))
+    x, val = _golden_max(f, float(warm[0]), tol, exit_level)
+    return np.array([x]), val
 
-    rest = np.array(warm, dtype=float).copy()
 
-    def f_at(rest_vec):
-        return _min_eig(Q, np.concatenate([[lam1], rest_vec]), mode)
-
-    best = f_at(rest)
-    if exit_level is not None and best >= exit_level:
-        return rest, best
-    for _ in range(40):  # coordinate-ascent sweeps
-        improved = best
-        for j in range(3):
-            def fj(x, j=j):
-                trial = rest.copy()
-                trial[j] = x
-                return f_at(trial)
-            xj, vj = _golden_max(fj, float(rest[j]), tol, exit_level)
-            if vj > best:
-                rest = rest.copy()
-                rest[j] = xj
-                best = vj
-                if exit_level is not None and best >= exit_level:
-                    return rest, best
-        if best - improved < 1e-13 * (1.0 + abs(best)):
-            break
-    # supergradient polish guards against coordinate-ascent stalls at
-    # eigenvalue crossings
-    lam_full = np.concatenate([[lam1], rest])
-    vals, vecs = np.linalg.eigh(assemble_Z(Q, lam_full, mode))
-    v = vecs[:, 0]
-    Gs = constraint_matrices(mode)[1:]
-    grad = np.array([v @ G @ v for G in Gs])
-    if np.linalg.norm(grad) > 1e-9:
-        cur = rest.copy()
-        for k in range(1, 60):
-            cur = cur + (0.25 / k) * grad
-            val = f_at(cur)
-            if val > best:
-                rest, best = cur.copy(), val
-                if exit_level is not None and best >= exit_level:
-                    return rest, best
-            lam_full = np.concatenate([[lam1], cur])
-            vals, vecs = np.linalg.eigh(assemble_Z(Q, lam_full, mode))
-            v = vecs[:, 0]
-            grad = np.array([v @ G @ v for G in Gs])
-    return rest, best
+def _require_3d(mode: ConstraintMode):
+    if mode is not ConstraintMode.FULL_3D:
+        raise ValueError("the dual search is for 3D mode; planar mode is "
+                         "solved exactly by constraints.solve_planar")
 
 
 def solve_dual(Q: np.ndarray, mode: ConstraintMode,
                opts: DualSolveOptions | None = None) -> np.ndarray:
-    """Maximize lam_1 subject to Z(lam) >= 0; returns the full multiplier vector.
+    """Maximize lam_1 subject to Z(lam) >= 0; returns (lam_1, lam_2).
 
-    The search interval is [0, c] where c is the cost of any feasible point
-    (weak duality).  The feasibility slack is kept near machine precision so
-    the returned lam_1 is a valid lower bound on the primal optimum.
+    3D mode only.  The search interval is [0, c] where c is the cost of any
+    feasible point (weak duality).  The feasibility slack is kept near
+    machine precision so the returned lam_1 is a valid lower bound on the
+    primal optimum.
     """
+    _require_3d(mode)
     opts = opts or DualSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    n_rest = 1 if mode is ConstraintMode.FULL_3D else 3
-    rest = np.zeros(n_rest)
+    rest = np.zeros(1)
 
-    q_feas = project_feasible(np.array([1.0, 0, 0, 0, 0, 0, 0, 0]), mode)
-    ub = float(q_feas @ Q @ q_feas)
+    ub = float(Q[0, 0])  # cost of the identity, a feasible point
     slack = -1e-13 * (1.0 + np.linalg.norm(Q, ord="fro"))
 
     if ub <= opts.tol_obj:
-        rest, _ = _inner_max(Q, 0.0, mode, rest, exit_level=None)
+        rest, _ = _inner_max(Q, 0.0, rest, exit_level=None)
         return np.concatenate([[0.0], rest])
 
     # cheap probe: optimum at (or within tol of) zero is the common
     # noise-free case and needs no bisection
-    rest_probe, val = _inner_max(Q, opts.tol_obj, mode, rest, exit_level=0.0)
+    rest_probe, val = _inner_max(Q, opts.tol_obj, rest, exit_level=0.0)
     if val < slack:
-        rest, _ = _inner_max(Q, 0.0, mode, rest, exit_level=None)
+        rest, _ = _inner_max(Q, 0.0, rest, exit_level=None)
         return np.concatenate([[0.0], rest])
 
     lb = opts.tol_obj
@@ -247,17 +217,16 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode,
     while ub - lb > opts.tol_obj and outer < opts.max_outer:
         outer += 1
         mid = 0.5 * (lb + ub)
-        rest_mid, val = _inner_max(Q, mid, mode, rest, exit_level=0.0)
+        rest_mid, val = _inner_max(Q, mid, rest, exit_level=0.0)
         if val >= slack:
             lb, rest = mid, rest_mid
         else:
             ub = mid
-    rest, _ = _inner_max(Q, lb, mode, rest, exit_level=None)
+    rest, _ = _inner_max(Q, lb, rest, exit_level=None)
     return np.concatenate([[lb], rest])
 
 
-def _nullspace_solution(Z: np.ndarray, mode: ConstraintMode, null_tol: float,
-                        scale: float = 1.0):
+def _nullspace_solution(Z: np.ndarray, null_tol: float, scale: float = 1.0):
     """Pick the unique constraint-feasible 8-vector in the near-null space.
 
     Returns (q8 or None, null_dim, unique, diagnostic).  ``q8`` is scaled
@@ -288,13 +257,13 @@ def _nullspace_solution(Z: np.ndarray, mode: ConstraintMode, null_tol: float,
     v0 = v0 / np.linalg.norm(v0[:4])
     D = V @ U[:, :-1]  # pure-dual directions (real part ~ 0)
 
-    cons = constraint_matrices(mode)[1:]  # g1 handled by the scaling above
     if D.shape[1] == 0:
         return v0, null_dim, True, None
-    # remaining constraints are linear in the pure-dual coefficients
-    M = np.array([[2.0 * (v0 @ G @ D[:, j]) for j in range(D.shape[1])]
-                  for G in cons])
-    b = -np.array([v0 @ G @ v0 for G in cons])
+    # g1 is met by the scaling above; g2 is linear in the pure-dual
+    # coefficients
+    G2 = constraint_matrices()[1]
+    M = np.array([[2.0 * (v0 @ G2 @ D[:, j]) for j in range(D.shape[1])]])
+    b = -np.array([v0 @ G2 @ v0])
     u, s, vt = np.linalg.svd(M, full_matrices=True)
     rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 0.0)))
     if rank < D.shape[1]:
@@ -302,7 +271,7 @@ def _nullspace_solution(Z: np.ndarray, mode: ConstraintMode, null_tol: float,
     mu = np.linalg.lstsq(M, b, rcond=None)[0]
     v = v0 + D @ mu
     v = v / np.linalg.norm(v[:4])
-    residual = np.max(np.abs(eval_g(v, mode)))
+    residual = np.max(np.abs(eval_g(v, ConstraintMode.FULL_3D)))
     if residual > 1e-5:
         return None, null_dim, False, f"constraints unmet in null space ({residual:.2e})"
     return v, null_dim, True, None
@@ -310,48 +279,82 @@ def _nullspace_solution(Z: np.ndarray, mode: ConstraintMode, null_tol: float,
 
 def recover_primal(Q: np.ndarray, lam: np.ndarray, mode: ConstraintMode,
                    opts: DualSolveOptions | None = None) -> tuple[np.ndarray, int]:
-    """Primal solution from the near-null space of Z(lam).
+    """Primal solution from the near-null space of Z(lam); 3D mode only.
 
     Raises :class:`NoNullSpace` when Z has no sufficiently small eigenvalue
     (dual not converged) and :class:`NonUniqueSolution` when the data does
     not pin down a single calibration (e.g. all rotation axes parallel
     without planar constraints).
     """
+    _require_3d(mode)
     opts = opts or DualSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    Z = assemble_Z(Q, lam, mode)
+    Z = assemble_Z(Q, lam)
     scale = float(np.trace(Q))
-    q8, null_dim, unique, diag = _nullspace_solution(Z, mode, opts.null_tol, scale)
+    q8, null_dim, unique, diag = _nullspace_solution(Z, opts.null_tol, scale)
     if null_dim == 0:
         raise NoNullSpace(diag)
     if not unique or q8 is None:
         vals, vecs = np.linalg.eigh(Z)
         basis = vecs[:, vals < opts.null_tol * max(1.0, scale)]
         raise NonUniqueSolution(diag, basis=basis, null_dim=null_dim)
-    q8 = project_feasible(q8, mode)
+    q8 = project_feasible(q8)
     q8 = DualQuat.from_vec(q8).canonicalized().vec()
     return q8, null_dim
 
 
+def probe_degeneracy(Q: np.ndarray, lam: np.ndarray, mode: ConstraintMode,
+                     opts: DualSolveOptions | None = None) -> tuple[int, str | None]:
+    """Near-null dimension of the problem and why its optimum is not unique.
+
+    Returns ``(null_dim, diagnostic)`` with ``diagnostic`` None for a
+    unique optimum.  3D mode inspects the null space of Z(lam); planar mode
+    ignores ``lam`` and asks the exact reduced solve.
+    """
+    opts = opts or DualSolveOptions()
+    Q = np.asarray(Q, dtype=float).reshape(8, 8)
+    if mode is ConstraintMode.PLANAR:
+        _, _, degeneracy = solve_planar(Q, opts.null_tol)
+        return (1, None) if degeneracy is None else (degeneracy.null_dim,
+                                                     str(degeneracy))
+    _, null_dim, unique, diag = _nullspace_solution(
+        assemble_Z(Q, lam), opts.null_tol, float(np.trace(Q)))
+    return null_dim, None if unique else diag
+
+
 def solve_global(acc: CostAccumulator, opts: DualSolveOptions | None = None,
                  gap_threshold: float = GAP_THRESHOLD) -> CalibSolution:
-    """Dual solve plus primal recovery over an accumulator snapshot."""
+    """Certified global optimum over an accumulator snapshot.
+
+    3D mode runs the dual solve, primal recovery and a Newton polish;
+    planar mode the exact reduced solve.  Both raise
+    :class:`NonUniqueSolution` (with the unobservable directions) when the
+    data does not pin down a single calibration.
+    """
     if acc.n == 0:
         raise EmptyData("accumulator holds no motion pairs")
     opts = opts or DualSolveOptions()
     Q = acc.normalized_q
     mode = acc.mode
     t0 = time.perf_counter()
-    lam = solve_dual(Q, mode, opts)
-    q8, null_dim = recover_primal(Q, lam, mode, opts)
-    primal = float(q8 @ Q @ q8)
-    # Newton polish: the recovered vector can carry a small component of a
-    # nearly-null direction (finite dual tolerance); a warm-started local
-    # solve lands on the exact KKT point of the same basin
-    polish = solve_local(Q, mode, LocalSolveOptions(init=q8))
-    if polish.converged and polish.cost <= primal + 1e-15:
-        q8 = polish.q_hat.vec()
-        primal = polish.cost
+    if mode is ConstraintMode.PLANAR:
+        q8, p_star, degeneracy = solve_planar(Q, opts.null_tol)
+        if degeneracy is not None:
+            raise degeneracy
+        lam, null_dim = np.array([p_star, 0.0]), 1
+        primal = float(q8 @ Q @ q8)
+    else:
+        lam = solve_dual(Q, mode, opts)
+        q8, null_dim = recover_primal(Q, lam, mode, opts)
+        primal = float(q8 @ Q @ q8)
+        # Newton polish: the recovered vector can carry a small component
+        # of a nearly-null direction (finite dual tolerance); a
+        # warm-started local solve lands on the exact KKT point of the
+        # same basin
+        polish = solve_local(Q, mode, LocalSolveOptions(init=q8))
+        if polish.converged and polish.cost <= primal + 1e-15:
+            q8 = polish.q_hat.vec()
+            primal = polish.cost
     elapsed = time.perf_counter() - t0
     dual_value = float(lam[0])
     gap = primal - dual_value

@@ -1,11 +1,14 @@
 """Fast local solver for the constrained quadratic calibration problem.
 
-Minimizes q^T Q q subject to the mode's equality constraints.  A short
-projected-gradient phase descends from the initial point, then damped
+Minimizes q^T Q q subject to the mode's equality constraints.  In 3D mode a
+short projected-gradient phase descends from the initial point, then damped
 Newton iterations on the KKT system polish to tight tolerances.  Iterates
 are re-projected onto the constraint manifold after every step (cheap and
 exact for these constraints), so returned points are feasible to floating
-point accuracy.  Everything is deterministic.
+point accuracy.  Planar mode needs no iteration: the planar problem reduces
+to a 2x2 eigenproblem (:func:`dqcalib.constraints.solve_planar`) whose
+solution is global, so the fast and the global solver return the same
+estimate.  Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -14,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (ConstraintMode, eval_g_local, grad_g_local,
-                          hess_g_local, local_sign_flip_mask)
-from .dualquat import DualQuat, quat_conj, quat_mul
+from .constraints import ConstraintMode, constraint_matrices, eval_g, grad_g, solve_planar
+from .dualquat import DualQuat
 from .errors import DegenerateInit
 
 _IDENTITY8 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
+_HESSIANS = [2.0 * G for G in constraint_matrices()]
 
 
 @dataclass(frozen=True)
@@ -36,43 +39,39 @@ class LocalSolveOptions:
 
 @dataclass(frozen=True)
 class LocalSolution:
+    """A KKT point of the calibration QCQP.
+
+    Planar mode: ``lam`` is (p*, 0), ``iterations`` 0 and ``kkt_residual``
+    0, since the reduced problem is solved in closed form.
+    """
+
     q_hat: DualQuat
-    lam: np.ndarray  # multipliers of the solver constraint set (2 or 5)
+    lam: np.ndarray  # multipliers of (g1, g2)
     cost: float
     converged: bool
     iterations: int
     kkt_residual: float
 
 
-def project_feasible(q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """Exact restoration onto the constraint manifold.
+def project_feasible(q: np.ndarray) -> np.ndarray:
+    """Exact restoration onto the 3D constraint manifold.
 
-    Planar mode zeroes the tilt components first, then the real part is
-    normalized, the dual part orthogonalized, and (planar only) the dual
-    part rebuilt from the in-plane translation so the out-of-plane
-    constraint holds exactly.
+    The real part is normalized and the dual part orthogonalized to it.
     """
     v = np.array(q, dtype=float).reshape(8).copy()
-    if mode is ConstraintMode.PLANAR:
-        v[1] = 0.0
-        v[2] = 0.0
     nr = np.linalg.norm(v[:4])
     if nr < 1e-8:
         raise DegenerateInit("initial point has (near-)zero real part")
     v[:4] /= nr
     v[4:] -= (v[:4] @ v[4:]) * v[:4]
-    if mode is ConstraintMode.PLANAR:
-        t = 2.0 * quat_mul(v[4:], quat_conj(v[:4]))
-        t[0] = 0.0
-        t[3] = 0.0
-        v[4:] = 0.5 * quat_mul(t, v[:4])
     return v
 
 
-def _canonical(q: np.ndarray, lam: np.ndarray, flip_mask: np.ndarray):
+def _canonical(q: np.ndarray) -> np.ndarray:
+    # both constraints are even in q, so the multipliers keep their sign
     if q[0] < 0 or (abs(q[0]) <= 1e-12 and _first_nonzero_negative(q)):
-        return -q, lam * flip_mask
-    return q, lam
+        return -q
+    return q
 
 
 def _first_nonzero_negative(q: np.ndarray) -> bool:
@@ -92,12 +91,12 @@ def _kkt_residual(Q, q, lam, A, g):
     return max(np.max(np.abs(stat)), np.max(np.abs(g)))
 
 
-def _gradient_phase(Q, q, mode, budget=500, target=1e-6):
+def _gradient_phase(Q, q, budget=500, target=1e-6):
     """Armijo projected-gradient descent; returns (q, iterations used)."""
     alpha0 = 1.0 / (1.0 + 2.0 * np.linalg.norm(Q, ord="fro"))
     it = 0
     for it in range(1, budget + 1):
-        A = grad_g_local(q, mode)
+        A = grad_g(q)
         lam = _ls_multipliers(Q, q, A)
         grad = 2.0 * (Q @ q) + A.T @ lam
         gnorm = np.max(np.abs(grad))
@@ -107,7 +106,7 @@ def _gradient_phase(Q, q, mode, budget=500, target=1e-6):
         alpha = alpha0
         accepted = False
         for _ in range(40):
-            trial = project_feasible(q - alpha * grad, mode)
+            trial = project_feasible(q - alpha * grad)
             if trial @ Q @ trial <= cost - 1e-4 * alpha * (grad @ grad):
                 q = trial
                 accepted = True
@@ -122,40 +121,43 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
                 opts: LocalSolveOptions | None = None) -> LocalSolution:
     """Return a KKT point of the constrained quadratic program.
 
-    The returned multipliers refer to the solver's regularized constraint
-    set (the planar tilt constraints are the linear pair q2 = q3 = 0);
-    canonical dual multipliers for certification are re-fit by
-    :func:`dqcalib.verify.certify`.  A non-converged run returns the best
-    iterate with ``converged=False`` rather than raising.
+    Canonical dual multipliers for certification are re-fit by
+    :func:`dqcalib.verify.certify`.  A non-converged 3D run returns the best
+    iterate with ``converged=False`` rather than raising.  Planar mode
+    returns the exact reduced solution, ignores ``init`` and the budgets,
+    and never raises (a non-unique optimum is reported by
+    :func:`dqcalib.global_solver.probe_degeneracy`).
     """
     opts = opts or LocalSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
+    if mode is ConstraintMode.PLANAR:
+        q8, p_star, _ = solve_planar(Q)
+        return LocalSolution(q_hat=DualQuat.from_vec(q8),
+                             lam=np.array([p_star, 0.0]),
+                             cost=float(q8 @ Q @ q8), converged=True,
+                             iterations=0, kkt_residual=0.0)
     init = _IDENTITY8 if opts.init is None else np.asarray(opts.init, dtype=float)
-    q = project_feasible(init, mode)
-
-    hessians = hess_g_local(mode)
-    flip = local_sign_flip_mask(mode)
+    q = project_feasible(init)
 
     # the descent phase budget shrinks with tight iteration caps so a
     # realtime-configured solver stays strictly bounded
-    q, grad_iters = _gradient_phase(Q, q, mode,
-                                    budget=min(500, 25 * opts.max_iter))
-    A = grad_g_local(q, mode)
+    q, grad_iters = _gradient_phase(Q, q, budget=min(500, 25 * opts.max_iter))
+    A = grad_g(q)
     lam = _ls_multipliers(Q, q, A)
-    q, lam = _canonical(q, lam, flip)
+    q = _canonical(q)
 
     m = len(lam)
     iterations = grad_iters
     for _ in range(opts.max_iter):
-        A = grad_g_local(q, mode)
-        g = eval_g_local(q, mode)
+        A = grad_g(q)
+        g = eval_g(q, mode)
         F = np.concatenate([2.0 * (Q @ q) + A.T @ lam, g])
         res = np.max(np.abs(F))
         if res < opts.tol_kkt:
             break
         iterations += 1
 
-        H = 2.0 * Q + sum(li * Hi for li, Hi in zip(lam, hessians))
+        H = 2.0 * Q + sum(li * Hi for li, Hi in zip(lam, _HESSIANS))
         KKT = np.zeros((8 + m, 8 + m))
         KKT[:8, :8] = H
         KKT[:8, 8:] = A.T
@@ -171,10 +173,10 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
         alpha = 1.0
         best = None
         for _ in range(30):
-            q_trial = project_feasible(q + alpha * d[:8], mode)
+            q_trial = project_feasible(q + alpha * d[:8])
             lam_trial = lam + alpha * d[8:]
-            A_t = grad_g_local(q_trial, mode)
-            g_t = eval_g_local(q_trial, mode)
+            A_t = grad_g(q_trial)
+            g_t = eval_g(q_trial, mode)
             F_t = np.concatenate([2.0 * (Q @ q_trial) + A_t.T @ lam_trial, g_t])
             if np.linalg.norm(F_t) <= (1.0 - 1e-4 * alpha) * norm_F:
                 best = (q_trial, lam_trial)
@@ -183,12 +185,12 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
         if best is None:
             break  # stalled; report the current iterate honestly
         q, lam = best
-        q, lam = _canonical(q, lam, flip)
+        q = _canonical(q)
         if alpha * np.max(np.abs(d[:8])) < opts.tol_step:
             break
 
-    A = grad_g_local(q, mode)
-    g = eval_g_local(q, mode)
+    A = grad_g(q)
+    g = eval_g(q, mode)
     res = _kkt_residual(Q, q, lam, A, g)
     # a fresh multiplier fit can only reduce the stationarity residual
     lam_ls = _ls_multipliers(Q, q, A)

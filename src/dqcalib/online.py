@@ -15,11 +15,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .constraints import ConstraintMode, assemble_Z
+from .constraints import ConstraintMode
 from .cost import CostAccumulator, MotionPair
 from .errors import NonMonotonicTime, NonUniqueSolution
-from .global_solver import (CalibSolution, DualSolveOptions,
-                            _nullspace_solution, solve_global)
+from .global_solver import (CalibSolution, DualSolveOptions, probe_degeneracy,
+                            solve_global)
 from .local_solver import LocalSolveOptions, solve_local
 from .planar import GroundPlane, lift_calibration, plane_alignment_dq
 from .verify import VerifyOptions, certify
@@ -64,13 +64,6 @@ class OnlineCalibrator:
         self._last_time = -np.inf
         self._warm: np.ndarray | None = None
 
-    def _probe_degenerate(self, Q, lam):
-        Z = assemble_Z(Q, lam, self.config.mode)
-        _, null_dim, unique, _ = _nullspace_solution(
-            Z, self.config.mode, self.config.dual_opts.null_tol,
-            scale=float(np.trace(Q)))
-        return null_dim, not unique
-
     def update(self, pair: MotionPair) -> CalibSolution:
         """Process one pair and return the current calibration estimate."""
         cfg = self.config
@@ -99,7 +92,8 @@ class OnlineCalibrator:
                 sol = solve_global(self.acc, cfg.dual_opts,
                                    cfg.verify_opts.gap_threshold)
             except NonUniqueSolution as err:
-                null_dim, _ = self._probe_degenerate(Q, cert.lambda_fit)
+                null_dim, _ = probe_degeneracy(Q, cert.lambda_fit, cfg.mode,
+                                               cfg.dual_opts)
                 sol = CalibSolution(
                     q_hat=local.q_hat, lam=cert.lambda_fit,
                     primal_cost=local.cost, dual_value=float(cert.lambda_fit[0]),
@@ -108,8 +102,9 @@ class OnlineCalibrator:
                 degenerate = True
                 diagnostic = str(err)
         else:
-            null_dim, degenerate = self._probe_degenerate(Q, cert.lambda_fit)
-            diagnostic = "feasible set not unique" if degenerate else None
+            null_dim, diagnostic = probe_degeneracy(Q, cert.lambda_fit, cfg.mode,
+                                                    cfg.dual_opts)
+            degenerate = diagnostic is not None
             sol = CalibSolution(
                 q_hat=local.q_hat, lam=cert.lambda_fit,
                 primal_cost=local.cost, dual_value=float(cert.lambda_fit[0]),

@@ -1,11 +1,17 @@
 """Globality certification of a candidate calibration.
 
 Given a feasible candidate q, the first-order dual optimality condition
-Z(lam) q = 0 is linear in the multipliers, so the best-fitting lam comes
-from a small least-squares solve.  If Z(lam) is positive semidefinite, the
-duality gap q^T Q q - lam_1 bounds the candidate's distance from the global
-optimum; near-zero gap certifies globality.  Cost normalization makes the
-gap threshold independent of the number of accumulated pairs.
+Z(lam) q = 0 is linear in the multipliers, so in 3D mode the best-fitting
+lam comes from a small least-squares solve.  If Z(lam) is positive
+semidefinite, the duality gap q^T Q q - lam_1 bounds the candidate's
+distance from the global optimum; near-zero gap certifies globality.
+
+Planar mode needs no fit: the exact optimum p* of the reduced problem
+(:func:`dqcalib.constraints.solve_planar`) is the multiplier of the unit
+circle, Z is Q - p* G1 restricted to the planar coordinates (q1, q4, q6,
+q7), positive semidefinite by construction, and the gap q^T Q q - p* is
+the candidate's exact excess cost.  Cost normalization makes the gap
+threshold independent of the number of accumulated pairs.
 """
 
 from __future__ import annotations
@@ -14,10 +20,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintMode, assemble_Z, constraint_matrices, eval_g
+from .constraints import (ConstraintMode, assemble_Z, constraint_matrices,
+                          eval_g, planar_lagrangian, solve_planar)
 from .dualquat import DualQuat
 from .errors import InfeasiblePoint
-from .global_solver import GAP_THRESHOLD, _golden_max
+from .global_solver import GAP_THRESHOLD
 
 
 @dataclass(frozen=True)
@@ -29,42 +36,18 @@ class VerifyOptions:
     null_tol: float = 1e-7
 
 
-def _feasibility_probe(Q, lam1, mode, warm, floor, sweeps=3):
-    """Budget-capped search for multipliers making Z(lam1, rest) PSD.
-
-    Returns (rest, best_min_eig); exits early once the floor is reached.
-    Deterministic; a miss within the budget only means "not certified".
-    """
-    rest = np.array(warm, dtype=float)
-
-    def min_eig(vec):
-        return float(np.linalg.eigvalsh(
-            assemble_Z(Q, np.concatenate([[lam1], vec]), mode))[0])
-
-    best = min_eig(rest)
-    if best >= floor:
-        return rest, best
-    for _ in range(sweeps):
-        improved = best
-        for j in range(len(rest)):
-            def fj(x, j=j):
-                trial = rest.copy()
-                trial[j] = x
-                return min_eig(trial)
-            xj, vj = _golden_max(fj, float(rest[j]), 1e-6, exit_level=floor)
-            if vj > best:
-                rest = rest.copy()
-                rest[j] = xj
-                best = vj
-                if best >= floor:
-                    return rest, best
-        if best - improved < 1e-13 * (1.0 + abs(best)):
-            break
-    return rest, best
-
-
 @dataclass(frozen=True)
 class Certificate:
+    """Verdict plus its evidence.
+
+    ``lambda_fit`` holds the multipliers of (g1, g2); ``min_eig`` is the
+    smallest eigenvalue of Z(lambda_fit), ``residual`` is ||Z q|| and
+    ``null_dim`` counts Z's near-null eigenvalues.  In planar mode
+    ``lambda_fit`` is (p*, 0) and Z is the 4x4 restriction of Q - p* G1 to
+    (q1, q4, q6, q7), so ``min_eig`` is zero up to rounding and
+    ``null_dim`` is 1 for a unique optimum.
+    """
+
     lambda_fit: np.ndarray
     residual: float
     min_eig: float
@@ -79,12 +62,12 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
     """Certificate for a candidate solution.
 
     ``q_hat`` may be a DualQuat or an 8-vector; it must satisfy the mode's
-    constraints within ``feas_tol``.  Verdict requires three conditions:
-    Z(lam) positive semidefinite (scale-aware tolerance), small stationarity
-    residual, and duality gap below the threshold.  When the fit (and a
-    bounded feasibility probe) fails the PSD check, the reported gap falls
-    back to the distance bound against the zero multiplier, which is always
-    dual feasible; such a certificate never certifies.
+    constraints within ``feas_tol`` (every residual on the linear scale).
+    Verdict requires three conditions: Z(lam) positive semidefinite
+    (scale-aware tolerance), small stationarity residual, and duality gap
+    below the threshold.  When the 3D fit fails the PSD check, the reported
+    gap falls back to the distance bound against the zero multiplier, which
+    is always dual feasible; such a certificate never certifies.
     """
     opts = opts or VerifyOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
@@ -96,51 +79,23 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
         raise InfeasiblePoint(
             f"constraint residual {np.max(np.abs(g)):.3e} exceeds {opts.feas_tol}")
 
-    Gs = constraint_matrices(mode)
-    A = np.column_stack([G @ q8 for G in Gs])
-    b = -(Q @ q8)
-    # minimum-norm SVD least squares: the system is linear in the
-    # multipliers, and rank-revealing handling keeps the structurally zero
-    # planar column (G3 annihilates every feasible point) from poisoning
-    # the fit
-    lam = np.linalg.lstsq(A, b, rcond=1e-12)[0]
+    if mode is ConstraintMode.PLANAR:
+        _, p_star, _ = solve_planar(Q)
+        lam = np.array([p_star, 0.0])
+        Z, x = planar_lagrangian(Q, p_star, q8)
+    else:
+        A = np.column_stack([G @ q8 for G in constraint_matrices()])
+        # minimum-norm SVD least squares: the system is linear in the
+        # multipliers
+        lam = np.linalg.lstsq(A, -(Q @ q8), rcond=1e-12)[0]
+        Z = assemble_Z(Q, lam)
+        x = q8
 
     scale = 1.0 + abs(float(np.trace(Q)))
     psd_floor = -opts.tol_psd * scale
     primal = float(q8 @ Q @ q8)
-
-    def stats(lam_vec):
-        Z = assemble_Z(Q, lam_vec, mode)
-        vals = np.linalg.eigvalsh(Z)
-        residual = float(np.linalg.norm(Z @ q8))
-        return vals, residual
-
-    vals, residual = stats(lam)
-    if mode is ConstraintMode.PLANAR and vals[0] < psd_floor:
-        # the tilt-constraint multiplier is invisible to the least-squares
-        # fit (its matrix annihilates every feasible point), but it still
-        # shifts the spectrum; pick it by 1-D concave maximization
-        def f(l3):
-            trial = lam.copy()
-            trial[2] = l3
-            return float(np.linalg.eigvalsh(assemble_Z(Q, trial, mode))[0])
-        l3, best = _golden_max(f, float(lam[2]), 1e-8, exit_level=None)
-        if best > vals[0]:
-            lam = lam.copy()
-            lam[2] = l3
-            vals, residual = stats(lam)
-
-    if vals[0] < psd_floor:
-        # residual-minimizing multipliers need not be dual feasible even
-        # for a global candidate (the planar stationarity system is rank
-        # deficient on the constraint manifold); probe for any feasible
-        # multiplier at a slightly reduced dual target, which by weak
-        # duality still certifies the candidate within the gap threshold
-        target = primal - 0.5 * opts.gap_threshold
-        rest, val = _feasibility_probe(Q, target, mode, lam[1:], psd_floor)
-        if val >= psd_floor:
-            lam = np.concatenate([[target], rest])
-            vals, residual = stats(lam)
+    vals = np.linalg.eigvalsh(Z)
+    residual = float(np.linalg.norm(Z @ x))
 
     min_eig = float(vals[0])
     psd_ok = min_eig >= psd_floor

@@ -2,19 +2,20 @@ import numpy as np
 import pytest
 
 from dqcalib.constraints import ConstraintMode, assemble_Z, eval_g
-from dqcalib.cost import CostAccumulator
+from dqcalib.cost import CostAccumulator, MotionPair
+from dqcalib.dualquat import DualQuat
 from dqcalib.errors import EmptyData, NonUniqueSolution
 from dqcalib.global_solver import (DualSolveOptions, recover_primal,
                                    solve_dual, solve_global)
 from dqcalib.local_solver import LocalSolveOptions, solve_local
 from dqcalib.metrics import calib_error
-from dqcalib.planar import plane_alignment_dq
+from dqcalib.planar import GroundPlane, plane_alignment_dq
 from dqcalib.sim import planar_rig, random_unit_dq, sensor_pair_motions
 
 from conftest import accumulate_pairs, make_dataset
 
 
-def oracle_dual_lambda1(Q, mode=ConstraintMode.FULL_3D, xtol=1e-9):
+def oracle_dual_lambda1(Q, xtol=1e-9):
     """Brute-force reference for the optimal dual value (2-multiplier case).
 
     Independent route: scipy bounded scalar minimization for the inner
@@ -27,7 +28,7 @@ def oracle_dual_lambda1(Q, mode=ConstraintMode.FULL_3D, xtol=1e-9):
 
     def phi(l1):
         res = minimize_scalar(
-            lambda l2: -np.linalg.eigvalsh(assemble_Z(Q, [l1, l2], mode))[0],
+            lambda l2: -np.linalg.eigvalsh(assemble_Z(Q, [l1, l2]))[0],
             bounds=(-bound, bound), method="bounded",
             options={"xatol": 1e-12})
         return -res.fun
@@ -43,6 +44,55 @@ def oracle_dual_lambda1(Q, mode=ConstraintMode.FULL_3D, xtol=1e-9):
     return brentq(phi, grid[k], grid[k + 1], xtol=xtol)
 
 
+def oracle_planar(Q):
+    """Brute-force reference for the planar optimum: (cost, q8).
+
+    Independent route: the yaw angle theta is scanned on a grid and refined
+    by scipy bounded scalar minimization; for each theta the in-plane
+    translation part (q6, q7) comes from a least-squares solve on a square
+    root of Q.
+    """
+    from scipy.optimize import minimize_scalar
+
+    w, U = np.linalg.eigh(Q)
+    R = np.sqrt(np.clip(w, 0.0, None))[:, None] * U.T  # Q = R^T R
+
+    def point(theta):
+        r = np.array([np.cos(0.5 * theta), np.sin(0.5 * theta)])
+        s = np.linalg.lstsq(R[:, [5, 6]], -R[:, [0, 3]] @ r, rcond=None)[0]
+        q = np.zeros(8)
+        q[[0, 3]] = r
+        q[[5, 6]] = s
+        return q
+
+    def cost(theta):
+        q = point(theta)
+        return q @ Q @ q
+
+    grid = np.linspace(0.0, 2.0 * np.pi, 721)
+    k = int(np.argmin([cost(t) for t in grid]))
+    res = minimize_scalar(cost, bounds=(grid[max(k - 1, 0)], grid[min(k + 1, 720)]),
+                          method="bounded", options={"xatol": 1e-12})
+    return cost(res.x), point(res.x)
+
+
+def planar_acc(rig):
+    return accumulate_pairs(rig.pairs, mode=ConstraintMode.PLANAR,
+                            align_a=plane_alignment_dq(rig.plane_a),
+                            align_b=plane_alignment_dq(rig.plane_b))
+
+
+def in_plane_translation_stream(n=12):
+    # rotation-free motions in the ground plane: the calibration's in-plane
+    # translation is unobservable
+    steps = [DualQuat.from_translation([1.0, 0.2 * (i % 3), 0.0]) for i in range(n)]
+    return [MotionPair(q_a=s, q_b=s, timestamp=0.1 * (i + 1))
+            for i, s in enumerate(steps)]
+
+
+FLAT_GROUND = GroundPlane(normal=[0.0, 0.0, 1.0], distance=1.0)
+
+
 class TestSolveDual:
     def test_zero_cost_matrix(self):
         lam = solve_dual(np.zeros((8, 8)), ConstraintMode.FULL_3D)
@@ -53,7 +103,7 @@ class TestSolveDual:
         Q = accumulate_pairs(pairs).normalized_q
         lam = solve_dual(Q, ConstraintMode.FULL_3D)
         assert abs(lam[0]) < 1e-9
-        assert np.linalg.eigvalsh(assemble_Z(Q, lam, ConstraintMode.FULL_3D))[0] >= -1e-9
+        assert np.linalg.eigvalsh(assemble_Z(Q, lam))[0] >= -1e-9
 
     @pytest.mark.parametrize("seed,noise,n", [(31, 0.05, 50), (32, 0.1, 80),
                                               (33, 0.02, 30), (34, 0.08, 120)])
@@ -68,7 +118,7 @@ class TestSolveDual:
         Q = accumulate_pairs(pairs).normalized_q
         opts = DualSolveOptions()
         lam = solve_dual(Q, ConstraintMode.FULL_3D, opts)
-        Z = assemble_Z(Q, lam, ConstraintMode.FULL_3D)
+        Z = assemble_Z(Q, lam)
         min_eig = np.linalg.eigvalsh(Z)[0]
         assert min_eig >= -opts.tol_psd * (1 + np.linalg.norm(Z))
 
@@ -162,3 +212,42 @@ class TestSolveGlobal:
             pairs, _ = make_dataset(seed=seed, n_pairs=60, noise=0.05)
             sol = solve_global(accumulate_pairs(pairs))
             assert sol.gap >= -1e-9
+
+
+class TestPlanar:
+    @pytest.mark.parametrize("i", range(24))
+    def test_matches_yaw_scan_oracle(self, i):
+        rig = planar_rig(n_steps=80, seed=300 + i, noise_level=0.01 * (i % 6))
+        acc = planar_acc(rig)
+        sol = solve_global(acc)
+        assert sol.is_global
+        ref_cost, ref_q = oracle_planar(acc.normalized_q)
+        assert abs(sol.primal_cost - ref_cost) < 1e-9
+        assert abs(sol.dual_value - ref_cost) < 1e-9
+        err = calib_error(sol.q_hat, DualQuat.from_vec(ref_q))
+        assert err.eps_r < 1e-6 and err.eps_t < 1e-6
+
+    def test_certificate_soundness_by_sampling(self, rng):
+        rig = planar_rig(n_steps=80, seed=44, noise_level=0.1)
+        acc = planar_acc(rig)
+        sol = solve_global(acc)
+        assert sol.is_global
+        Q = acc.normalized_q
+        best = np.inf
+        for _ in range(10_000):
+            t = rng.uniform(-2.0, 2.0, size=2)
+            v = DualQuat.from_rot_trans([0, 0, 1], rng.uniform(0, 2 * np.pi),
+                                        [t[0], t[1], 0.0]).vec()
+            best = min(best, v @ Q @ v)
+        assert best >= sol.primal_cost - sol.gap - 1e-8
+
+    def test_rotation_free_stream_raises_non_unique(self):
+        align = plane_alignment_dq(FLAT_GROUND)
+        acc = accumulate_pairs(in_plane_translation_stream(),
+                               mode=ConstraintMode.PLANAR,
+                               align_a=align, align_b=align)
+        with pytest.raises(NonUniqueSolution) as exc_info:
+            solve_global(acc)
+        basis = exc_info.value.basis
+        assert basis.shape[0] == 8 and basis.shape[1] >= 1
+        assert exc_info.value.null_dim == basis.shape[1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dqcalib.constraints import ConstraintMode, eval_g, eval_g_local
+from dqcalib.constraints import ConstraintMode, eval_g
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import DegenerateInit
 from dqcalib.local_solver import (LocalSolveOptions, project_feasible,
@@ -23,24 +23,17 @@ def perturbed(q, angle_rad, trans_m, rng):
 
 class TestProjection:
     def test_projection_restores_constraints(self, rng):
-        for mode in ConstraintMode:
-            for _ in range(20):
-                v = rng.normal(size=8) * 2
-                if abs(np.linalg.norm(v[:4])) < 1e-6:
-                    continue
-                p = project_feasible(v, mode)
-                assert np.max(np.abs(eval_g_local(p, mode))) < 1e-14
+        for _ in range(40):
+            v = rng.normal(size=8) * 2
+            if abs(np.linalg.norm(v[:4])) < 1e-6:
+                continue
+            p = project_feasible(v)
+            assert np.max(np.abs(eval_g(p, ConstraintMode.FULL_3D))) < 1e-14
 
     def test_zero_real_part_rejected(self):
         v = np.array([0, 0, 0, 0, 1.0, 0, 0, 0])
         with pytest.raises(DegenerateInit):
-            project_feasible(v, ConstraintMode.FULL_3D)
-
-    def test_planar_tilt_only_rejected(self):
-        # real part entirely in the tilt components vanishes after zeroing
-        v = np.array([0, 0.8, 0.6, 0, 0, 0, 0.1, 0])
-        with pytest.raises(DegenerateInit):
-            project_feasible(v, ConstraintMode.PLANAR)
+            project_feasible(v)
 
 
 class TestSolveLocal:
@@ -90,7 +83,7 @@ class TestSolveLocal:
         acc = accumulate_pairs(pairs)
         Q = acc.normalized_q
         init = random_unit_dq(rng).vec()
-        q0 = project_feasible(init, ConstraintMode.FULL_3D)
+        q0 = project_feasible(init)
         sol = solve_local(Q, ConstraintMode.FULL_3D, LocalSolveOptions(init=init))
         assert sol.cost <= q0 @ Q @ q0 + 1e-12
 

@@ -6,7 +6,6 @@ from dqcalib.cost import MotionPair
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import NonMonotonicTime
 from dqcalib.global_solver import solve_global
-from dqcalib.local_solver import LocalSolveOptions
 from dqcalib.metrics import calib_error
 from dqcalib.online import OnlineCalibrator, OnlineConfig, replay
 from dqcalib.planar import plane_alignment_dq
@@ -14,6 +13,7 @@ from dqcalib.sim import planar_rig, random_unit_dq
 from dqcalib.verify import certify
 
 from conftest import accumulate_pairs, make_dataset
+from test_global_solver import FLAT_GROUND, in_plane_translation_stream
 
 
 def planar_config(rig, **kw):
@@ -27,6 +27,8 @@ class TestUpdate:
         calib = OnlineCalibrator(planar_config(rig))
         sol = calib.update(rig.pairs[0])
         assert sol.provenance == "global"
+        # one pair leaves the yaw unobservable: flagged, not raised
+        assert sol.degenerate
 
     def test_monotonic_time_enforced(self):
         rig = planar_rig(n_steps=5, seed=81)
@@ -126,20 +128,40 @@ class TestStreamInvariants:
     def test_empty_stream(self):
         assert replay([], OnlineConfig()) == []
 
-    def test_outlier_reopens_global_window(self):
-        # a heavily weighted conflicting pair jumps the optimum farther
-        # than a realtime-budgeted fast solve can follow; its certificate
-        # must fail, stamp the error time, and hand over to the global
-        # solver for the no-fail window
+    def test_planar_rotation_free_stream_flagged_degenerate(self):
+        cfg = OnlineConfig(mode=ConstraintMode.PLANAR, plane_a=FLAT_GROUND,
+                           plane_b=FLAT_GROUND, t_no_fail=0.3)
+        sols = replay(in_plane_translation_stream(), cfg)
+        assert all(s.degenerate for s in sols)
+        assert all("translation" in s.diagnostic for s in sols)
+
+    def test_outlier_reopens_global_window(self, monkeypatch):
+        # a heavily weighted conflicting pair jumps the optimum; a fast
+        # solve that misses it (simulated by a 1-degree yaw error on that
+        # step) must fail its certificate, stamp the error time, and hand
+        # over to the global solver for the no-fail window
         import dataclasses
 
+        import dqcalib.online
+
+        real_solve_local = dqcalib.online.solve_local
+        miss = [False]
+
+        def solve_local(Q, mode, opts=None):
+            sol = real_solve_local(Q, mode, opts)
+            if not miss[0]:
+                return sol
+            delta = DualQuat.from_rot_trans([0, 0, 1], np.deg2rad(1.0), [0, 0, 0])
+            q = (sol.q_hat * delta).canonicalized()
+            return dataclasses.replace(sol, q_hat=q, cost=float(q.vec() @ Q @ q.vec()))
+
+        monkeypatch.setattr(dqcalib.online, "solve_local", solve_local)
         rig = planar_rig(n_steps=60, seed=90, rate=10.0)
         other = planar_rig(n_steps=60, seed=91)
-        cfg = planar_config(rig, t_no_fail=0.5,
-                            local_opts=LocalSolveOptions(max_iter=1))
-        calib = OnlineCalibrator(cfg)
+        calib = OnlineCalibrator(planar_config(rig, t_no_fail=0.5))
         provs = []
         for i, pair in enumerate(rig.pairs):
+            miss[0] = i == 40
             if i == 40:
                 outlier = dataclasses.replace(other.pairs[5],
                                               timestamp=pair.timestamp,

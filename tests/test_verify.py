@@ -120,6 +120,18 @@ class TestCertify:
         cert = certify(acc.normalized_q, sol.q_hat, ConstraintMode.PLANAR)
         assert cert.is_global
 
+    def test_planar_tilt_rejected_on_linear_scale(self):
+        # a pure tilt of 1e-4 (about 0.01 degrees) is far outside feas_tol
+        # even though its square is not
+        rig = planar_rig(n_steps=20, seed=72)
+        acc = accumulate_pairs(rig.pairs, mode=ConstraintMode.PLANAR,
+                               align_a=plane_alignment_dq(rig.plane_a),
+                               align_b=plane_alignment_dq(rig.plane_b))
+        real = np.array([0.8, 1e-4, 0.0, 0.6])
+        tilted = DualQuat(real / np.linalg.norm(real), np.zeros(4))
+        with pytest.raises(InfeasiblePoint):
+            certify(acc.normalized_q, tilted, ConstraintMode.PLANAR)
+
     def test_options_respected(self):
         pairs, _ = make_dataset(seed=71, n_pairs=60, noise=0.05)
         acc = accumulate_pairs(pairs)
