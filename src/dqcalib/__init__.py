@@ -2,13 +2,12 @@
 
 from .constraints import (ConstraintMode, assemble_Z, eval_g,
                           multiplier_matrices, solve_planar)
-from .cost import CostAccumulator, MotionPair, accumulate, cost_value, pair_cost_matrix
+from .cost import CostAccumulator, MotionPair, cost_value, pair_cost_matrix
 from .dualquat import (DualQuat, canonicalize, conjugate, dq_mul,
                        from_rot_trans, left_mat, right_mat, to_rot_trans,
                        transform_point)
-from .global_solver import (CalibSolution, DualSolveOptions, DualSolution,
-                            probe_degeneracy, recover_primal, solve_dual,
-                            solve_global)
+from .global_solver import (CalibSolution, DualSolveOptions, probe_degeneracy,
+                            recover_primal, solve_dual, solve_global)
 from .local_solver import LocalSolveOptions, LocalSolution, solve_local
 from .metrics import CalibError, calib_error
 from .online import OnlineCalibrator, OnlineConfig, replay
@@ -24,10 +23,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibError", "CalibSolution", "Certificate", "ConstraintMode",
-    "CostAccumulator", "DualQuat", "DualSolveOptions", "DualSolution",
+    "CostAccumulator", "DualQuat", "DualSolveOptions",
     "GroundPlane", "LocalSolveOptions", "LocalSolution", "MotionPair",
     "OnlineCalibrator", "OnlineConfig", "PoseSequence", "RansacOptions",
-    "SimConfig", "VerifyOptions", "accumulate", "add_noise", "assemble_Z",
+    "SimConfig", "VerifyOptions", "add_noise", "assemble_Z",
     "calib_error", "canonicalize", "certify", "conjugate", "cost_value",
     "dq_mul", "eval_g", "fit_ground_plane", "from_rot_trans", "generate_path",
     "left_mat", "lift_calibration", "multiplier_matrices", "pair_cost_matrix",

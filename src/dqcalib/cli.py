@@ -19,8 +19,8 @@ from .constraints import ConstraintMode
 from .cost import CostAccumulator
 from .dualquat import DualQuat
 from .global_solver import DualSolveOptions, solve_global
-from .io import (load_pairs_jsonl, load_point_cloud, save_pairs_jsonl,
-                 write_study_csv)
+from .io import (PairArrays, load_pairs_jsonl, load_point_cloud,
+                 save_pairs_jsonl, write_study_csv)
 from .local_solver import LocalSolveOptions, solve_local
 from .metrics import calib_error
 from .online import OnlineCalibrator, OnlineConfig
@@ -119,8 +119,7 @@ def cmd_calibrate(args) -> int:
     align_b = plane_alignment_dq(plane_b) if plane_b else None
 
     acc = CostAccumulator(mode, align_a=align_a, align_b=align_b)
-    for p in pairs:
-        acc.add(p)
+    acc.add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
     Q = acc.normalized_q
     verify_opts = VerifyOptions(gap_threshold=args.gap_threshold)
 
@@ -176,7 +175,7 @@ def cmd_online(args) -> int:
     calib = OnlineCalibrator(config)
     print("t,eps_r_deg,eps_t_m,gap,provenance,is_global,time_ms")
     last = None
-    for pair in pairs:
+    for pair in pairs.motion_pairs():
         sol = calib.update(pair)
         last = sol
         if gt is not None:
@@ -239,9 +238,8 @@ def study_cell(noise_level, n, seed, base: dict) -> dict:
                                  "noise_level": noise_level})
     cfg = dataclasses.replace(cfg, true_calib=calib)
     pairs, truth = simulate_pairs(cfg)
-    acc = CostAccumulator()
-    for p in pairs:
-        acc.add(p)
+    rows = PairArrays.from_pairs(pairs)
+    acc = CostAccumulator().add_batch(rows.q_a, rows.q_b, rows.w, rows.eta)
     t0 = time.perf_counter()
     sol = solve_global(acc)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -286,9 +284,7 @@ def cmd_certify(args) -> int:
     if not pairs:
         raise errors.EmptyData("no pairs in input file")
     mode = _mode(args)
-    acc = CostAccumulator(mode)
-    for p in pairs:
-        acc.add(p)
+    acc = CostAccumulator(mode).add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
     candidate = _parse_q8(args.candidate)
     cert = certify(acc.normalized_q, candidate, mode,
                    VerifyOptions(gap_threshold=args.gap_threshold))

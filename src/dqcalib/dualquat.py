@@ -340,3 +340,68 @@ def right_mat(q: DualQuat) -> np.ndarray:
     M[4:, 4:] = Mr
     M[4:, :4] = quat_right_mat(q.dual)
     return M
+
+
+# -- row-wise forms ------------------------------------------------------------
+# The pair loader and the cost kernel work on (n, 8) arrays of 8-vectors.
+# These functions repeat the scalar methods' arithmetic operation by
+# operation, so every row gets exactly the bits of the scalar method.  The
+# scalar methods stay: on a single dual quaternion they are faster.
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Row-wise inner products through the same BLAS dot as ``a[i] @ b[i]``."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
+
+
+def quat_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`quat_mul` of (n, 4) arrays, in its operation order."""
+    pw, px, py, pz = p.T
+    qw, qx, qy, qz = q.T
+    return np.stack([
+        pw * qw - px * qx - py * qy - pz * qz,
+        pw * qx + px * qw + py * qz - pz * qy,
+        pw * qy - px * qz + py * qw + pz * qx,
+        pw * qz + px * qy - py * qx + pz * qw,
+    ], axis=1)
+
+
+def dq_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Row-wise ``DualQuat.__mul__`` of (n, 8) arrays."""
+    real = quat_mul_rows(p[:, :4], q[:, :4])
+    dual = quat_mul_rows(p[:, :4], q[:, 4:]) + quat_mul_rows(p[:, 4:], q[:, :4])
+    return np.concatenate([real, dual], axis=1)
+
+
+def normalized_rows(v: np.ndarray, limit: float = NORMALIZE_LIMIT) -> np.ndarray:
+    """Row-wise :meth:`DualQuat.normalized` of an (n, 8) array.
+
+    Raises :class:`NotUnit` with the scalar method's message for the first
+    row it would reject; the error's ``row`` is that row's index.
+    """
+    real, dual = v[:, :4], v[:, 4:]
+    nr = np.sqrt(_row_dots(real, real))
+    norm_defect = np.abs(nr * nr - 1.0)
+    dual_scale = 1.0 + np.sqrt(_row_dots(dual, dual))
+    raw_orth = 2.0 * _row_dots(real, dual)
+    keep = (norm_defect <= 1e-15) & (np.abs(raw_orth) <= 1e-15 * dual_scale)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        unit_real = real / nr[:, None]
+    along = _row_dots(unit_real, dual)
+    orth = 2.0 * along
+    bad_norm = norm_defect > limit
+    bad = bad_norm | (~keep & (np.abs(orth) > limit * dual_scale))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if bad_norm[i]:
+            raise NotUnit(f"real-part norm {nr[i]} too far from 1", row=i)
+        raise NotUnit(f"real/dual orthogonality defect {orth[i]}", row=i)
+    unit = np.concatenate([unit_real, dual - along[:, None] * unit_real], axis=1)
+    return np.where(keep[:, None], v, unit)
+
+
+def canonicalized_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`DualQuat.canonicalized` of an (n, 8) array."""
+    big = np.abs(v) > 1e-12
+    lead = v[np.arange(len(v)), np.argmax(big, axis=1)]
+    flip = big.any(axis=1) & (lead < 0)
+    return np.where(flip[:, None], -v, v)

@@ -6,7 +6,14 @@ class DQCalibError(Exception):
 
 
 class NotUnit(DQCalibError):
-    """A dual quaternion violates the unit constraints beyond tolerance."""
+    """A dual quaternion violates the unit constraints beyond tolerance.
+
+    Row-wise checks set ``row`` to the index of the first rejected row.
+    """
+
+    def __init__(self, message, row=None):
+        super().__init__(message)
+        self.row = row
 
 
 class NonUnitAxis(DQCalibError):

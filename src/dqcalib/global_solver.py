@@ -51,16 +51,6 @@ class DualSolveOptions:
 
 
 @dataclass(frozen=True)
-class DualSolution:
-    lam: np.ndarray
-    dual_value: float
-    min_eig: float
-    q_hat: np.ndarray
-    primal_cost: float
-    null_dim: int
-
-
-@dataclass(frozen=True)
 class CalibSolution:
     """Solver output: estimate, duality diagnostics, and provenance.
 

@@ -5,10 +5,17 @@ quaternions on disk), 3x4 row-major pose matrices with synthesized
 timestamps, whitespace xyz point clouds, and a native motion-pair JSONL
 format.  Two trajectories are paired on the first stream's time grid with
 screw-linear interpolation of the second stream's poses.
+
+A motion-pair file loads into one :class:`PairArrays` record of rows, ready
+for :meth:`CostAccumulator.add_batch`; no per-pair object is built.  Its
+rows carry the bits a :class:`MotionPair` built from the same line would
+hold, and a bad file raises the error such a MotionPair would, naming the
+first bad line.
 """
 
 from __future__ import annotations
 
+import array
 import json
 import math
 from dataclasses import dataclass
@@ -16,8 +23,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .cost import MotionPair
-from .dualquat import DualQuat, quat_conj, quat_mul
-from .errors import (NoOverlap, NonOrthogonalRotation, NotUnit, ParseError)
+from .dualquat import DualQuat, canonicalized_rows, normalized_rows, quat_mul
+from .errors import (InvalidWeight, NoOverlap, NonOrthogonalRotation, NotUnit,
+                     ParseError)
 
 STUDY_CSV_HEADER = "noise_level,n,seed,eps_r_deg,eps_t_m,gap,time_ms"
 
@@ -247,8 +255,89 @@ def save_pairs_jsonl(pairs, path):
             fh.write(json.dumps(rec) + "\n")
 
 
-def load_pairs_jsonl(path) -> list[MotionPair]:
-    pairs = []
+@dataclass(frozen=True)
+class PairArrays:
+    """Motion pairs as rows: ``t`` (N,), unit sign-canonical ``q_a`` and
+    ``q_b`` (N, 8), residual weights ``w`` (N, 8) and confidences ``eta``
+    (N,); a weight or confidence the file leaves out is 1."""
+
+    t: np.ndarray
+    q_a: np.ndarray
+    q_b: np.ndarray
+    w: np.ndarray
+    eta: np.ndarray
+
+    def __post_init__(self):
+        for rows in (self.t, self.q_a, self.q_b, self.w, self.eta):
+            rows.setflags(write=False)
+
+    def __len__(self):
+        return len(self.t)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "PairArrays":
+        return cls(t=np.array([p.timestamp for p in pairs], dtype=float),
+                   q_a=np.array([p.q_a.vec() for p in pairs]).reshape(-1, 8),
+                   q_b=np.array([p.q_b.vec() for p in pairs]).reshape(-1, 8),
+                   w=np.array([p.weight_diag for p in pairs]).reshape(-1, 8),
+                   eta=np.array([1.0 if p.eta is None else p.eta for p in pairs],
+                                dtype=float))
+
+    def motion_pairs(self):
+        """The rows as :class:`MotionPair` objects, in order."""
+        for t, q_a, q_b, w, eta in zip(self.t, self.q_a, self.q_b, self.w, self.eta):
+            yield MotionPair(q_a=DualQuat.from_vec(q_a), q_b=DualQuat.from_vec(q_b),
+                             timestamp=float(t), weight_diag=w, eta=float(eta))
+
+
+class _BadRow(Exception):
+    """Row ``row`` of a row-wise check failed with ``error``."""
+
+    def __init__(self, row: int, error: Exception):
+        super().__init__(row, error)
+        self.row = row
+        self.error = error
+
+
+def _unit_rows(rows: np.ndarray) -> np.ndarray:
+    try:
+        return canonicalized_rows(normalized_rows(rows))
+    except NotUnit as err:
+        raise _BadRow(err.row, err) from None
+
+
+def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
+    """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does."""
+    w, eta = np.ones((len(w_rows), 8)), np.ones(len(eta_rows))
+    for i, (w_i, eta_i) in enumerate(zip(w_rows, eta_rows)):
+        try:
+            if w_i is not None:
+                w[i] = np.asarray(w_i, dtype=float).reshape(8)
+                if np.any(w[i] < 0):
+                    raise InvalidWeight("residual weights must be nonnegative")
+            if eta_i is not None:
+                if eta_i < 0:
+                    raise InvalidWeight("eta must be nonnegative")
+                eta[i] = eta_i
+        except (ValueError, TypeError, InvalidWeight) as err:
+            raise _BadRow(i, err) from None
+    return w, eta
+
+
+def load_pairs_jsonl(path) -> PairArrays:
+    """Read a motion-pair file; one JSON object per non-blank line.
+
+    Each object holds ``t``, ``qa`` and ``qb`` (8-vectors, real part
+    first) and optionally ``w`` (8 residual weights) and ``eta``.  The
+    first bad line raises what a MotionPair built from it would:
+    ParseError for malformed JSON or a missing or malformed ``t``, ``qa``
+    or ``qb``, NotUnit, ValueError for a ``w`` of the wrong length and
+    InvalidWeight for a negative weight; the message names the line.
+    """
+    # flat buffers hold the motions: far smaller than one array per line
+    lines, t, w, eta = [], [], [], []
+    qa, qb = array.array("d"), array.array("d")
+    fault = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
@@ -256,21 +345,38 @@ def load_pairs_jsonl(path) -> list[MotionPair]:
                 continue
             try:
                 rec = json.loads(line)
-                qa = DualQuat.from_vec(rec["qa"])
-                qb = DualQuat.from_vec(rec["qb"])
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
-                raise ParseError(str(err), line=lineno) from None
-            try:
-                # MotionPair validates unit-ness (1e-6 policy) and canonicalizes
-                pair = MotionPair(q_a=qa, q_b=qb, timestamp=float(rec["t"]),
-                                  weight_diag=rec.get("w"),
-                                  eta=rec.get("eta"))
-            except NotUnit as err:
-                raise NotUnit(f"line {lineno}: {err}") from None
+                a = np.asarray(rec["qa"], dtype=float).reshape(8)
+                b = np.asarray(rec["qb"], dtype=float).reshape(8)
+                stamp = float(rec["t"])
             except KeyError as err:
-                raise ParseError(f"missing field {err}", line=lineno) from None
-            pairs.append(pair)
-    return pairs
+                fault = ParseError(f"missing field {err}", line=lineno)
+                break
+            except (ValueError, TypeError) as err:
+                fault = ParseError(str(err), line=lineno)
+                break
+            lines.append(lineno)
+            t.append(stamp)
+            qa.frombytes(a.tobytes())
+            qb.frombytes(b.tobytes())
+            w.append(rec.get("w"))
+            eta.append(rec.get("eta"))
+    # the row checks run in a MotionPair's order; each looks only at the
+    # rows before the first fault found so far, so the first bad line wins
+    qa, qb = np.frombuffer(qa).reshape(-1, 8), np.frombuffer(qb).reshape(-1, 8)
+    checks = (lambda n: _unit_rows(qa[:n]), lambda n: _unit_rows(qb[:n]),
+              lambda n: _weight_rows(w[:n], eta[:n]))
+    n, arrays = len(lines), []
+    for check in checks:
+        try:
+            arrays.append(check(n))
+        except _BadRow as bad:
+            n = bad.row
+            fault = type(bad.error)(f"line {lines[n]}: {bad.error}")
+    if fault is not None:
+        raise fault
+    q_a, q_b, (w_rows, eta_rows) = arrays
+    return PairArrays(t=np.array(t, dtype=float), q_a=q_a, q_b=q_b, w=w_rows,
+                      eta=eta_rows)
 
 
 def load_point_cloud(path) -> np.ndarray:

@@ -22,14 +22,15 @@ class CalibError:
 def calib_error(q_hat: DualQuat, q_true: DualQuat) -> CalibError:
     """Error of an estimate against ground truth.
 
-    The residual displacement conj(q_true) * q_hat is canonicalized so the
-    rotation angle lands in [0, pi]; its translation magnitude is the
+    The residual displacement conj(q_true) * q_hat is canonicalized; its
+    rotation angle 2 atan2(|vec|, |w|) lies in [0, pi] and keeps full
+    relative precision for tiny rotations (an arccos of w cannot resolve
+    angles below about 3e-8 rad).  Its translation magnitude is the
     translation error.
     """
     for q in (q_hat, q_true):
         q._require_unit()
     q_eps = (q_true.conjugate() * q_hat).canonicalized()
-    w = float(np.clip(q_eps.real[0], -1.0, 1.0))
-    eps_r = 2.0 * np.arccos(w)
+    eps_r = 2.0 * np.arctan2(np.linalg.norm(q_eps.real[1:]), abs(q_eps.real[0]))
     eps_t = float(np.linalg.norm(q_eps.translation()))
     return CalibError(eps_r=float(eps_r), eps_t=eps_t)

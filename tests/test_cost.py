@@ -2,11 +2,13 @@ import numpy as np
 import pytest
 
 from dqcalib.constraints import ConstraintMode
-from dqcalib.cost import (CostAccumulator, MotionPair, accumulate, cost_value,
+from dqcalib.cost import (BLOCK_ROWS, CostAccumulator, MotionPair, cost_value,
                           pair_cost_matrix)
-from dqcalib.dualquat import DualQuat
+from dqcalib.dualquat import DualQuat, left_mat, right_mat
 from dqcalib.errors import InvalidWeight
-from dqcalib.sim import random_unit_dq
+from dqcalib.io import PairArrays
+from dqcalib.planar import plane_alignment_dq
+from dqcalib.sim import SimConfig, planar_rig, random_unit_dq, simulate_pairs
 
 from conftest import accumulate_pairs, make_dataset
 
@@ -92,12 +94,6 @@ class TestAccumulator:
         eigs = np.linalg.eigvalsh(acc.normalized_q)
         assert eigs[0] >= -1e-12 * np.trace(acc.normalized_q)
 
-    def test_functional_accumulate_leaves_original(self, rng):
-        p = MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng))
-        acc = CostAccumulator()
-        acc2 = accumulate(acc, p)
-        assert acc.n == 0 and acc2.n == 1
-
     def test_custom_eta_renormalized(self, rng):
         p1 = MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng), eta=3.0)
         p2 = MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng), eta=1.0)
@@ -156,3 +152,113 @@ def test_noise_free_null_space_structure(rng):
     gram = V[:4].T @ V[:4]
     eigs = np.linalg.eigvalsh(gram)
     assert eigs[0] < 1e-10 and eigs[1] > 1e-3
+
+
+# -- batched accumulation -------------------------------------------------------
+
+def reference_sum(pairs, align_a=None, align_b=None):
+    """Per-pair accumulation as the cost was first written: two 8x8 matrices
+    per pair, plane projection through DualQuat products, a re-symmetrized
+    running sum.  An independent oracle for the bits of the batched kernel."""
+    sum_q, sum_eta = np.zeros((8, 8)), 0.0
+    for p in pairs:
+        if align_a is not None:
+            p = MotionPair(
+                q_a=(align_a * p.q_a * align_a.conjugate()).canonicalized(),
+                q_b=(align_b * p.q_b * align_b.conjugate()).canonicalized(),
+                timestamp=p.timestamp, weight_diag=p.weight_diag, eta=p.eta)
+        D = right_mat(p.q_b) - left_mat(p.q_a)
+        Q = D.T @ (p.weight_diag[:, None] * D)
+        eta = 1.0 if p.eta is None else p.eta
+        sum_q += eta * (0.5 * (Q + Q.T))
+        sum_q = 0.5 * (sum_q + sum_q.T)
+        sum_eta += eta
+    return sum_q, sum_eta
+
+
+def with_weights(pairs, seed):
+    rng = np.random.default_rng(seed)
+    return [MotionPair(q_a=p.q_a, q_b=p.q_b, timestamp=p.timestamp,
+                       weight_diag=rng.uniform(0.2, 3.0, 8),
+                       eta=float(rng.uniform(0.1, 4.0)))
+            for p in pairs]
+
+
+def add_in_one_call(pairs, **kwargs):
+    rows = PairArrays.from_pairs(pairs)
+    return CostAccumulator(**kwargs).add_batch(rows.q_a, rows.q_b, rows.w, rows.eta)
+
+
+@pytest.fixture(scope="module")
+def pairs_5000():
+    return simulate_pairs(SimConfig(n_steps=5000, noise_level=0.05, seed=21))[0]
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("n", sorted({1, 1023, 1024, 1025, 5000, BLOCK_ROWS - 1,
+                                      BLOCK_ROWS, BLOCK_ROWS + 1}))
+def test_add_batch_matches_sequential_add(pairs_5000, n, weighted):
+    pairs = pairs_5000[:n]
+    if weighted:
+        pairs = with_weights(pairs, seed=n)
+    batch = add_in_one_call(pairs)
+    seq = CostAccumulator()
+    for p in pairs:
+        seq.add(p)
+    assert np.array_equal(batch.sum_q, seq.sum_q)
+    assert batch.sum_eta == seq.sum_eta and batch.n == seq.n == n
+    assert np.array_equal(batch.normalized_q, seq.normalized_q)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_add_batch_matches_reference_bits(pairs_5000, weighted):
+    pairs = pairs_5000[:1500]
+    if weighted:
+        pairs = with_weights(pairs, seed=7)
+    sum_q, sum_eta = reference_sum(pairs)
+    acc = add_in_one_call(pairs)
+    assert np.array_equal(acc.sum_q, sum_q)
+    assert acc.sum_eta == sum_eta
+
+
+def test_add_batch_split_across_calls(pairs_5000):
+    pairs = pairs_5000[:1500]
+    acc = CostAccumulator()
+    for chunk in (pairs[:1], pairs[1:700], pairs[700:]):
+        rows = PairArrays.from_pairs(chunk)
+        acc.add_batch(rows.q_a, rows.q_b)
+    assert np.array_equal(acc.sum_q, add_in_one_call(pairs).sum_q)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize("seed,n", [(0, 1100), (1, 300)])
+def test_planar_add_batch_matches_sequential_add(seed, n, weighted):
+    rig = planar_rig(n_steps=n, seed=seed, noise_level=0.02,
+                     mount_translation=1.0)
+    pairs = with_weights(rig.pairs, seed) if weighted else rig.pairs
+    align = dict(align_a=plane_alignment_dq(rig.plane_a),
+                 align_b=plane_alignment_dq(rig.plane_b))
+    batch = add_in_one_call(pairs, mode=ConstraintMode.PLANAR, **align)
+    seq = CostAccumulator(ConstraintMode.PLANAR, **align)
+    for p in pairs:
+        seq.add(p)
+    assert np.array_equal(batch.sum_q, seq.sum_q)
+    sum_q, sum_eta = reference_sum(pairs, **align)
+    assert np.array_equal(batch.sum_q, sum_q)
+    assert batch.sum_eta == sum_eta
+
+
+def test_add_batch_rejects_negative_weights(pairs_5000):
+    rows = PairArrays.from_pairs(pairs_5000[:4])
+    w = np.ones((4, 8))
+    w[2, 5] = -1e-3
+    with pytest.raises(InvalidWeight):
+        CostAccumulator().add_batch(rows.q_a, rows.q_b, w=w)
+    with pytest.raises(InvalidWeight):
+        CostAccumulator().add_batch(rows.q_a, rows.q_b, eta=[1.0, 1.0, -0.5, 1.0])
+
+
+def test_add_batch_of_no_rows_changes_nothing():
+    acc = CostAccumulator().add_batch(np.zeros((0, 8)), np.zeros((0, 8)))
+    assert acc.n == 0 and acc.sum_eta == 0.0
+    assert np.array_equal(acc.sum_q, np.zeros((8, 8)))

@@ -1,11 +1,13 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from dqcalib.dualquat import (DualQuat, canonicalize, conjugate, dq_mul,
-                              left_mat, quat_mul, quat_to_rot, right_mat,
-                              rot_to_quat)
+from dqcalib.dualquat import (DualQuat, canonicalize, canonicalized_rows,
+                              conjugate, dq_mul, dq_mul_rows, left_mat,
+                              normalized_rows, quat_mul, quat_to_rot,
+                              right_mat, rot_to_quat)
 from dqcalib.errors import NonUnitAxis, NotUnit
 
 from conftest import unit_dqs, unit_quats
@@ -260,3 +262,66 @@ def test_property_canonicalize_sign_invariant(q):
 def test_property_vec_round_trip(r):
     q = DualQuat(r, np.array([0.1, 0.2, -0.3, 0.4]))
     assert np.array_equal(DualQuat.from_vec(q.vec()).vec(), q.vec())
+
+
+# -- row-wise forms ---------------------------------------------------------------
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
+# real parts scaled off unit length and dual parts pushed off the tangent by
+# amounts around the 1e-15 keep-the-bits rule and the 1e-6 NotUnit limit;
+# some real parts have a scalar below the 1e-12 sign rule's threshold
+_defects = st.sampled_from([0.0, 1e-17, 3e-16, 1e-15, 4e-15, 1e-12, 1e-9,
+                            4.9e-7, 5.1e-7, 1e-6, 2e-6, 1e-3])
+_tiny_w = st.sampled_from([None, 0.0, -0.0, 3e-13, -3e-13, -1e-12, 2e-12])
+
+
+@st.composite
+def near_unit_rows(draw):
+    r, t = draw(unit_quats()), draw(st.tuples(*[st.floats(-3, 3)] * 3))
+    w = draw(_tiny_w)
+    if w is not None:
+        axis = r[1:] if np.linalg.norm(r[1:]) > 1e-3 else np.array([0.0, 0.0, 1.0])
+        r = np.concatenate(([w], axis / np.linalg.norm(axis)))
+    r = r * (1.0 + draw(_defects) * draw(st.sampled_from([1, -1])))
+    dual = 0.5 * quat_mul(np.concatenate(([0.0], t)), r)
+    dual = dual + draw(_defects) * draw(st.sampled_from([1.0, -1.0])) * r
+    return np.concatenate([r, dual])
+
+
+def _scalar_normalized(row):
+    try:
+        return DualQuat.from_vec(row).normalized().vec()
+    except NotUnit as err:
+        return err
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=st.lists(near_unit_rows(), min_size=1, max_size=6))
+def test_property_row_forms_match_scalar_methods(rows):
+    V = np.array(rows)
+    scalar = [_scalar_normalized(v) for v in V]
+    rejected = [i for i, s in enumerate(scalar) if isinstance(s, NotUnit)]
+    if rejected:
+        with pytest.raises(NotUnit) as err:
+            normalized_rows(V)
+        assert err.value.row == rejected[0]
+        assert str(err.value) == str(scalar[rejected[0]])
+    else:
+        assert same_bits(normalized_rows(V), scalar)
+    for i, v in enumerate(V):
+        single = scalar[i]
+        if isinstance(single, NotUnit):
+            with pytest.raises(NotUnit):
+                normalized_rows(v[None])
+        else:
+            assert same_bits(normalized_rows(v[None])[0], single)
+    assert same_bits(canonicalized_rows(V),
+                     [DualQuat.from_vec(v).canonicalized().vec() for v in V])
+    P, Q = V, V[::-1]
+    assert same_bits(dq_mul_rows(P, Q),
+                     [(DualQuat.from_vec(p) * DualQuat.from_vec(q)).vec()
+                      for p, q in zip(P, Q)])

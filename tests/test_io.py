@@ -1,3 +1,6 @@
+import json
+import re
+
 import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation, Slerp
@@ -211,12 +214,17 @@ class TestPairsJsonl:
         save_pairs_jsonl(pairs, p)
         back = load_pairs_jsonl(p)
         assert len(back) == 20
-        for x, y in zip(pairs, back):
+        for i, x in enumerate(pairs):
+            assert np.array_equal(x.q_a.vec(), back.q_a[i])
+            assert np.array_equal(x.q_b.vec(), back.q_b[i])
+            assert x.timestamp == back.t[i]
+            assert np.array_equal(x.weight_diag, back.w[i])
+            assert (1.0 if x.eta is None else x.eta) == back.eta[i]
+        for x, y in zip(pairs, back.motion_pairs()):
             assert np.array_equal(x.q_a.vec(), y.q_a.vec())
             assert np.array_equal(x.q_b.vec(), y.q_b.vec())
             assert x.timestamp == y.timestamp
             assert np.array_equal(x.weight_diag, y.weight_diag)
-            assert x.eta == y.eta
 
     def test_non_unit_rejected_with_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -232,7 +240,7 @@ class TestPairsJsonl:
     def test_empty_file(self, tmp_path):
         p = tmp_path / "empty.jsonl"
         p.write_text("")
-        assert load_pairs_jsonl(p) == []
+        assert len(load_pairs_jsonl(p)) == 0
 
     def test_malformed_json(self, tmp_path):
         p = tmp_path / "bad.jsonl"
@@ -240,6 +248,146 @@ class TestPairsJsonl:
         with pytest.raises(ParseError) as err:
             load_pairs_jsonl(p)
         assert err.value.line == 1
+
+
+def oracle_load_pairs_jsonl(path):
+    """The per-line loader the array loader replaced, kept as its oracle."""
+    pairs = []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+                qa = DualQuat.from_vec(rec["qa"])
+                qb = DualQuat.from_vec(rec["qb"])
+            except (json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
+                raise ParseError(str(err), line=lineno) from None
+            try:
+                pair = MotionPair(q_a=qa, q_b=qb, timestamp=float(rec["t"]),
+                                  weight_diag=rec.get("w"),
+                                  eta=rec.get("eta"))
+            except NotUnit as err:
+                raise NotUnit(f"line {lineno}: {err}") from None
+            except KeyError as err:
+                raise ParseError(f"missing field {err}", line=lineno) from None
+            pairs.append(pair)
+    return pairs
+
+
+def _bump_real(rec, key):
+    if len(rec.get(key, ())) == 8:
+        rec[key][0] *= 1.1
+
+
+def _tilt_dual(rec, key):
+    if len(rec.get(key, ())) == 8:
+        rec[key][4:] = list(np.add(rec[key][4:], 1e-3 * np.array(rec[key][:4])))
+
+
+FAULTS = {
+    "non_unit_qa": lambda rec: _bump_real(rec, "qa"),
+    "non_unit_qb": lambda rec: _bump_real(rec, "qb"),
+    "orthogonality_qa": lambda rec: _tilt_dual(rec, "qa"),
+    "orthogonality_qb": lambda rec: _tilt_dual(rec, "qb"),
+    "missing_t": lambda rec: rec.pop("t", None),
+    "missing_qa": lambda rec: rec.pop("qa", None),
+    "missing_qb": lambda rec: rec.pop("qb", None),
+    "qa_7_elements": lambda rec: rec.update(qa=rec.get("qa", [1.0] * 8)[:7]),
+    "negative_w": lambda rec: rec.update(w=[1.0] * 7 + [-0.5]),
+    "negative_eta": lambda rec: rec.update(eta=-1.0),
+    "w_7_elements": lambda rec: rec.update(w=[1.0] * 7),
+    "malformed_json": None,
+}
+
+
+def _record(rng, i):
+    rec = {"t": 0.1 * (i + 1), "qa": list(random_unit_dq(rng).vec()),
+           "qb": list(random_unit_dq(rng).vec())}
+    if rng.uniform() < 0.3:
+        rec["w"] = list(rng.uniform(0.0, 2.0, 8))
+    if rng.uniform() < 0.3:
+        rec["eta"] = float(rng.uniform(0.0, 3.0))
+    return rec
+
+
+def _write_pairs_file(path, rng, n_lines, faults):
+    """A pair file with the given faults ({record index: [fault names]})
+    and blank lines scattered between its records."""
+    text = []
+    for i in range(n_lines):
+        while rng.uniform() < 0.2:
+            text.append(" " * int(rng.integers(0, 3)))
+        rec = _record(rng, i)
+        names = faults.get(i, [])
+        for name in names:
+            if FAULTS[name] is not None:
+                FAULTS[name](rec)
+        line = json.dumps(rec)
+        text.append(line[:len(line) // 2] if "malformed_json" in names else line)
+    path.write_text("\n".join(text) + "\n")
+
+
+def _outcome(load, path):
+    """(exception type, line number or None) or the loaded rows."""
+    try:
+        result = load(path)
+    except Exception as err:  # any error: its type is what is compared
+        line = getattr(err, "line", None)
+        match = re.match(r"line (\d+):", str(err))
+        return type(err), line if line is not None else (
+            int(match.group(1)) if match else None)
+    return result
+
+
+def _assert_same_outcome(path):
+    expected = _outcome(oracle_load_pairs_jsonl, path)
+    got = _outcome(load_pairs_jsonl, path)
+    if isinstance(expected, tuple):
+        exc_type, line = expected
+        assert isinstance(got, tuple), f"expected {exc_type.__name__}, loaded"
+        assert got[0] is exc_type
+        if line is not None:
+            assert got[1] == line
+        return
+    assert not isinstance(got, tuple), f"oracle loaded, got {got}"
+    assert len(got) == len(expected)
+    for i, p in enumerate(expected):
+        assert np.array_equal(p.q_a.vec(), got.q_a[i])
+        assert np.array_equal(p.q_b.vec(), got.q_b[i])
+        assert p.timestamp == got.t[i]
+        assert np.array_equal(p.weight_diag, got.w[i])
+        assert (1.0 if p.eta is None else p.eta) == got.eta[i]
+
+
+class TestPairsLoaderAgainstOracle:
+    @pytest.mark.parametrize("fault", sorted(FAULTS))
+    def test_single_fault(self, tmp_path, fault):
+        rng = np.random.default_rng(sorted(FAULTS).index(fault))
+        path = tmp_path / "pairs.jsonl"
+        _write_pairs_file(path, rng, 6, {3: [fault]})
+        _assert_same_outcome(path)
+
+    def test_first_bad_line_wins_over_later_malformed_line(self, tmp_path):
+        rng = np.random.default_rng(1)
+        for fault in sorted(set(FAULTS) - {"malformed_json"}):
+            path = tmp_path / f"{fault}.jsonl"
+            _write_pairs_file(path, rng, 6, {2: [fault], 4: ["malformed_json"]})
+            _assert_same_outcome(path)
+
+    def test_generated_files(self, tmp_path):
+        rng = np.random.default_rng(2024)
+        names = sorted(FAULTS)
+        for k in range(300):
+            n_lines = int(rng.integers(1, 12))
+            faults = {}
+            for _ in range(int(rng.integers(0, 4))):
+                line = int(rng.integers(0, n_lines))
+                faults.setdefault(line, []).append(names[rng.integers(len(names))])
+            path = tmp_path / f"pairs{k}.jsonl"
+            _write_pairs_file(path, rng, n_lines, faults)
+            _assert_same_outcome(path)
 
 
 class TestPointCloudAndCsv:

@@ -71,3 +71,12 @@ def test_geodesic_angle_oracle(rng):
         R_rel = q_true.rotation_matrix().T @ q_hat.rotation_matrix()
         angle = np.linalg.norm(Rotation.from_matrix(R_rel).as_rotvec())
         assert abs(err.eps_r - angle) < 1e-9
+
+
+def test_tiny_rotation_keeps_full_precision(rng):
+    # an arccos of the scalar part reads ~3e-8 rad for any rotation this small
+    q = random_unit_dq(rng, max_translation=2.0)
+    delta = DualQuat.from_rot_trans([0.6, 0.0, 0.8], 1e-12, [0, 0, 0])
+    err = calib_error((q * delta).canonicalized(), q)
+    assert abs(err.eps_r - 1e-12) < 1e-15
+    assert abs(calib_error(delta, DualQuat.identity()).eps_r - 1e-12) < 1e-15
