@@ -58,9 +58,10 @@ class MotionPair:
             raise InvalidWeight("eta must be nonnegative")
 
 
-# rows handed to the cost kernel at once: bounds its temporaries, which at
-# 1024 rows kept a batch calibrate's peak memory about 3 MB higher
-BLOCK_ROWS = 256
+# rows handed to the cost kernel at once: bounds its temporaries (32 KB each
+# at 64 rows); 1024-row blocks kept a 5000-pair calibrate's peak memory about
+# 3 MB higher, and 256-row blocks a 300-pair planar one's about 0.5 MB
+BLOCK_ROWS = 64
 
 
 def _gather_index(block_mat) -> np.ndarray:
@@ -77,10 +78,12 @@ _LEFT = _gather_index(left_mat)
 def _cost_rows(q_a: np.ndarray, q_b: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(n, 8, 8) pair matrices (R(q_b) - L(q_a))^T diag(w) (R(q_b) - L(q_a))."""
     zero = np.zeros((len(q_a), 1))
-    D = (np.concatenate([q_b, -q_b, zero], axis=1)[:, _RIGHT]
-         - np.concatenate([q_a, -q_a, zero], axis=1)[:, _LEFT])
+    D = np.concatenate([q_b, -q_b, zero], axis=1)[:, _RIGHT]
+    D -= np.concatenate([q_a, -q_a, zero], axis=1)[:, _LEFT]
     Q = np.swapaxes(D, 1, 2) @ (w[:, :, None] * D)
-    return 0.5 * (Q + np.swapaxes(Q, 1, 2))
+    Q += np.swapaxes(Q, 1, 2)
+    Q *= 0.5
+    return Q
 
 
 def pair_cost_matrix(pair: MotionPair) -> np.ndarray:
@@ -89,12 +92,19 @@ def pair_cost_matrix(pair: MotionPair) -> np.ndarray:
                       pair.weight_diag[None])[0]
 
 
+def _motion_rows(q: np.ndarray) -> np.ndarray:
+    """Motions normalized and sign-canonicalized as a MotionPair holds them.
+
+    A sign-canonical row within 1e-15 of unit keeps its bits.
+    """
+    return canonicalized_rows(normalized_rows(q))
+
+
 def _project_rows(q: np.ndarray, align: DualQuat) -> np.ndarray:
     """Motions conjugated into a plane frame, each as a MotionPair holds it."""
     g = np.broadcast_to(align.vec(), q.shape)
     g_conj = np.broadcast_to(align.conjugate().vec(), q.shape)
-    moved = canonicalized_rows(dq_mul_rows(dq_mul_rows(g, q), g_conj))
-    return canonicalized_rows(normalized_rows(moved))
+    return _motion_rows(canonicalized_rows(dq_mul_rows(dq_mul_rows(g, q), g_conj)))
 
 
 class CostAccumulator:
@@ -117,20 +127,23 @@ class CostAccumulator:
         self.sum_eta = 0.0
 
     def add(self, pair: MotionPair) -> "CostAccumulator":
-        return self.add_batch(pair.q_a.vec()[None], pair.q_b.vec()[None],
+        # a MotionPair holds checked, normalized, sign-canonical motions
+        return self._add_rows(pair.q_a.vec()[None], pair.q_b.vec()[None],
                               pair.weight_diag[None],
-                              None if pair.eta is None else [pair.eta])
+                              np.array([1.0 if pair.eta is None else pair.eta]))
 
     def add_batch(self, q_a, q_b, w=None, eta=None) -> "CostAccumulator":
         """Add n pairs given as rows, in order.
 
-        ``q_a`` and ``q_b`` are (n, 8) unit, sign-canonical motions; ``w``
-        holds (n, 8) residual weights and ``eta`` (n,) confidence weights,
-        both 1 when omitted.  Raises :class:`InvalidWeight` for a negative
-        weight.  The result equals n one-row calls bit for bit.
+        ``q_a`` and ``q_b`` are (n, 8) motions, normalized and
+        sign-canonicalized as :class:`MotionPair` does (a row too far from
+        unit raises :class:`NotUnit`); ``w`` holds (n, 8) residual weights
+        and ``eta`` (n,) confidence weights, both 1 when omitted.  Raises
+        :class:`InvalidWeight` for a negative weight.  The result equals n
+        one-row calls bit for bit.
         """
-        q_a = np.asarray(q_a, dtype=float).reshape(-1, 8)
-        q_b = np.asarray(q_b, dtype=float).reshape(-1, 8)
+        q_a = _motion_rows(np.asarray(q_a, dtype=float).reshape(-1, 8))
+        q_b = _motion_rows(np.asarray(q_b, dtype=float).reshape(-1, 8))
         n = len(q_a)
         w = np.ones((n, 8)) if w is None else np.asarray(w, dtype=float).reshape(n, 8)
         eta = np.ones(n) if eta is None else np.asarray(eta, dtype=float).reshape(n)
@@ -138,17 +151,22 @@ class CostAccumulator:
             raise InvalidWeight("residual weights must be nonnegative")
         if np.any(eta < 0):
             raise InvalidWeight("eta must be nonnegative")
+        return self._add_rows(q_a, q_b, w, eta)
+
+    def _add_rows(self, q_a, q_b, w, eta) -> "CostAccumulator":
+        """Add checked rows: unit sign-canonical motions, nonnegative weights."""
         if self.mode is ConstraintMode.PLANAR and self.align_a is not None:
             q_a = _project_rows(q_a, self.align_a)
             q_b = _project_rows(q_b, self.align_b)
-        for i in range(0, n, BLOCK_ROWS):
+        for i in range(0, len(q_a), BLOCK_ROWS):
             rows = slice(i, i + BLOCK_ROWS)
-            terms = eta[rows, None, None] * _cost_rows(q_a[rows], q_b[rows], w[rows])
+            terms = _cost_rows(q_a[rows], q_b[rows], w[rows])
+            terms *= eta[rows, None, None]
             # a running sum in input order, as one pair at a time would add
-            self.sum_q = np.add.accumulate(
-                np.concatenate([self.sum_q[None], terms]))[-1]
+            terms[0] += self.sum_q
+            self.sum_q = np.add.accumulate(terms, out=terms)[-1].copy()
         self.sum_eta = float(np.add.accumulate(np.append(self.sum_eta, eta))[-1])
-        self.n += n
+        self.n += len(q_a)
         return self
 
     @property

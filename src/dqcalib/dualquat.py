@@ -372,8 +372,9 @@ def dq_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return np.concatenate([real, dual], axis=1)
 
 
-def normalized_rows(v: np.ndarray, limit: float = NORMALIZE_LIMIT) -> np.ndarray:
-    """Row-wise :meth:`DualQuat.normalized` of an (n, 8) array.
+def normalized_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`DualQuat.normalized` of an (n, 8) array, with the
+    default limit ``NORMALIZE_LIMIT``.
 
     Raises :class:`NotUnit` with the scalar method's message for the first
     row it would reject; the error's ``row`` is that row's index.
@@ -388,8 +389,8 @@ def normalized_rows(v: np.ndarray, limit: float = NORMALIZE_LIMIT) -> np.ndarray
         unit_real = real / nr[:, None]
     along = _row_dots(unit_real, dual)
     orth = 2.0 * along
-    bad_norm = norm_defect > limit
-    bad = bad_norm | (~keep & (np.abs(orth) > limit * dual_scale))
+    bad_norm = norm_defect > NORMALIZE_LIMIT
+    bad = bad_norm | (~keep & (np.abs(orth) > NORMALIZE_LIMIT * dual_scale))
     if bad.any():
         i = int(np.argmax(bad))
         if bad_norm[i]:

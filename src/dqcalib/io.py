@@ -15,7 +15,6 @@ first bad line.
 
 from __future__ import annotations
 
-import array
 import json
 import math
 from dataclasses import dataclass
@@ -290,24 +289,11 @@ class PairArrays:
                              timestamp=float(t), weight_diag=w, eta=float(eta))
 
 
-class _BadRow(Exception):
-    """Row ``row`` of a row-wise check failed with ``error``."""
-
-    def __init__(self, row: int, error: Exception):
-        super().__init__(row, error)
-        self.row = row
-        self.error = error
-
-
-def _unit_rows(rows: np.ndarray) -> np.ndarray:
-    try:
-        return canonicalized_rows(normalized_rows(rows))
-    except NotUnit as err:
-        raise _BadRow(err.row, err) from None
-
-
 def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does."""
+    """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does.
+
+    The error raised for a bad row carries the row's index as ``row``.
+    """
     w, eta = np.ones((len(w_rows), 8)), np.ones(len(eta_rows))
     for i, (w_i, eta_i) in enumerate(zip(w_rows, eta_rows)):
         try:
@@ -320,7 +306,8 @@ def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
                     raise InvalidWeight("eta must be nonnegative")
                 eta[i] = eta_i
         except (ValueError, TypeError, InvalidWeight) as err:
-            raise _BadRow(i, err) from None
+            err.row = i
+            raise
     return w, eta
 
 
@@ -336,7 +323,7 @@ def load_pairs_jsonl(path) -> PairArrays:
     """
     # flat buffers hold the motions: far smaller than one array per line
     lines, t, w, eta = [], [], [], []
-    qa, qb = array.array("d"), array.array("d")
+    qa, qb = bytearray(), bytearray()
     fault = None
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -356,22 +343,23 @@ def load_pairs_jsonl(path) -> PairArrays:
                 break
             lines.append(lineno)
             t.append(stamp)
-            qa.frombytes(a.tobytes())
-            qb.frombytes(b.tobytes())
+            qa += a.tobytes()
+            qb += b.tobytes()
             w.append(rec.get("w"))
             eta.append(rec.get("eta"))
     # the row checks run in a MotionPair's order; each looks only at the
     # rows before the first fault found so far, so the first bad line wins
     qa, qb = np.frombuffer(qa).reshape(-1, 8), np.frombuffer(qb).reshape(-1, 8)
-    checks = (lambda n: _unit_rows(qa[:n]), lambda n: _unit_rows(qb[:n]),
+    checks = (lambda n: canonicalized_rows(normalized_rows(qa[:n])),
+              lambda n: canonicalized_rows(normalized_rows(qb[:n])),
               lambda n: _weight_rows(w[:n], eta[:n]))
     n, arrays = len(lines), []
     for check in checks:
         try:
             arrays.append(check(n))
-        except _BadRow as bad:
-            n = bad.row
-            fault = type(bad.error)(f"line {lines[n]}: {bad.error}")
+        except (NotUnit, InvalidWeight, ValueError, TypeError) as err:
+            n = err.row
+            fault = type(err)(f"line {lines[n]}: {err}")
     if fault is not None:
         raise fault
     q_a, q_b, (w_rows, eta_rows) = arrays

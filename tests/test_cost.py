@@ -5,7 +5,7 @@ from dqcalib.constraints import ConstraintMode
 from dqcalib.cost import (BLOCK_ROWS, CostAccumulator, MotionPair, cost_value,
                           pair_cost_matrix)
 from dqcalib.dualquat import DualQuat, left_mat, right_mat
-from dqcalib.errors import InvalidWeight
+from dqcalib.errors import InvalidWeight, NotUnit
 from dqcalib.io import PairArrays
 from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import SimConfig, planar_rig, random_unit_dq, simulate_pairs
@@ -256,6 +256,23 @@ def test_add_batch_rejects_negative_weights(pairs_5000):
         CostAccumulator().add_batch(rows.q_a, rows.q_b, w=w)
     with pytest.raises(InvalidWeight):
         CostAccumulator().add_batch(rows.q_a, rows.q_b, eta=[1.0, 1.0, -0.5, 1.0])
+
+
+def test_add_batch_normalizes_rows_as_motion_pair_does(pairs_5000):
+    rows = PairArrays.from_pairs(pairs_5000[:300])
+    rng = np.random.default_rng(3)
+    # drift inside the repair limit, and half the rows sign-flipped
+    drift = lambda q: (q * (1.0 + rng.uniform(-1e-8, 1e-8, (len(q), 1)))
+                       * rng.choice([1.0, -1.0], (len(q), 1)))
+    q_a, q_b = drift(rows.q_a), drift(rows.q_b)
+    seq = CostAccumulator()
+    for a, b in zip(q_a, q_b):
+        seq.add(MotionPair(q_a=DualQuat.from_vec(a), q_b=DualQuat.from_vec(b)))
+    batch = CostAccumulator().add_batch(q_a, q_b)
+    assert np.array_equal(batch.sum_q, seq.sum_q)
+    q_a[7, :4] *= 1.01
+    with pytest.raises(NotUnit):
+        CostAccumulator().add_batch(q_a, q_b)
 
 
 def test_add_batch_of_no_rows_changes_nothing():
