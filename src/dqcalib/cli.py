@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 solver failure, 2 parse/config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -322,7 +323,6 @@ def build_parser() -> argparse.ArgumentParser:
     cal.add_argument("--gt-pose", help="tx,ty,tz,ax,ay,az,angle_deg")
     cal.add_argument("--repeat", type=int, default=10,
                      help="timing repetitions (median reported)")
-    cal.set_defaults(func=cmd_calibrate)
 
     onl = sub.add_parser("online", help="sequential replay with fallback")
     onl.add_argument("--pairs", required=True)
@@ -331,31 +331,33 @@ def build_parser() -> argparse.ArgumentParser:
     onl.add_argument("--plane-b")
     onl.add_argument("--gt")
     onl.add_argument("--gt-pose")
-    onl.set_defaults(func=cmd_online)
 
     simp = sub.add_parser("simulate", help="generate a synthetic pair file")
     simp.add_argument("--config", required=True)
     simp.add_argument("--out", required=True)
-    simp.set_defaults(func=cmd_simulate)
 
     stu = sub.add_parser("study", help="noise/size sweep to CSV")
     stu.add_argument("--config", required=True)
     stu.add_argument("--out", required=True)
-    stu.set_defaults(func=cmd_study)
 
     cer = sub.add_parser("certify", help="globality certificate for a candidate")
     cer.add_argument("--pairs", required=True)
     cer.add_argument("--candidate", required=True,
                      help="8 comma-separated floats")
-    cer.set_defaults(func=cmd_certify)
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
+    # looked up at call time, so a rebound cmd_<command> is the one that runs
+    command = globals()[f"cmd_{args.command}"]
     try:
-        return args.func(args)
+        return command(args)
     except (errors.ParseError, errors.NonOrthogonalRotation, FileNotFoundError,
             json.JSONDecodeError, ValueError, errors.NonMonotonicTime,
             errors.EmptyData) as err:

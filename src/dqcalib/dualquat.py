@@ -219,9 +219,12 @@ class DualQuat:
         """Return the nearest unit dual quaternion.
 
         Renormalizes the real part and projects the dual part onto the
-        tangent.  Raises :class:`NotUnit` when the defect exceeds ``limit``;
-        small constraint drift is repaired silently.
+        tangent.  Raises :class:`NotUnit` when a component is not finite or
+        the defect exceeds ``limit``; small constraint drift is repaired
+        silently.
         """
+        if not (np.isfinite(self.real).all() and np.isfinite(self.dual).all()):
+            raise NotUnit("non-finite component")
         nr = np.linalg.norm(self.real)
         if abs(nr * nr - 1.0) > limit:
             raise NotUnit(f"real-part norm {nr} too far from 1")
@@ -380,19 +383,23 @@ def normalized_rows(v: np.ndarray) -> np.ndarray:
     row it would reject; the error's ``row`` is that row's index.
     """
     real, dual = v[:, :4], v[:, 4:]
-    nr = np.sqrt(_row_dots(real, real))
-    norm_defect = np.abs(nr * nr - 1.0)
-    dual_scale = 1.0 + np.sqrt(_row_dots(dual, dual))
-    raw_orth = 2.0 * _row_dots(real, dual)
-    keep = (norm_defect <= 1e-15) & (np.abs(raw_orth) <= 1e-15 * dual_scale)
-    with np.errstate(divide="ignore", invalid="ignore"):
+    finite = np.isfinite(v).all(axis=1)
+    # a non-finite row is rejected by ``finite``; its NaN arithmetic is moot
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        nr = np.sqrt(_row_dots(real, real))
+        norm_defect = np.abs(nr * nr - 1.0)
+        dual_scale = 1.0 + np.sqrt(_row_dots(dual, dual))
+        raw_orth = 2.0 * _row_dots(real, dual)
+        keep = (norm_defect <= 1e-15) & (np.abs(raw_orth) <= 1e-15 * dual_scale)
         unit_real = real / nr[:, None]
-    along = _row_dots(unit_real, dual)
-    orth = 2.0 * along
+        along = _row_dots(unit_real, dual)
+        orth = 2.0 * along
     bad_norm = norm_defect > NORMALIZE_LIMIT
-    bad = bad_norm | (~keep & (np.abs(orth) > NORMALIZE_LIMIT * dual_scale))
+    bad = ~finite | bad_norm | (~keep & (np.abs(orth) > NORMALIZE_LIMIT * dual_scale))
     if bad.any():
         i = int(np.argmax(bad))
+        if not finite[i]:
+            raise NotUnit("non-finite component", row=i)
         if bad_norm[i]:
             raise NotUnit(f"real-part norm {nr[i]} too far from 1", row=i)
         raise NotUnit(f"real/dual orthogonality defect {orth[i]}", row=i)

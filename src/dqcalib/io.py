@@ -290,7 +290,8 @@ class PairArrays:
 
 
 def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does.
+    """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does
+    and then for finiteness.
 
     The error raised for a bad row carries the row's index as ``row``.
     """
@@ -305,6 +306,8 @@ def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
                 if eta_i < 0:
                     raise InvalidWeight("eta must be nonnegative")
                 eta[i] = eta_i
+            if not (np.isfinite(w[i]).all() and math.isfinite(eta[i])):
+                raise InvalidWeight("weights must be finite")
         except (ValueError, TypeError, InvalidWeight) as err:
             err.row = i
             raise
@@ -318,8 +321,11 @@ def load_pairs_jsonl(path) -> PairArrays:
     first) and optionally ``w`` (8 residual weights) and ``eta``.  The
     first bad line raises what a MotionPair built from it would:
     ParseError for malformed JSON or a missing or malformed ``t``, ``qa``
-    or ``qb``, NotUnit, ValueError for a ``w`` of the wrong length and
-    InvalidWeight for a negative weight; the message names the line.
+    or ``qb``, NotUnit (a non-finite motion included), ValueError for a
+    ``w`` of the wrong length and InvalidWeight for a negative weight; a
+    non-finite ``t`` is a ParseError and a non-finite ``w`` or ``eta`` an
+    InvalidWeight, which MotionPair does not check.  The message names the
+    line.
     """
     # flat buffers hold the motions: far smaller than one array per line
     lines, t, w, eta = [], [], [], []
@@ -335,6 +341,8 @@ def load_pairs_jsonl(path) -> PairArrays:
                 a = np.asarray(rec["qa"], dtype=float).reshape(8)
                 b = np.asarray(rec["qb"], dtype=float).reshape(8)
                 stamp = float(rec["t"])
+                if not math.isfinite(stamp):
+                    raise ValueError(f"timestamp {stamp} is not finite")
             except KeyError as err:
                 fault = ParseError(f"missing field {err}", line=lineno)
                 break
@@ -368,7 +376,8 @@ def load_pairs_jsonl(path) -> PairArrays:
 
 
 def load_point_cloud(path) -> np.ndarray:
-    """Whitespace-separated xyz rows."""
+    """Whitespace-separated xyz rows; a non-finite coordinate raises a
+    ParseError naming its line."""
     rows = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -380,9 +389,12 @@ def load_point_cloud(path) -> np.ndarray:
                 raise ParseError(f"expected 3 fields, got {len(fields)}",
                                  line=lineno)
             try:
-                rows.append([float(x) for x in fields])
+                row = [float(x) for x in fields]
             except ValueError as err:
                 raise ParseError(str(err), line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError("coordinates must be finite", line=lineno)
+            rows.append(row)
     return np.asarray(rows, dtype=float).reshape(-1, 3)
 
 

@@ -10,6 +10,7 @@ estimated in the plane-aligned frame and lifted back to 3D on output.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -67,7 +68,7 @@ class OnlineCalibrator:
     def update(self, pair: MotionPair) -> CalibSolution:
         """Process one pair and return the current calibration estimate."""
         cfg = self.config
-        if pair.timestamp <= self._last_time:
+        if not math.isfinite(pair.timestamp) or pair.timestamp <= self._last_time:
             raise NonMonotonicTime(
                 f"timestamp {pair.timestamp} not after {self._last_time}")
         self._last_time = pair.timestamp

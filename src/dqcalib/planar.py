@@ -96,48 +96,96 @@ class RansacOptions:
     inlier_threshold: float = 0.05
 
 
+# points scored per matrix product: bounds the scoring temporaries (800 KB of
+# distances at 200 hypotheses) whatever the size of the cloud
+SCORE_BLOCK_ROWS = 512
+
+
+def _minimal_samples(n_pts: int, iterations: int,
+                     rng: np.random.Generator) -> np.ndarray:
+    """``iterations`` rows of three distinct indices in [0, n_pts), each
+    row uniform over ordered triples; one row (0, 1, 2) when n_pts is 3.
+
+    The second index is drawn from n_pts - 1 values and the third from
+    n_pts - 2; each is shifted past the indices picked before it.
+    """
+    if n_pts == 3:
+        return np.arange(3).reshape(1, 3)
+    idx = rng.integers(0, [n_pts, n_pts - 1, n_pts - 2], size=(iterations, 3))
+    first, second, third = idx.T
+    second += second >= first
+    lo, hi = np.minimum(first, second), np.maximum(first, second)
+    third += third >= lo
+    third += third >= hi
+    return idx
+
+
+def _hypotheses(points: np.ndarray, samples: np.ndarray):
+    """Unit normals and offsets of the planes through each sample, in
+    sample order, without the samples whose cross-product norm is below
+    1e-12."""
+    p0 = points[samples[:, 0]]
+    u = points[samples[:, 1]] - p0
+    v = points[samples[:, 2]] - p0
+    cross = np.stack([u[:, 1] * v[:, 2] - u[:, 2] * v[:, 1],
+                      u[:, 2] * v[:, 0] - u[:, 0] * v[:, 2],
+                      u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]], axis=1)
+    norm = np.sqrt(np.einsum("ij,ij->i", cross, cross))
+    keep = norm >= 1e-12
+    normals = cross[keep] / norm[keep, None]
+    offsets = -np.einsum("ij,ij->i", normals, p0[keep])
+    return normals, offsets
+
+
+def _inlier_counts(points: np.ndarray, normals: np.ndarray,
+                   offsets: np.ndarray, threshold: float) -> np.ndarray:
+    """Points within ``threshold`` of each plane, one matrix product per
+    block of ``SCORE_BLOCK_ROWS`` points."""
+    counts = np.zeros(len(normals), dtype=np.int64)
+    for start in range(0, len(points), SCORE_BLOCK_ROWS):
+        dist = points[start:start + SCORE_BLOCK_ROWS] @ normals.T
+        dist += offsets
+        np.abs(dist, out=dist)
+        counts += np.count_nonzero(dist <= threshold, axis=0)
+    return counts
+
+
 def fit_ground_plane(points: np.ndarray, opts: RansacOptions) -> GroundPlane:
     """RANSAC plane fit with least-squares refinement over the inliers.
 
+    Sampling: ``opts.iterations`` minimal samples, each three distinct
+    point indices drawn uniformly, all in one pass from
+    ``np.random.default_rng(opts.seed)``, so the fit is deterministic by
+    seed; a 3-point cloud has its single sample.  A sample whose
+    cross-product norm is below 1e-12 is dropped.  Scoring: a point is an
+    inlier of a sample's plane when its distance is at most
+    ``opts.inlier_threshold``; the first sample with the most inliers wins,
+    and the plane is refit by SVD over its inliers.
+
     The returned plane is oriented so its offset is nonnegative.  Raises
-    :class:`DegenerateInput` when fewer than three points are given or all
-    points are collinear.
+    :class:`DegenerateInput` when fewer than three points are given, any
+    coordinate is not finite, all points are collinear or every sample is.
     """
     points = np.atleast_2d(np.asarray(points, dtype=float))
     n_pts = points.shape[0]
     if n_pts < 3 or points.shape[1] != 3:
         raise DegenerateInput("plane fitting needs at least 3 xyz points")
+    if not np.isfinite(points).all():
+        raise DegenerateInput("plane fitting needs finite points")
 
-    centered = points - points.mean(axis=0)
-    if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
+    if np.linalg.matrix_rank(points - points.mean(axis=0), tol=1e-9) < 2:
         raise DegenerateInput("all points are collinear")
 
     rng = np.random.default_rng(opts.seed)
-    best_mask = None
-    best_count = -1
-    if n_pts == 3:
-        candidates = [np.arange(3)]
-    else:
-        candidates = [rng.choice(n_pts, size=3, replace=False)
-                      for _ in range(opts.iterations)]
-    for idx in candidates:
-        p0, p1, p2 = points[idx]
-        cross = np.cross(p1 - p0, p2 - p0)
-        norm = np.linalg.norm(cross)
-        if norm < 1e-12:
-            continue
-        normal = cross / norm
-        offset = -float(normal @ p0)
-        dist = np.abs(points @ normal + offset)
-        mask = dist <= opts.inlier_threshold
-        count = int(mask.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = mask
-    if best_mask is None:
+    normals, offsets = _hypotheses(points,
+                                   _minimal_samples(n_pts, opts.iterations, rng))
+    if len(normals) == 0:
         raise DegenerateInput("no non-collinear minimal sample found")
+    best = int(np.argmax(_inlier_counts(points, normals, offsets,
+                                        opts.inlier_threshold)))
+    mask = np.abs(points @ normals[best] + offsets[best]) <= opts.inlier_threshold
 
-    inliers = points[best_mask]
+    inliers = points[mask]
     centroid = inliers.mean(axis=0)
     _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
     normal = vt[-1]

@@ -202,3 +202,56 @@ class TestSimulateAndStudy:
         lines = out.read_text().strip().splitlines()
         assert lines[0] == STUDY_CSV_HEADER
         assert len(lines) == 1 + 2 * 2 * 2
+
+
+class TestParserAndDispatch:
+    def test_parser_built_once(self, sim_pairs_file, monkeypatch, capsys):
+        import dqcalib.cli as cli
+
+        built = []
+        original = cli.build_parser
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda: built.append(1) or original())
+        cli._parser.cache_clear()
+        path, _ = sim_pairs_file
+        for _ in range(2):
+            assert main(["calibrate", "--pairs", str(path), "--repeat", "1"]) == 0
+        assert len(built) == 1
+
+    def test_rebound_command_is_the_one_that_runs(self, sim_pairs_file,
+                                                   monkeypatch):
+        import dqcalib.cli as cli
+
+        path, _ = sim_pairs_file
+        assert main(["calibrate", "--pairs", str(path), "--repeat", "1"]) == 0
+        seen = []
+        monkeypatch.setattr(cli, "cmd_calibrate",
+                            lambda args: seen.append(args.pairs) or 42)
+        assert main(["calibrate", "--pairs", str(path)]) == 42
+        assert seen == [str(path)]
+
+
+class TestNonFiniteInput:
+    def test_nan_motion_names_its_line(self, sim_pairs_file, capsys):
+        path, _ = sim_pairs_file
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[2])
+        rec["qa"][0] = float("nan")
+        lines[2] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        rc = main(["calibrate", "--pairs", str(path), "--repeat", "1"])
+        assert rc == 3
+        assert "line 3: non-finite component" in capsys.readouterr().err
+
+    def test_nan_plane_point_names_its_line(self, tmp_path, capsys, rng):
+        rig = planar_rig(n_steps=10, seed=104)
+        pairs_path = tmp_path / "pairs.jsonl"
+        save_pairs_jsonl(rig.pairs, pairs_path)
+        pa, pb = tmp_path / "a.xyz", tmp_path / "b.xyz"
+        write_plane_cloud(pa, rig.plane_a, rng)
+        write_plane_cloud(pb, rig.plane_b, rng)
+        pb.write_text("nan 2 0\n" + pb.read_text())
+        rc = main(["--mode", "planar", "calibrate", "--pairs", str(pairs_path),
+                   "--plane-a", str(pa), "--plane-b", str(pb), "--repeat", "1"])
+        assert rc == 2
+        assert "line 1" in capsys.readouterr().err

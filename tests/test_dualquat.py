@@ -325,3 +325,36 @@ def test_property_row_forms_match_scalar_methods(rows):
     assert same_bits(dq_mul_rows(P, Q),
                      [(DualQuat.from_vec(p) * DualQuat.from_vec(q)).vec()
                       for p, q in zip(P, Q)])
+
+
+@st.composite
+def rows_with_non_finite(draw):
+    rows = np.array(draw(st.lists(near_unit_rows(), min_size=1, max_size=6)))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(rows) - 1))
+        j = draw(st.integers(0, 7))
+        rows[i, j] = draw(st.sampled_from([np.nan, np.inf, -np.inf]))
+    return rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(V=rows_with_non_finite())
+def test_property_non_finite_rows_rejected_as_scalar_method(V):
+    scalar = [_scalar_normalized(v) for v in V]
+    for v, s in zip(V, scalar):
+        if not np.isfinite(v).all():
+            assert isinstance(s, NotUnit) and "non-finite" in str(s)
+    first = next(i for i, s in enumerate(scalar) if isinstance(s, NotUnit))
+    with pytest.raises(NotUnit) as err:
+        normalized_rows(V)
+    assert err.value.row == first
+    assert str(err.value) == str(scalar[first])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("k", range(8))
+def test_normalized_rejects_non_finite_component(bad, k):
+    v = DualQuat.from_rot_trans([0, 0, 1], 0.3, [1.0, 2.0, 3.0]).vec().copy()
+    v[k] = bad
+    with pytest.raises(NotUnit, match="non-finite"):
+        DualQuat.from_vec(v).normalized()

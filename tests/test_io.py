@@ -1,4 +1,5 @@
 import json
+import math
 import re
 
 import numpy as np
@@ -7,7 +8,7 @@ from scipy.spatial.transform import Rotation, Slerp
 
 from dqcalib.cost import MotionPair
 from dqcalib.dualquat import DualQuat
-from dqcalib.errors import NoOverlap, NotUnit, ParseError
+from dqcalib.errors import InvalidWeight, NoOverlap, NotUnit, ParseError
 from dqcalib.io import (PairingConfig, STUDY_CSV_HEADER, Trajectory,
                         load_pairs_jsonl, load_point_cloud, load_trajectory,
                         pair_streams, relative_motions, save_pairs_jsonl,
@@ -251,7 +252,9 @@ class TestPairsJsonl:
 
 
 def oracle_load_pairs_jsonl(path):
-    """The per-line loader the array loader replaced, kept as its oracle."""
+    """The per-line loader the array loader replaced, kept as its oracle,
+    with the loader's checks for a non-finite ``t``, ``w`` or ``eta``,
+    which a MotionPair does not make."""
     pairs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -264,6 +267,8 @@ def oracle_load_pairs_jsonl(path):
                 qb = DualQuat.from_vec(rec["qb"])
             except (json.JSONDecodeError, KeyError, ValueError, TypeError) as err:
                 raise ParseError(str(err), line=lineno) from None
+            if "t" in rec and not math.isfinite(float(rec["t"])):
+                raise ParseError("timestamp is not finite", line=lineno)
             try:
                 pair = MotionPair(q_a=qa, q_b=qb, timestamp=float(rec["t"]),
                                   weight_diag=rec.get("w"),
@@ -272,6 +277,9 @@ def oracle_load_pairs_jsonl(path):
                 raise NotUnit(f"line {lineno}: {err}") from None
             except KeyError as err:
                 raise ParseError(f"missing field {err}", line=lineno) from None
+            if not (np.isfinite(pair.weight_diag).all()
+                    and math.isfinite(1.0 if pair.eta is None else pair.eta)):
+                raise InvalidWeight(f"line {lineno}: weights must be finite")
             pairs.append(pair)
     return pairs
 
@@ -302,6 +310,27 @@ FAULTS = {
 }
 
 
+def _set(key, index, value):
+    def fault(rec):
+        if isinstance(rec.get(key), list) and len(rec[key]) > index:
+            rec[key][index] = value
+    return fault
+
+
+NON_FINITE_FAULTS = {
+    "nan_t": lambda rec: rec.update(t=math.nan),
+    "inf_t": lambda rec: rec.update(t=math.inf),
+    "nan_qa_real": _set("qa", 0, math.nan),
+    "inf_qa_dual": _set("qa", 6, math.inf),
+    "nan_qb_dual": _set("qb", 5, math.nan),
+    "neg_inf_qb_real": _set("qb", 2, -math.inf),
+    "nan_w": lambda rec: rec.update(w=[1.0] * 3 + [math.nan] + [1.0] * 4),
+    "inf_w": lambda rec: rec.update(w=[math.inf] + [1.0] * 7),
+    "nan_eta": lambda rec: rec.update(eta=math.nan),
+    "inf_eta": lambda rec: rec.update(eta=math.inf),
+}
+
+
 def _record(rng, i):
     rec = {"t": 0.1 * (i + 1), "qa": list(random_unit_dq(rng).vec()),
            "qb": list(random_unit_dq(rng).vec())}
@@ -322,8 +351,9 @@ def _write_pairs_file(path, rng, n_lines, faults):
         rec = _record(rng, i)
         names = faults.get(i, [])
         for name in names:
-            if FAULTS[name] is not None:
-                FAULTS[name](rec)
+            fault = {**FAULTS, **NON_FINITE_FAULTS}[name]
+            if fault is not None:
+                fault(rec)
         line = json.dumps(rec)
         text.append(line[:len(line) // 2] if "malformed_json" in names else line)
     path.write_text("\n".join(text) + "\n")
@@ -390,6 +420,41 @@ class TestPairsLoaderAgainstOracle:
             _assert_same_outcome(path)
 
 
+class TestNonFinitePairsAgainstOracle:
+    @pytest.mark.parametrize("fault", sorted(NON_FINITE_FAULTS))
+    def test_single_fault_names_its_line(self, tmp_path, fault):
+        rng = np.random.default_rng(sorted(NON_FINITE_FAULTS).index(fault))
+        path = tmp_path / "pairs.jsonl"
+        _write_pairs_file(path, rng, 6, {3: [fault]})
+        expected = _outcome(oracle_load_pairs_jsonl, path)
+        assert isinstance(expected, tuple) and expected[1] is not None
+        _assert_same_outcome(path)
+
+    def test_first_bad_line_wins(self, tmp_path):
+        rng = np.random.default_rng(3)
+        for early in sorted(NON_FINITE_FAULTS):
+            for late in ("non_unit_qa", "negative_w", "malformed_json", "nan_t"):
+                path = tmp_path / f"{early}-{late}.jsonl"
+                _write_pairs_file(path, rng, 6, {1: [early], 4: [late]})
+                _assert_same_outcome(path)
+                path = tmp_path / f"{late}-{early}.jsonl"
+                _write_pairs_file(path, rng, 6, {1: [late], 4: [early]})
+                _assert_same_outcome(path)
+
+    def test_generated_files(self, tmp_path):
+        rng = np.random.default_rng(2025)
+        names = sorted(FAULTS) + sorted(NON_FINITE_FAULTS)
+        for k in range(300):
+            n_lines = int(rng.integers(1, 12))
+            faults = {}
+            for _ in range(int(rng.integers(0, 4))):
+                line = int(rng.integers(0, n_lines))
+                faults.setdefault(line, []).append(names[rng.integers(len(names))])
+            path = tmp_path / f"pairs{k}.jsonl"
+            _write_pairs_file(path, rng, n_lines, faults)
+            _assert_same_outcome(path)
+
+
 class TestPointCloudAndCsv:
     def test_point_cloud_round_trip(self, tmp_path, rng):
         pts = rng.normal(size=(50, 3))
@@ -398,6 +463,14 @@ class TestPointCloudAndCsv:
                                for row in pts))
         back = load_point_cloud(p)
         assert np.array_equal(back, pts)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf", "NaN"])
+    def test_point_cloud_non_finite_names_line(self, tmp_path, bad):
+        p = tmp_path / "cloud.xyz"
+        p.write_text(f"0 0 0\n1 0 0\n# comment\n{bad} 2 0\n0 1 0\n")
+        with pytest.raises(ParseError) as err:
+            load_point_cloud(p)
+        assert err.value.line == 4
 
     def test_study_csv_header(self, tmp_path):
         p = tmp_path / "study.csv"

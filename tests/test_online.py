@@ -181,3 +181,18 @@ def _batch_acc(rig):
     g_b = plane_alignment_dq(rig.plane_b)
     return accumulate_pairs(rig.pairs, mode=ConstraintMode.PLANAR,
                             align_a=g_a, align_b=g_b)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_timestamp_rejected(bad):
+    import dataclasses
+
+    rig = planar_rig(n_steps=5, seed=81)
+    at = [dataclasses.replace(p, timestamp=t)
+          for p, t in zip(rig.pairs, (0.1, bad, 0.05, 0.2))]
+    calib = OnlineCalibrator(planar_config(rig))
+    calib.update(at[0])
+    for pair in at[1:3]:
+        with pytest.raises(NonMonotonicTime):
+            calib.update(pair)
+    assert calib.update(at[3]).q_hat is not None

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import DegenerateInput
-from dqcalib.planar import (GroundPlane, RansacOptions, fit_ground_plane,
+from dqcalib.planar import (GroundPlane, RansacOptions, _hypotheses,
+                            _inlier_counts, _minimal_samples, fit_ground_plane,
                             lift_calibration, plane_alignment_dq,
                             project_motion, transform_plane)
 from dqcalib.sim import planar_rig, random_unit_dq
@@ -188,3 +191,180 @@ def test_fitted_plane_feeds_alignment(rng):
     q = plane_alignment_dq(fit)
     mapped = np.array([q.transform_point(p) for p in pts])
     assert np.max(np.abs(mapped[:, 2])) < 1e-8
+
+
+def oracle_fit_ground_plane(points, opts):
+    """The per-hypothesis loop the batched kernel replaced, kept as its
+    oracle and scoring the kernel's samples.
+
+    Returns the plane, the inlier count of every non-degenerate sample and
+    the position of the chosen one among them.
+    """
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    n_pts = points.shape[0]
+    if n_pts < 3 or points.shape[1] != 3:
+        raise DegenerateInput("plane fitting needs at least 3 xyz points")
+    centered = points - points.mean(axis=0)
+    if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
+        raise DegenerateInput("all points are collinear")
+    samples = _minimal_samples(n_pts, opts.iterations,
+                               np.random.default_rng(opts.seed))
+    counts, best, best_mask = [], None, None
+    for idx in samples:
+        p0, p1, p2 = points[idx]
+        cross = np.cross(p1 - p0, p2 - p0)
+        norm = np.linalg.norm(cross)
+        if norm < 1e-12:
+            continue
+        normal = cross / norm
+        offset = -float(normal @ p0)
+        dist = np.abs(points @ normal + offset)
+        mask = dist <= opts.inlier_threshold
+        counts.append(int(mask.sum()))
+        if best is None or counts[-1] > counts[best]:
+            best, best_mask = len(counts) - 1, mask
+    if best is None:
+        raise DegenerateInput("no non-collinear minimal sample found")
+    inliers = points[best_mask]
+    centroid = inliers.mean(axis=0)
+    _, _, vt = np.linalg.svd(inliers - centroid, full_matrices=False)
+    normal = vt[-1]
+    distance = -float(normal @ centroid)
+    if distance < 0:
+        normal, distance = -normal, -distance
+    return GroundPlane(normal=normal, distance=distance), counts, best
+
+
+def _contaminated_cloud(rng, n_in=140, n_out=60, noise=0.005):
+    normal = np.array([0.1, -0.2, 1.0])
+    plane = GroundPlane(normal=normal / np.linalg.norm(normal), distance=1.2)
+    inliers = sample_plane_points(plane, rng, n=n_in)
+    inliers += rng.normal(0, noise, inliers.shape)
+    return np.vstack([inliers, rng.uniform(-5, 5, (n_out, 3))])
+
+
+def _near_degenerate_cloud(rng):
+    """Points on the x axis but two lifted 1e-6 off it: most samples are
+    exactly collinear and dropped."""
+    pts = np.zeros((50, 3))
+    pts[:, 0] = rng.uniform(0, 1, 50)
+    pts[[7, 31], 1] = 1e-6
+    return pts
+
+
+def _two_plane_cloud(rng):
+    """Two parallel planes with 30 points each: samples on either one tie
+    on the highest count, so the tie rule decides the plane."""
+    return np.vstack([sample_plane_points(GroundPlane(normal=EZ, distance=d),
+                                          rng, n=30) for d in (1.0, 2.0)])
+
+
+CLOUDS = {
+    "clean": lambda rng: sample_plane_points(
+        GroundPlane(normal=EZ, distance=1.3), rng, n=60),
+    "two_planes": _two_plane_cloud,
+    "contaminated": _contaminated_cloud,
+    "heavily_contaminated": lambda rng: _contaminated_cloud(rng, 40, 160, 0.02),
+    "near_degenerate": _near_degenerate_cloud,
+}
+
+
+class TestRansacKernel:
+    @pytest.mark.parametrize("cloud", sorted(CLOUDS))
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_loop_oracle(self, cloud, seed):
+        pts = CLOUDS[cloud](np.random.default_rng(seed))
+        opts = RansacOptions(seed=seed)
+        plane, counts, best = oracle_fit_ground_plane(pts, opts)
+        samples = _minimal_samples(len(pts), opts.iterations,
+                                   np.random.default_rng(opts.seed))
+        normals, offsets = _hypotheses(pts, samples)
+        got = _inlier_counts(pts, normals, offsets, opts.inlier_threshold)
+        assert got.tolist() == counts
+        assert int(np.argmax(got)) == best
+        fit = fit_ground_plane(pts, opts)
+        assert np.array_equal(fit.normal, plane.normal)
+        assert fit.distance == plane.distance
+
+    def test_tie_goes_to_the_first_sample(self):
+        split = 0
+        for seed in range(10):
+            pts = _two_plane_cloud(np.random.default_rng(seed))
+            opts = RansacOptions(seed=seed)
+            samples = _minimal_samples(len(pts), opts.iterations,
+                                       np.random.default_rng(seed))
+            normals, offsets = _hypotheses(pts, samples)
+            counts = _inlier_counts(pts, normals, offsets, opts.inlier_threshold)
+            tied = np.abs(offsets[counts == counts.max()])
+            split += tied[0] != tied[-1]
+            fit = fit_ground_plane(pts, opts)
+            assert fit.distance == oracle_fit_ground_plane(pts, opts)[0].distance
+            assert abs(fit.distance - tied[0]) < 1e-12
+        # the first and the last tied sample lie on different planes
+        assert split > 0
+
+    def test_near_degenerate_cloud_drops_collinear_samples(self):
+        pts = _near_degenerate_cloud(np.random.default_rng(0))
+        samples = _minimal_samples(len(pts), 200, np.random.default_rng(0))
+        normals, _ = _hypotheses(pts, samples)
+        assert 0 < len(normals) < 200
+
+    def test_collinear_cloud_has_no_hypothesis(self):
+        pts = np.outer(np.linspace(0, 1, 10), [1.0, 2.0, 3.0])
+        samples = _minimal_samples(len(pts), 200, np.random.default_rng(0))
+        normals, offsets = _hypotheses(pts, samples)
+        assert normals.shape == (0, 3) and offsets.shape == (0,)
+        for fit in (fit_ground_plane, oracle_fit_ground_plane):
+            with pytest.raises(DegenerateInput):
+                fit(pts, RansacOptions(seed=0))
+
+    def test_counts_do_not_depend_on_block_size(self, monkeypatch):
+        pts = _contaminated_cloud(np.random.default_rng(5), 700, 300)
+        samples = _minimal_samples(len(pts), 200, np.random.default_rng(5))
+        normals, offsets = _hypotheses(pts, samples)
+        whole = _inlier_counts(pts, normals, offsets, 0.05)
+        monkeypatch.setattr("dqcalib.planar.SCORE_BLOCK_ROWS", 7)
+        assert np.array_equal(_inlier_counts(pts, normals, offsets, 0.05), whole)
+
+    @pytest.mark.parametrize("n_pts", [4, 5, 60, 10**5])
+    def test_samples_are_distinct_in_range_and_seeded(self, n_pts):
+        samples = _minimal_samples(n_pts, 5000, np.random.default_rng(n_pts))
+        assert samples.shape == (5000, 3)
+        assert samples.min() >= 0 and samples.max() < n_pts
+        s = np.sort(samples, axis=1)
+        assert np.all(s[:, 0] < s[:, 1]) and np.all(s[:, 1] < s[:, 2])
+        again = _minimal_samples(n_pts, 5000, np.random.default_rng(n_pts))
+        assert np.array_equal(samples, again)
+        other = _minimal_samples(n_pts, 5000, np.random.default_rng(n_pts + 1))
+        assert not np.array_equal(samples, other)
+
+    def test_samples_are_uniform_over_ordered_triples(self):
+        samples = _minimal_samples(4, 24000, np.random.default_rng(9))
+        _, freq = np.unique(samples, axis=0, return_counts=True)
+        # 24 ordered triples, 1000 expected each; sd about 31
+        assert len(freq) == 24
+        assert freq.min() > 850 and freq.max() < 1150
+
+    def test_three_point_cloud_has_its_single_sample(self):
+        samples = _minimal_samples(3, 200, np.random.default_rng(0))
+        assert samples.tolist() == [[0, 1, 2]]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_point_rejected(self, bad, rng):
+        pts = sample_plane_points(GroundPlane(normal=EZ, distance=1.0), rng, n=20)
+        pts[4, 1] = bad
+        with pytest.raises(DegenerateInput):
+            fit_ground_plane(pts, RansacOptions(seed=0))
+
+    def test_peak_memory_not_above_loop(self):
+        rng = np.random.default_rng(11)
+        pts = _contaminated_cloud(rng, 900_000, 100_000)
+        opts = RansacOptions(seed=0)
+        peaks = []
+        for fit in (oracle_fit_ground_plane, fit_ground_plane):
+            tracemalloc.start()
+            fit(pts, opts)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+            tracemalloc.stop()
+        loop_peak, kernel_peak = peaks
+        assert kernel_peak <= loop_peak
