@@ -291,7 +291,7 @@ class PairArrays:
 
 def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does
-    and then for finiteness.
+    and also for finiteness.
 
     The error raised for a bad row carries the row's index as ``row``.
     """
@@ -300,14 +300,13 @@ def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
         try:
             if w_i is not None:
                 w[i] = np.asarray(w_i, dtype=float).reshape(8)
-                if np.any(w[i] < 0):
-                    raise InvalidWeight("residual weights must be nonnegative")
+                if not np.all((w[i] >= 0) & (w[i] < np.inf)):
+                    raise InvalidWeight("residual weights must be finite and "
+                                        "nonnegative")
             if eta_i is not None:
-                if eta_i < 0:
-                    raise InvalidWeight("eta must be nonnegative")
+                if not 0 <= eta_i < math.inf:
+                    raise InvalidWeight("eta must be finite and nonnegative")
                 eta[i] = eta_i
-            if not (np.isfinite(w[i]).all() and math.isfinite(eta[i])):
-                raise InvalidWeight("weights must be finite")
         except (ValueError, TypeError, InvalidWeight) as err:
             err.row = i
             raise
