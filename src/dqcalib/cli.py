@@ -131,7 +131,7 @@ def cmd_calibrate(args) -> int:
             lambda: solve_global(acc, DualSolveOptions(), args.gap_threshold),
             args.repeat)
         solutions["global"] = (sol.q_hat, sol.primal_cost, sol.gap,
-                               sol.is_global, ms)
+                               sol.is_global, ms, {})
     if args.solver in ("fast", "both"):
         init = _parse_q8(args.init).vec() if args.init else None
         opts = LocalSolveOptions(init=init)
@@ -139,13 +139,15 @@ def cmd_calibrate(args) -> int:
                                     args.repeat)
         cert = certify(Q, local.q_hat, mode, verify_opts)
         solutions["fast"] = (local.q_hat, local.cost, cert.gap,
-                             cert.is_global, ms)
+                             cert.is_global, ms,
+                             {"iterations": local.iterations,
+                              "converged": local.converged})
 
     gt = _ground_truth(args)
-    for name, (q_hat, cost, gap, is_global, ms) in solutions.items():
+    for name, (q_hat, cost, gap, is_global, ms, extra) in solutions.items():
         entry = _describe_solution(_maybe_lift(q_hat, align_a, align_b))
         entry.update(cost=float(cost), gap=float(gap), is_global=bool(is_global),
-                     time_ms=ms)
+                     time_ms=ms, **extra)
         if gt is not None:
             err = calib_error(_maybe_lift(q_hat, align_a, align_b), gt)
             entry.update(eps_r_deg=err.eps_r_deg, eps_t_m=err.eps_t)

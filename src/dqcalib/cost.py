@@ -20,6 +20,7 @@ on how the pairs are split into calls or blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -50,12 +51,20 @@ class MotionPair:
         object.__setattr__(self, "q_b", self.q_b.normalized().canonicalized())
         w = np.ones(8) if self.weight_diag is None else np.asarray(
             self.weight_diag, dtype=float).reshape(8).copy()
-        if np.any(w < 0):
-            raise InvalidWeight("residual weights must be nonnegative")
+        _check_weights(w, np.asarray(1.0 if self.eta is None else self.eta,
+                                     dtype=float))
+        if not math.isfinite(self.timestamp):
+            raise ValueError(f"timestamp {self.timestamp} is not finite")
         w.setflags(write=False)
         object.__setattr__(self, "weight_diag", w)
-        if self.eta is not None and self.eta < 0:
-            raise InvalidWeight("eta must be nonnegative")
+
+
+def _check_weights(w: np.ndarray, eta: np.ndarray) -> None:
+    """Raise InvalidWeight unless every weight is finite and nonnegative."""
+    if not (np.isfinite(w).all() and (w >= 0).all()):
+        raise InvalidWeight("residual weights must be finite and nonnegative")
+    if not (np.isfinite(eta).all() and (eta >= 0).all()):
+        raise InvalidWeight("eta must be finite and nonnegative")
 
 
 # rows handed to the cost kernel at once: bounds its temporaries (32 KB each
@@ -139,22 +148,20 @@ class CostAccumulator:
         sign-canonicalized as :class:`MotionPair` does (a row too far from
         unit raises :class:`NotUnit`); ``w`` holds (n, 8) residual weights
         and ``eta`` (n,) confidence weights, both 1 when omitted.  Raises
-        :class:`InvalidWeight` for a negative weight.  The result equals n
-        one-row calls bit for bit.
+        :class:`InvalidWeight` for a negative or non-finite weight.  The
+        result equals n one-row calls bit for bit.
         """
         q_a = _motion_rows(np.asarray(q_a, dtype=float).reshape(-1, 8))
         q_b = _motion_rows(np.asarray(q_b, dtype=float).reshape(-1, 8))
         n = len(q_a)
         w = np.ones((n, 8)) if w is None else np.asarray(w, dtype=float).reshape(n, 8)
         eta = np.ones(n) if eta is None else np.asarray(eta, dtype=float).reshape(n)
-        if np.any(w < 0):
-            raise InvalidWeight("residual weights must be nonnegative")
-        if np.any(eta < 0):
-            raise InvalidWeight("eta must be nonnegative")
+        _check_weights(w, eta)
         return self._add_rows(q_a, q_b, w, eta)
 
     def _add_rows(self, q_a, q_b, w, eta) -> "CostAccumulator":
-        """Add checked rows: unit sign-canonical motions, nonnegative weights."""
+        """Add checked rows: unit sign-canonical motions and finite,
+        nonnegative weights."""
         if self.mode is ConstraintMode.PLANAR and self.align_a is not None:
             q_a = _project_rows(q_a, self.align_a)
             q_b = _project_rows(q_b, self.align_b)

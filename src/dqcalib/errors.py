@@ -21,7 +21,7 @@ class NonUnitAxis(DQCalibError):
 
 
 class InvalidWeight(DQCalibError):
-    """Negative residual weight."""
+    """Negative or non-finite residual or confidence weight."""
 
 
 class DegenerateInit(DQCalibError):

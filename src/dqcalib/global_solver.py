@@ -338,9 +338,9 @@ def solve_global(acc: CostAccumulator, opts: DualSolveOptions | None = None,
         q8, null_dim = recover_primal(Q, lam, mode, opts)
         primal = float(q8 @ Q @ q8)
         # Newton polish: the recovered vector can carry a small component
-        # of a nearly-null direction (finite dual tolerance); a
-        # warm-started local solve lands on the exact KKT point of the
-        # same basin
+        # of a nearly-null direction (finite dual tolerance); the fast
+        # solver's Newton iteration, started there, lands on the exact KKT
+        # point of the same basin in a step or two
         polish = solve_local(Q, mode, LocalSolveOptions(init=q8))
         if polish.converged and polish.cost <= primal + 1e-15:
             q8 = polish.q_hat.vec()

@@ -321,10 +321,9 @@ def load_pairs_jsonl(path) -> PairArrays:
     first bad line raises what a MotionPair built from it would:
     ParseError for malformed JSON or a missing or malformed ``t``, ``qa``
     or ``qb``, NotUnit (a non-finite motion included), ValueError for a
-    ``w`` of the wrong length and InvalidWeight for a negative weight; a
-    non-finite ``t`` is a ParseError and a non-finite ``w`` or ``eta`` an
-    InvalidWeight, which MotionPair does not check.  The message names the
-    line.
+    ``w`` of the wrong length and InvalidWeight for a negative or
+    non-finite ``w`` or ``eta``; a non-finite ``t`` is a ParseError, as a
+    missing one is.  The message names the line.
     """
     # flat buffers hold the motions: far smaller than one array per line
     lines, t, w, eta = [], [], [], []

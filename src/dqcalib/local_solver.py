@@ -1,14 +1,20 @@
 """Fast local solver for the constrained quadratic calibration problem.
 
-Minimizes q^T Q q subject to the mode's equality constraints.  In 3D mode a
-short projected-gradient phase descends from the initial point, then damped
-Newton iterations on the KKT system polish to tight tolerances.  Iterates
-are re-projected onto the constraint manifold after every step (cheap and
-exact for these constraints), so returned points are feasible to floating
-point accuracy.  Planar mode needs no iteration: the planar problem reduces
-to a 2x2 eigenproblem (:func:`dqcalib.constraints.solve_planar`) whose
-solution is global, so the fast and the global solver return the same
-estimate.  Everything is deterministic.
+Minimizes q^T Q q subject to the mode's equality constraints.  In 3D mode
+the feasible set is a 6-dimensional manifold, and the solver runs Newton's
+method on its tangent space: the Lagrangian Hessian, with least-squares
+multipliers, is restricted to the null space of the constraint Jacobian,
+and a backtracking line search on the cost picks the step length.  Far
+from a stationary point an indefinite Hessian enters by the magnitudes of
+its eigenvalues, so every step descends; near one the exact Newton step
+converges quadratically.  Iterates are re-projected onto the manifold
+after every step (cheap and exact for these constraints), so returned
+points are feasible to floating point accuracy.  A warm start from a
+nearby optimum, as in online use, converges in two or three iterations.
+Planar mode needs no iteration: the planar problem reduces to a 2x2
+eigenproblem (:func:`dqcalib.constraints.solve_planar`) whose solution is
+global, so the fast and the global solver return the same estimate.
+Everything is deterministic.
 """
 
 from __future__ import annotations
@@ -23,10 +29,18 @@ from .errors import DegenerateInit
 
 _IDENTITY8 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 _HESSIANS = [2.0 * G for G in constraint_matrices()]
+# Lagrangian-gradient size below which a step is the exact Newton step
+_NEAR_GRAD = 1e-6
 
 
 @dataclass(frozen=True)
 class LocalSolveOptions:
+    """3D budgets: ``max_iter`` caps the Newton iterations, ``tol_kkt`` is
+    the KKT residual that counts as converged and ``tol_step`` the step
+    size that ends the iteration early.  ``init`` is the starting point;
+    without one the solver starts from the cheaper of the identity and a
+    spectral guess."""
+
     max_iter: int = 100
     tol_kkt: float = 1e-10
     tol_step: float = 1e-12
@@ -67,62 +81,60 @@ def project_feasible(q: np.ndarray) -> np.ndarray:
     return v
 
 
-def _canonical(q: np.ndarray) -> np.ndarray:
-    # both constraints are even in q, so the multipliers keep their sign
-    if q[0] < 0 or (abs(q[0]) <= 1e-12 and _first_nonzero_negative(q)):
-        return -q
-    return q
+def _stationarity(Q: np.ndarray, q: np.ndarray):
+    """Least-squares multipliers, Lagrangian gradient and KKT residual at q."""
+    A = grad_g(q)
+    Qq2 = 2.0 * (Q @ q)
+    lam, *_ = np.linalg.lstsq(A.T, -Qq2, rcond=None)
+    grad = Qq2 + A.T @ lam
+    g = eval_g(q, ConstraintMode.FULL_3D)
+    return A, lam, grad, float(max(np.max(np.abs(grad)), np.max(np.abs(g))))
 
 
-def _first_nonzero_negative(q: np.ndarray) -> bool:
-    for c in q:
-        if abs(c) > 1e-12:
-            return c < 0
-    return False
+def _newton_direction(Q, A, lam, grad, exact: bool) -> np.ndarray:
+    """Newton step on the tangent space of the constraint manifold.
+
+    The Lagrangian Hessian 2Q + sum(lam_i 2G_i) is restricted to the null
+    space of the constraint Jacobian ``A``; ``lam`` and ``grad`` are the
+    multipliers and Lagrangian gradient at the same point.  Unless
+    ``exact``, the Hessian's eigenvalues enter by magnitude, so an
+    indefinite one still gives a descent direction (out of a saddle rather
+    than onto it).
+    """
+    N = np.linalg.qr(A.T, mode="complete")[0][:, 2:]
+    H = 2.0 * Q + sum(li * Hi for li, Hi in zip(lam, _HESSIANS))
+    w, V = np.linalg.eigh(N.T @ H @ N)
+    mag = np.maximum(np.abs(w), 1e-12 * (1.0 + np.max(np.abs(w))))
+    if exact:
+        mag = np.copysign(mag, w)
+    return -(N @ V) @ ((V.T @ (N.T @ grad)) / mag)
 
 
-def _ls_multipliers(Q: np.ndarray, q: np.ndarray, A: np.ndarray) -> np.ndarray:
-    lam, *_ = np.linalg.lstsq(A.T, -2.0 * (Q @ q), rcond=None)
-    return lam
+def _cold_start(Q: np.ndarray) -> np.ndarray:
+    """The cheaper of the identity and a spectral guess.
 
-
-def _kkt_residual(Q, q, lam, A, g):
-    stat = 2.0 * (Q @ q) + A.T @ lam
-    return max(np.max(np.abs(stat)), np.max(np.abs(g)))
-
-
-def _gradient_phase(Q, q, budget=500, target=1e-6):
-    """Armijo projected-gradient descent; returns (q, iterations used)."""
-    alpha0 = 1.0 / (1.0 + 2.0 * np.linalg.norm(Q, ord="fro"))
-    it = 0
-    for it in range(1, budget + 1):
-        A = grad_g(q)
-        lam = _ls_multipliers(Q, q, A)
-        grad = 2.0 * (Q @ q) + A.T @ lam
-        gnorm = np.max(np.abs(grad))
-        if gnorm <= target:
-            break
-        cost = q @ Q @ q
-        alpha = alpha0
-        accepted = False
-        for _ in range(40):
-            trial = project_feasible(q - alpha * grad)
-            if trial @ Q @ trial <= cost - 1e-4 * alpha * (grad @ grad):
-                q = trial
-                accepted = True
-                break
-            alpha *= 0.5
-        if not accepted:
-            break
-    return q, it
+    The guess follows Daniilidis (IJRR 1999): the vector with the largest
+    real part in the span of Q's two smallest eigenvectors, made feasible.
+    On exact data that span holds the true calibration and the pure-dual
+    vec(eps * q_r), so the guess is the optimum itself.  Ties keep the
+    identity, so Q = 0 returns it.
+    """
+    V = np.linalg.eigh(Q)[1][:, :2]
+    w, U = np.linalg.eigh(V[:4].T @ V[:4])
+    if w[-1] < 1e-12:
+        return _IDENTITY8
+    guess = project_feasible(V @ U[:, -1])
+    return guess if guess @ Q @ guess < Q[0, 0] else _IDENTITY8
 
 
 def solve_local(Q: np.ndarray, mode: ConstraintMode,
                 opts: LocalSolveOptions | None = None) -> LocalSolution:
     """Return a KKT point of the constrained quadratic program.
 
-    Canonical dual multipliers for certification are re-fit by
-    :func:`dqcalib.verify.certify`.  A non-converged 3D run returns the best
+    3D mode starts from ``opts.init`` (made feasible) or, without one, from
+    :func:`_cold_start`, and takes at most ``opts.max_iter`` Newton
+    iterations.  Canonical dual multipliers for certification are re-fit by
+    :func:`dqcalib.verify.certify`.  A non-converged 3D run returns the last
     iterate with ``converged=False`` rather than raising.  Planar mode
     returns the exact reduced solution, ignores ``init`` and the budgets,
     and never raises (a non-unique optimum is reported by
@@ -136,73 +148,40 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
                              lam=np.array([p_star, 0.0]),
                              cost=float(q8 @ Q @ q8), converged=True,
                              iterations=0, kkt_residual=0.0)
-    init = _IDENTITY8 if opts.init is None else np.asarray(opts.init, dtype=float)
-    q = project_feasible(init)
-
-    # the descent phase budget shrinks with tight iteration caps so a
-    # realtime-configured solver stays strictly bounded
-    q, grad_iters = _gradient_phase(Q, q, budget=min(500, 25 * opts.max_iter))
-    A = grad_g(q)
-    lam = _ls_multipliers(Q, q, A)
-    q = _canonical(q)
-
-    m = len(lam)
-    iterations = grad_iters
-    for _ in range(opts.max_iter):
-        A = grad_g(q)
-        g = eval_g(q, mode)
-        F = np.concatenate([2.0 * (Q @ q) + A.T @ lam, g])
-        res = np.max(np.abs(F))
-        if res < opts.tol_kkt:
-            break
-        iterations += 1
-
-        H = 2.0 * Q + sum(li * Hi for li, Hi in zip(lam, _HESSIANS))
-        KKT = np.zeros((8 + m, 8 + m))
-        KKT[:8, :8] = H
-        KKT[:8, 8:] = A.T
-        KKT[8:, :8] = A
-        rhs = -F
-        try:
-            d = np.linalg.solve(KKT, rhs)
-        except np.linalg.LinAlgError:
-            KKT[np.arange(8), np.arange(8)] += 1e-10 * (1.0 + np.trace(np.abs(Q)))
-            d = np.linalg.solve(KKT, rhs)
-
-        norm_F = np.linalg.norm(F)
+    q = _cold_start(Q) if opts.init is None else project_feasible(opts.init)
+    cost = q @ Q @ q
+    A, lam, grad, res = _stationarity(Q, q)
+    iterations = 0
+    while res >= opts.tol_kkt and iterations < opts.max_iter:
+        # near a stationary point the exact Newton step converges
+        # quadratically; cost-only backtracking would stall there at
+        # rounding level, so a lower KKT residual also accepts a step
+        near = np.max(np.abs(grad)) <= _NEAR_GRAD
+        d = _newton_direction(Q, A, lam, grad, exact=near)
+        slope = grad @ d
         alpha = 1.0
-        best = None
         for _ in range(30):
-            q_trial = project_feasible(q + alpha * d[:8])
-            lam_trial = lam + alpha * d[8:]
-            A_t = grad_g(q_trial)
-            g_t = eval_g(q_trial, mode)
-            F_t = np.concatenate([2.0 * (Q @ q_trial) + A_t.T @ lam_trial, g_t])
-            if np.linalg.norm(F_t) <= (1.0 - 1e-4 * alpha) * norm_F:
-                best = (q_trial, lam_trial)
-                break
+            trial = project_feasible(q + alpha * d)
+            trial_cost = trial @ Q @ trial
+            armijo = trial_cost <= cost + 1e-4 * alpha * slope
+            if armijo or near:
+                kkt = _stationarity(Q, trial)
+                if armijo or kkt[3] < res:
+                    break
             alpha *= 0.5
-        if best is None:
+        else:
             break  # stalled; report the current iterate honestly
-        q, lam = best
-        q = _canonical(q)
-        if alpha * np.max(np.abs(d[:8])) < opts.tol_step:
+        iterations += 1
+        q, cost = trial, trial_cost
+        A, lam, grad, res = kkt
+        if alpha * np.max(np.abs(d)) < opts.tol_step:
             break
-
-    A = grad_g(q)
-    g = eval_g(q, mode)
-    res = _kkt_residual(Q, q, lam, A, g)
-    # a fresh multiplier fit can only reduce the stationarity residual
-    lam_ls = _ls_multipliers(Q, q, A)
-    res_ls = _kkt_residual(Q, q, lam_ls, A, g)
-    if res_ls < res:
-        lam, res = lam_ls, res_ls
 
     return LocalSolution(
         q_hat=DualQuat.from_vec(q).canonicalized(),
         lam=lam,
-        cost=float(q @ Q @ q),
+        cost=float(cost),
         converged=bool(res < opts.tol_kkt),
         iterations=iterations,
-        kkt_residual=float(res),
+        kkt_residual=res,
     )

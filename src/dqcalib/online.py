@@ -2,9 +2,9 @@
 
 Each incoming motion pair is (optionally plane-aligned and) accumulated;
 the fast solver runs warm-started from the previous solution and its
-result is certified.  A failed certificate stamps the error time; while
-the latest error is within the no-fail window the global solver's result
-replaces the fast one.  With exact ground planes configured, solutions are
+result is certified.  A failed certificate, or a fast solve that ran out
+of iterations, stamps the error time; while the latest error is within
+the no-fail window the global solver's result replaces the fast one.  With exact ground planes configured, solutions are
 estimated in the plane-aligned frame and lifted back to 3D on output.
 """
 
@@ -82,7 +82,7 @@ class OnlineCalibrator:
         local_opts = replace(cfg.local_opts, init=self._warm)
         local = solve_local(Q, cfg.mode, local_opts)
         cert = certify(Q, local.q_hat, cfg.mode, cfg.verify_opts)
-        if not cert.is_global:
+        if not (cert.is_global and local.converged):
             self.t_last_local_error = pair.timestamp
 
         use_global = (pair.timestamp - self.t_last_local_error) <= cfg.t_no_fail

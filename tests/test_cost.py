@@ -71,6 +71,18 @@ def test_negative_weight_rejected(rng):
         MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng), eta=-0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_weight_rejected(rng, bad):
+    with pytest.raises(InvalidWeight):
+        MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng),
+                   weight_diag=[1] * 5 + [bad] + [1] * 2)
+    with pytest.raises(InvalidWeight):
+        MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng), eta=bad)
+    with pytest.raises(ValueError):
+        MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng),
+                   timestamp=bad)
+
+
 class TestAccumulator:
     def test_single_pair(self, rng):
         pair = MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng))
@@ -256,6 +268,22 @@ def test_add_batch_rejects_negative_weights(pairs_5000):
         CostAccumulator().add_batch(rows.q_a, rows.q_b, w=w)
     with pytest.raises(InvalidWeight):
         CostAccumulator().add_batch(rows.q_a, rows.q_b, eta=[1.0, 1.0, -0.5, 1.0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_add_batch_rejects_non_finite_weights(pairs_5000, bad):
+    rows = PairArrays.from_pairs(pairs_5000[:4])
+    w = np.ones((4, 8))
+    w[3, 0] = bad
+    acc = CostAccumulator()
+    with pytest.raises(InvalidWeight):
+        acc.add_batch(rows.q_a, rows.q_b, w=w)
+    with pytest.raises(InvalidWeight):
+        acc.add_batch(rows.q_a, rows.q_b, eta=[1.0, bad, 1.0, 1.0])
+    with pytest.raises(InvalidWeight):
+        acc.add_batch(rows.q_a[:1], rows.q_b[:1], eta=[bad])
+    # a rejected call leaves the accumulator as it was
+    assert acc.n == 0 and np.array_equal(acc.normalized_q, np.zeros((8, 8)))
 
 
 def test_add_batch_normalizes_rows_as_motion_pair_does(pairs_5000):

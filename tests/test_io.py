@@ -253,8 +253,8 @@ class TestPairsJsonl:
 
 def oracle_load_pairs_jsonl(path):
     """The per-line loader the array loader replaced, kept as its oracle,
-    with the loader's checks for a non-finite ``t``, ``w`` or ``eta``,
-    which a MotionPair does not make."""
+    with the loader's check for a non-finite ``t``, which it reports as a
+    ParseError."""
     pairs = []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -273,13 +273,10 @@ def oracle_load_pairs_jsonl(path):
                 pair = MotionPair(q_a=qa, q_b=qb, timestamp=float(rec["t"]),
                                   weight_diag=rec.get("w"),
                                   eta=rec.get("eta"))
-            except NotUnit as err:
-                raise NotUnit(f"line {lineno}: {err}") from None
+            except (NotUnit, InvalidWeight) as err:
+                raise type(err)(f"line {lineno}: {err}") from None
             except KeyError as err:
                 raise ParseError(f"missing field {err}", line=lineno) from None
-            if not (np.isfinite(pair.weight_diag).all()
-                    and math.isfinite(1.0 if pair.eta is None else pair.eta)):
-                raise InvalidWeight(f"line {lineno}: weights must be finite")
             pairs.append(pair)
     return pairs
 

@@ -4,11 +4,13 @@ import pytest
 from dqcalib.constraints import ConstraintMode, eval_g
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import DegenerateInit
+from dqcalib.global_solver import solve_global
 from dqcalib.local_solver import (LocalSolveOptions, project_feasible,
                                   solve_local)
 from dqcalib.metrics import calib_error
 from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import add_noise, planar_rig, random_unit_dq
+from dqcalib.verify import certify
 
 from conftest import accumulate_pairs, make_dataset
 
@@ -79,13 +81,36 @@ class TestSolveLocal:
         assert err.eps_t < 1e-6
 
     def test_descent_from_projected_init(self, rng):
+        # from any init, saddles included on the way, the safeguarded
+        # Newton iteration never ends above its starting cost
         pairs, _ = make_dataset(seed=14, n_pairs=30, noise=0.1)
         acc = accumulate_pairs(pairs)
         Q = acc.normalized_q
-        init = random_unit_dq(rng).vec()
-        q0 = project_feasible(init)
-        sol = solve_local(Q, ConstraintMode.FULL_3D, LocalSolveOptions(init=init))
-        assert sol.cost <= q0 @ Q @ q0 + 1e-12
+        for _ in range(100):
+            init = random_unit_dq(rng).vec()
+            q0 = project_feasible(init)
+            sol = solve_local(Q, ConstraintMode.FULL_3D,
+                              LocalSolveOptions(init=init))
+            assert sol.converged
+            assert sol.cost <= q0 @ Q @ q0 + 1e-12
+
+    def test_cold_start_reaches_certified_global_optimum(self):
+        # without an init the solver starts from the better of the identity
+        # and the spectral guess; wherever the result certifies it is the
+        # global solver's estimate
+        certified = 0
+        for k in range(40):
+            pairs, _ = make_dataset(seed=300 + k, n_pairs=(5, 20, 80, 200)[k % 4],
+                                    noise=(0.0, 0.01, 0.05, 0.1)[k // 10])
+            acc = accumulate_pairs(pairs)
+            Q = acc.normalized_q
+            sol = solve_local(Q, ConstraintMode.FULL_3D)
+            assert sol.converged
+            if certify(Q, sol.q_hat, ConstraintMode.FULL_3D).is_global:
+                certified += 1
+                err = calib_error(sol.q_hat, solve_global(acc).q_hat)
+                assert max(err.eps_r, err.eps_t) < 1e-6
+        assert certified >= 36
 
     def test_deterministic(self, rng):
         pairs, _ = make_dataset(seed=15, n_pairs=40, noise=0.08)

@@ -175,6 +175,58 @@ class TestStreamInvariants:
         assert calib.t_last_local_error >= rig.pairs[40].timestamp
         assert provs[46] == "local"  # recovers once the window passes
 
+    def test_warm_started_solves_take_few_newton_iterations(self, monkeypatch):
+        # a 300-step 3D replay at 5 % noise: each fast solve starts from the
+        # previous step's optimum, which one new pair barely moves
+        import dqcalib.online
+        from dqcalib.sim import SimConfig, simulate_pairs
+
+        real_solve_local = dqcalib.online.solve_local
+        iterations = []
+
+        def solve_local(Q, mode, opts=None):
+            sol = real_solve_local(Q, mode, opts)
+            if opts.init is not None:
+                iterations.append(sol.iterations)
+            return sol
+
+        monkeypatch.setattr(dqcalib.online, "solve_local", solve_local)
+        pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
+                                            seed=33))
+        sols = replay(pairs)
+        assert len(iterations) == 299
+        assert np.median(iterations) <= 5
+        assert sols[-1].is_global
+
+    def test_unconverged_fast_solve_reopens_global_window(self, monkeypatch):
+        # a fast solve that runs out of iterations is a local error even
+        # when its iterate certifies: it is never returned as the estimate
+        import dataclasses
+
+        import dqcalib.online
+
+        real_solve_local = dqcalib.online.solve_local
+        unconverged = [False]
+
+        def solve_local(Q, mode, opts=None):
+            sol = real_solve_local(Q, mode, opts)
+            return dataclasses.replace(sol, converged=not unconverged[0])
+
+        monkeypatch.setattr(dqcalib.online, "solve_local", solve_local)
+        rig = planar_rig(n_steps=60, seed=90, rate=10.0)
+        calib = OnlineCalibrator(planar_config(rig, t_no_fail=0.5))
+        provs = []
+        for i, pair in enumerate(rig.pairs):
+            unconverged[0] = i == 40
+            sol = calib.update(pair)
+            provs.append(sol.provenance)
+            if i == 40:
+                assert sol.is_global  # the iterate itself certifies
+        assert provs[39] == "local"
+        assert provs[40] == "global"
+        assert calib.t_last_local_error == rig.pairs[40].timestamp
+        assert provs[46] == "local"
+
 
 def _batch_acc(rig):
     g_a = plane_alignment_dq(rig.plane_a)
@@ -188,11 +240,13 @@ def test_non_finite_timestamp_rejected(bad):
     import dataclasses
 
     rig = planar_rig(n_steps=5, seed=81)
+    # a pair cannot carry a non-finite timestamp, so none reaches the clock
+    with pytest.raises(ValueError):
+        dataclasses.replace(rig.pairs[1], timestamp=bad)
     at = [dataclasses.replace(p, timestamp=t)
-          for p, t in zip(rig.pairs, (0.1, bad, 0.05, 0.2))]
+          for p, t in zip(rig.pairs, (0.1, 0.05, 0.2))]
     calib = OnlineCalibrator(planar_config(rig))
     calib.update(at[0])
-    for pair in at[1:3]:
-        with pytest.raises(NonMonotonicTime):
-            calib.update(pair)
-    assert calib.update(at[3]).q_hat is not None
+    with pytest.raises(NonMonotonicTime):
+        calib.update(at[1])
+    assert calib.update(at[2]).q_hat is not None
