@@ -46,6 +46,9 @@ class TestCalibrate:
         assert out["global"]["eps_t_m"] < 1e-6
         agree = out["solver_agreement"]
         assert agree["eps_r_deg"] < 1e-4 and agree["eps_t_m"] < 1e-6
+        # the fast entry says how its Newton iteration ended
+        assert out["fast"]["converged"] is True
+        assert 0 <= out["fast"]["iterations"] <= 100
 
     def test_missing_file_exits_2(self, tmp_path, capsys):
         rc = main(["calibrate", "--pairs", str(tmp_path / "nope.jsonl")])
