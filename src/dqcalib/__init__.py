@@ -6,8 +6,8 @@ from .cost import CostAccumulator, MotionPair, cost_value, pair_cost_matrix
 from .dualquat import (DualQuat, canonicalize, conjugate, dq_mul,
                        from_rot_trans, left_mat, right_mat, to_rot_trans,
                        transform_point)
-from .global_solver import (CalibSolution, DualSolveOptions, probe_degeneracy,
-                            recover_primal, solve_dual, solve_global)
+from .global_solver import (CalibSolution, probe_degeneracy, recover_primal,
+                            solve_dual, solve_global)
 from .local_solver import LocalSolveOptions, LocalSolution, solve_local
 from .metrics import CalibError, calib_error
 from .online import OnlineCalibrator, OnlineConfig, replay
@@ -23,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "CalibError", "CalibSolution", "Certificate", "ConstraintMode",
-    "CostAccumulator", "DualQuat", "DualSolveOptions",
+    "CostAccumulator", "DualQuat",
     "GroundPlane", "LocalSolveOptions", "LocalSolution", "MotionPair",
     "OnlineCalibrator", "OnlineConfig", "PoseSequence", "RansacOptions",
     "SimConfig", "VerifyOptions", "add_noise", "assemble_Z",

@@ -19,7 +19,7 @@ from . import errors
 from .constraints import ConstraintMode
 from .cost import CostAccumulator
 from .dualquat import DualQuat
-from .global_solver import DualSolveOptions, solve_global
+from .global_solver import solve_global
 from .io import (PairArrays, load_pairs_jsonl, load_point_cloud,
                  save_pairs_jsonl, write_study_csv)
 from .local_solver import LocalSolveOptions, solve_local
@@ -128,7 +128,7 @@ def cmd_calibrate(args) -> int:
     solutions = {}
     if args.solver in ("global", "both"):
         sol, ms = _median_time_ms(
-            lambda: solve_global(acc, DualSolveOptions(), args.gap_threshold),
+            lambda: solve_global(acc, args.gap_threshold),
             args.repeat)
         solutions["global"] = (sol.q_hat, sol.primal_cost, sol.gap,
                                sol.is_global, ms, {})

@@ -55,6 +55,8 @@ _PLANAR_ROT = [0, 3]
 _PLANAR_TRANS = [5, 6]
 _PLANAR_COORDS = _PLANAR_ROT + _PLANAR_TRANS
 
+NULL_TOL = 1e-7  # eigenvalues below NULL_TOL * max(1, trace Q) count as zero
+
 
 def constraint_matrices() -> list[np.ndarray]:
     """Quadratic-form matrices (G1, G2) of the 3D constraints."""
@@ -99,7 +101,29 @@ def assemble_Z(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     return Z
 
 
-def solve_planar(Q: np.ndarray, null_tol: float = 1e-7):
+def schur_reduction(A: np.ndarray, C: np.ndarray, scale: float):
+    """Eliminate the block with Hessian ``C`` (PSD) from [[A, B], [B^T, C]].
+
+    Returns ``(wc, Uc, reduce)``: C's eigenpairs, and B -> ``(ws, Us, F)``,
+    the ascending eigenpairs of S = A - B C^+ B^T and F = C^+ B^T, whose
+    minimizer over the eliminated block at r is -F r.
+    """
+    # exact pseudo-inverse: only rounding-level eigenvalues are dropped, so
+    # the reduced minimum stays a true minimum (a dropped genuine eigenvalue
+    # would raise it)
+    wc, Uc = np.linalg.eigh(C)
+    inv = np.divide(1.0, wc, out=np.zeros(len(wc)), where=wc > 1e-12 * scale)
+    C_pinv = (Uc * inv) @ Uc.T
+
+    def reduce(B):
+        F = C_pinv @ B.T
+        ws, Us = np.linalg.eigh(A - B @ F)
+        return ws, Us, F
+
+    return wc, Uc, reduce
+
+
+def solve_planar(Q: np.ndarray, null_tol: float = NULL_TOL):
     """Global minimum of q^T Q q over the planar feasible set, in closed form.
 
     With A, B, C the (q1,q4)-(q1,q4), (q1,q4)-(q6,q7) and (q6,q7)-(q6,q7)
@@ -117,12 +141,8 @@ def solve_planar(Q: np.ndarray, null_tol: float = 1e-7):
     B = Q[np.ix_(_PLANAR_ROT, _PLANAR_TRANS)]
     C = Q[np.ix_(_PLANAR_TRANS, _PLANAR_TRANS)]
     scale = max(1.0, float(np.trace(Q)))
-    wc, Uc = np.linalg.eigh(C)
-    # exact pseudo-inverse: only rounding-level eigenvalues are dropped, so
-    # p* stays a true minimum (a dropped genuine eigenvalue would raise it)
-    inv = np.divide(1.0, wc, out=np.zeros(2), where=wc > 1e-12 * scale)
-    F = (Uc * inv) @ Uc.T @ B.T  # (q6, q7) = -F r
-    ws, Us = np.linalg.eigh(A - B @ F)
+    wc, Uc, reduce = schur_reduction(A, C, scale)
+    ws, Us, F = reduce(B)  # (q6, q7) = -F r
 
     def lift(r):
         v = np.zeros(8)

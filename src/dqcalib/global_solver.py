@@ -1,18 +1,21 @@
 """Certifiably global solver for the calibration QCQP.
 
-3D mode solves the Lagrangian dual: maximize lam_1 subject to
-Z(lam) >= 0.  Because lam -> lambda_min(Z(lam)) is concave, the feasible
-lam_1 values form an interval: the solver bisects on lam_1 and, at each
-candidate, maximizes the minimum eigenvalue over lam_2 by golden-section
-search.  The primal is recovered from the (near-)null space of Z at the
-optimum.
+3D mode solves the Lagrangian dual, max lam_1 subject to Z(lam) >= 0, as
+one concave scalar problem.  With Q = [[A, B], [B^T, C]] in real and dual
+4x4 blocks, a Schur complement gives Z(lam) >= 0 exactly when lam_1 <=
+phi(lam_2) = lambda_min(A - (B + lam_2 I) C^+ (B + lam_2 I)^T), and the
+slope of phi is the g2 residual of the lifted smallest eigenvector
+q = (v, -C^+ (B + lam_2 I)^T v): dual stationarity is primal feasibility,
+and the minimizer comes off the same 4x4 eigenpair (Briales &
+Gonzalez-Jimenez, CVPR 2017; Giamou et al., RA-L 2019).  A bracketing
+search on the slope's sign also converges where phi has a kink.
 
 Consistent (noise-free) data always carries structural extra null
 directions with zero real part — most prominently vec(eps * q_r), which
-closes every motion loop but is not a unit dual quaternion.  Recovery
-therefore selects the unique constraint-satisfying combination inside the
-null space instead of assuming it is one-dimensional; a genuine continuum
-of feasible solutions (unobservable data) raises NonUniqueSolution.
+closes every motion loop but is not a unit dual quaternion.  They lie in
+the null space of C, which the pseudo-inverse drops.  Uniqueness is judged
+from the near-null space of Z at the dual optimum; a genuine continuum of
+feasible solutions (unobservable data) raises NonUniqueSolution.
 
 Planar mode needs no dual search: the feasible set is a circle times a
 plane, and :func:`dqcalib.constraints.solve_planar` returns the exact
@@ -26,28 +29,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (ConstraintMode, assemble_Z, constraint_matrices,
-                          eval_g, solve_planar)
+from .constraints import (NULL_TOL, ConstraintMode, assemble_Z,
+                          constraint_matrices, eval_g, schur_reduction,
+                          solve_planar)
 from .cost import CostAccumulator
 from .dualquat import DualQuat
 from .errors import EmptyData, NoNullSpace, NonUniqueSolution
-from .local_solver import LocalSolveOptions, project_feasible, solve_local
+from .local_solver import project_feasible
 
 GAP_THRESHOLD = 1e-6
 
-_GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
-
-
-@dataclass(frozen=True)
-class DualSolveOptions:
-    tol_psd: float = 1e-9
-    tol_obj: float = 1e-10
-    max_outer: int = 200
-    null_tol: float = 1e-7
-
-    def __post_init__(self):
-        if min(self.tol_psd, self.tol_obj, self.max_outer, self.null_tol) <= 0:
-            raise ValueError("all dual-solver options must be positive")
+_EYE4 = np.eye(4)
 
 
 @dataclass(frozen=True)
@@ -77,274 +69,179 @@ class CalibSolution:
     plane_derived: tuple[str, ...] | None = None
 
 
-def _min_eig(Q: np.ndarray, lam) -> float:
-    return float(np.linalg.eigvalsh(assemble_Z(Q, lam))[0])
-
-
-def _golden_max(f, center: float, tol: float, exit_level: float | None):
-    """Maximize a concave 1-D function; bracket grown geometrically from center.
-
-    Returns (x_best, f_best).  If ``exit_level`` is given, returns early as
-    soon as any evaluation reaches it (enough to decide feasibility).
-    """
-    fc = f(center)
-    if exit_level is not None and fc >= exit_level:
-        return center, fc
-    plateau = lambda new, old: new - old < 1e-12 * (1.0 + abs(old))
-    step = 0.5
-    lo, flo = center, fc
-    # expand left
-    while True:
-        x = lo - step
-        fx = f(x)
-        if exit_level is not None and fx >= exit_level:
-            return x, fx
-        if fx < flo:
-            left = x
-            break
-        if plateau(fx, flo):
-            # asymptotic direction (e.g. a PSD multiplier matrix): no gain
-            # from chasing it further out
-            lo, flo = x, fx
-            left = x - step
-            break
-        lo, flo = x, fx
-        step *= 2.0
-        if step > 1e12:
-            return lo, flo
-    step = 0.5
-    hi, fhi = center, fc
-    while True:
-        x = hi + step
-        fx = f(x)
-        if exit_level is not None and fx >= exit_level:
-            return x, fx
-        if fx < fhi:
-            right = x
-            break
-        if plateau(fx, fhi):
-            hi, fhi = x, fx
-            right = x + step
-            break
-        hi, fhi = x, fx
-        step *= 2.0
-        if step > 1e12:
-            return hi, fhi
-    # golden-section shrink on [left, right]
-    a, b = left, right
-    x1 = b - _GOLDEN * (b - a)
-    x2 = a + _GOLDEN * (b - a)
-    f1, f2 = f(x1), f(x2)
-    best_x, best_f = (x1, f1) if f1 >= f2 else (x2, f2)
-    if flo > best_f:
-        best_x, best_f = lo, flo
-    if fhi > best_f:
-        best_x, best_f = hi, fhi
-    while b - a > tol * (1.0 + abs(a) + abs(b)):
-        if exit_level is not None and best_f >= exit_level:
-            return best_x, best_f
-        if f1 >= f2:
-            b, x2, f2 = x2, x1, f1
-            x1 = b - _GOLDEN * (b - a)
-            f1 = f(x1)
-        else:
-            a, x1, f1 = x1, x2, f2
-            x2 = a + _GOLDEN * (b - a)
-            f2 = f(x2)
-        if f1 > best_f:
-            best_x, best_f = x1, f1
-        if f2 > best_f:
-            best_x, best_f = x2, f2
-    return best_x, best_f
-
-
-def _inner_max(Q: np.ndarray, lam1: float, warm: np.ndarray,
-               exit_level: float | None, tol: float = 1e-8):
-    """max over lam_2 of lambda_min(Z(lam1, lam_2))."""
-    def f(l2):
-        return _min_eig(Q, np.array([lam1, l2]))
-    x, val = _golden_max(f, float(warm[0]), tol, exit_level)
-    return np.array([x]), val
-
-
 def _require_3d(mode: ConstraintMode):
     if mode is not ConstraintMode.FULL_3D:
         raise ValueError("the dual search is for 3D mode; planar mode is "
                          "solved exactly by constraints.solve_planar")
 
 
-def solve_dual(Q: np.ndarray, mode: ConstraintMode,
-               opts: DualSolveOptions | None = None) -> np.ndarray:
+def _lifted_3d(Q: np.ndarray):
+    """lam_2 -> (phi(lam_2), q): the smallest eigenvalue of the Schur
+    complement and its lifted eigenvector q = (v, -C^+ (B + lam_2 I)^T v)."""
+    _, _, reduce = schur_reduction(Q[:4, :4], Q[4:, 4:],
+                                   max(1.0, float(np.trace(Q))))
+
+    def lifted(lam2):
+        ws, Us, F = reduce(Q[:4, 4:] + lam2 * _EYE4)
+        return ws[0], np.concatenate([Us[:, 0], -F @ Us[:, 0]])
+    return lifted
+
+
+def _decreasing_root(f) -> float:
+    """Sign change of a nonincreasing f: a bracket grown geometrically from
+    0, shrunk by Illinois regula falsi to 1e-12 relative width, bisected
+    when three steps have not halved it (so a jump in f is found too).
+    Returns a zero of f or the last bracket end with the smaller |f|."""
+    a = b = 0.0
+    fa = fb = f(0.0)
+    while fb and np.sign(fb) == np.sign(fa) and abs(b) < 1e12:
+        a, fa = b, fb
+        b = 2.0 * b if b else np.copysign(1.0, fb)
+        fb = f(b)
+    wa, wb = fa, fb  # Illinois: an end kept twice enters at half its value
+    widths = [np.inf] * 3
+    while (fb and np.sign(fb) != np.sign(fa) and len(widths) < 100
+           and abs(b - a) > 1e-12 * (1 + abs(a) + abs(b))):
+        x = (a * wb - b * wa) / (wb - wa)
+        if abs(b - a) > 0.5 * widths[-3] or not min(a, b) < x < max(a, b):
+            x = 0.5 * (a + b)
+        widths.append(abs(b - a))
+        fx = f(x)
+        if np.sign(fx) == np.sign(fb):
+            wa *= 0.5
+        else:
+            a, fa, wa = b, fb, wb
+        b, fb, wb = x, fx, fx
+    return a if abs(fa) <= abs(fb) else b
+
+
+def solve_dual(Q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
     """Maximize lam_1 subject to Z(lam) >= 0; returns (lam_1, lam_2).
 
-    3D mode only.  The search interval is [0, c] where c is the cost of any
-    feasible point (weak duality).  The feasibility slack is kept near
-    machine precision so the returned lam_1 is a valid lower bound on the
-    primal optimum.
+    3D mode only.  Maximizes the concave phi of the module notes by the
+    sign of its slope, the lifted point's g2 residual (zero below 1e-13
+    relative to the dual part).  The returned lam_1 is a valid lower bound
+    on the primal optimum: it is lowered by the negative part of Z's
+    smallest eigenvalue, so rounding cannot lift it above.
     """
     _require_3d(mode)
-    opts = opts or DualSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    rest = np.zeros(1)
+    lifted = _lifted_3d(Q)
 
-    ub = float(Q[0, 0])  # cost of the identity, a feasible point
-    slack = -1e-13 * (1.0 + np.linalg.norm(Q, ord="fro"))
+    def slope(lam2):  # g2 at the lifted point, zero at rounding level
+        q = lifted(lam2)[1]
+        g2 = 2.0 * float(q[:4] @ q[4:])
+        return 0.0 if abs(g2) <= 1e-13 * (1.0 + np.linalg.norm(q[4:])) else g2
 
-    if ub <= opts.tol_obj:
-        rest, _ = _inner_max(Q, 0.0, rest, exit_level=None)
-        return np.concatenate([[0.0], rest])
-
-    # cheap probe: optimum at (or within tol of) zero is the common
-    # noise-free case and needs no bisection
-    rest_probe, val = _inner_max(Q, opts.tol_obj, rest, exit_level=0.0)
-    if val < slack:
-        rest, _ = _inner_max(Q, 0.0, rest, exit_level=None)
-        return np.concatenate([[0.0], rest])
-
-    lb = opts.tol_obj
-    rest = rest_probe
-    outer = 0
-    while ub - lb > opts.tol_obj and outer < opts.max_outer:
-        outer += 1
-        mid = 0.5 * (lb + ub)
-        rest_mid, val = _inner_max(Q, mid, rest, exit_level=0.0)
-        if val >= slack:
-            lb, rest = mid, rest_mid
-        else:
-            ub = mid
-    rest, _ = _inner_max(Q, lb, rest, exit_level=None)
-    return np.concatenate([[lb], rest])
+    lam2 = _decreasing_root(slope)
+    lam = np.array([lifted(lam2)[0], lam2])
+    lam[0] -= max(0.0, -float(np.linalg.eigvalsh(assemble_Z(Q, lam))[0]))
+    return lam
 
 
-def _nullspace_solution(Z: np.ndarray, null_tol: float, scale: float = 1.0):
-    """Pick the unique constraint-feasible 8-vector in the near-null space.
-
-    Returns (q8 or None, null_dim, unique, diagnostic).  ``q8`` is scaled
-    to unit real part but not yet sign-canonical.  ``scale`` is the data
+def _nullspace_verdict(Z: np.ndarray, scale: float):
+    """``(V, diagnostic)``: V spans Z's eigenvectors below
+    ``NULL_TOL * max(1, scale)``; ``diagnostic`` is None unless V holds
+    other than one constraint-feasible direction.  ``scale`` is the data
     magnitude the relative threshold refers to; it must not depend on the
     multipliers (a large feasible multiplier would otherwise sweep genuine
     noise-lifted directions into the null space).
     """
     vals, vecs = np.linalg.eigh(Z)
-    thresh = null_tol * max(1.0, scale)
-    mask = vals < thresh
-    null_dim = int(mask.sum())
-    if null_dim == 0:
-        return None, 0, True, "no null space within tolerance"
-    V = vecs[:, mask]
+    V = vecs[:, vals < NULL_TOL * max(1.0, scale)]
+    if V.shape[1] == 0:
+        return V, None
 
     # separate directions that carry real-part norm from pure-dual ones
-    A = V[:4].T @ V[:4]
-    eig_a, U = np.linalg.eigh(A)
-    carriers = eig_a > 1e-3
-    n_carriers = int(carriers.sum())
+    eig_a, U = np.linalg.eigh(V[:4].T @ V[:4])
+    n_carriers = int(np.sum(eig_a > 1e-3))
     if n_carriers == 0:
-        return None, null_dim, False, "null space has no unit-normalizable direction"
+        return V, "null space has no unit-normalizable direction"
     if n_carriers > 1:
-        return None, null_dim, False, "multiple independent feasible directions"
+        return V, "multiple independent feasible directions"
+    D = V @ U[:, :-1]  # pure-dual directions (real part ~ 0)
+    if D.shape[1] == 0:
+        return V, None
 
     v0 = V @ U[:, -1]
     v0 = v0 / np.linalg.norm(v0[:4])
-    D = V @ U[:, :-1]  # pure-dual directions (real part ~ 0)
-
-    if D.shape[1] == 0:
-        return v0, null_dim, True, None
     # g1 is met by the scaling above; g2 is linear in the pure-dual
-    # coefficients
+    # coefficients, one equation that pins at most one of them
     G2 = constraint_matrices()[1]
-    M = np.array([[2.0 * (v0 @ G2 @ D[:, j]) for j in range(D.shape[1])]])
-    b = -np.array([v0 @ G2 @ v0])
-    u, s, vt = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.sum(s > 1e-9 * max(1.0, s[0] if len(s) else 0.0)))
-    if rank < D.shape[1]:
-        return None, null_dim, False, "feasible set in null space is a continuum"
-    mu = np.linalg.lstsq(M, b, rcond=None)[0]
-    v = v0 + D @ mu
+    m = 2.0 * (v0 @ G2 @ D[:, 0])
+    if D.shape[1] > 1 or abs(m) <= 1e-9 * max(1.0, abs(m)):
+        return V, "feasible set in null space is a continuum"
+    v = v0 - (v0 @ G2 @ v0) / m * D[:, 0]
     v = v / np.linalg.norm(v[:4])
     residual = np.max(np.abs(eval_g(v, ConstraintMode.FULL_3D)))
     if residual > 1e-5:
-        return None, null_dim, False, f"constraints unmet in null space ({residual:.2e})"
-    return v, null_dim, True, None
+        return V, f"constraints unmet in null space ({residual:.2e})"
+    return V, None
 
 
-def recover_primal(Q: np.ndarray, lam: np.ndarray, mode: ConstraintMode,
-                   opts: DualSolveOptions | None = None) -> tuple[np.ndarray, int]:
-    """Primal solution from the near-null space of Z(lam); 3D mode only.
+def recover_primal(Q: np.ndarray, lam: np.ndarray,
+                   mode: ConstraintMode) -> tuple[np.ndarray, int]:
+    """``(q8, null_dim)`` at the dual point ``lam``; 3D mode only.
 
-    Raises :class:`NoNullSpace` when Z has no sufficiently small eigenvalue
-    (dual not converged) and :class:`NonUniqueSolution` when the data does
-    not pin down a single calibration (e.g. all rotation axes parallel
-    without planar constraints).
+    q8 is the lifted eigenvector (v, -C^+ (B + lam_2 I)^T v), made exactly
+    feasible and sign-canonical.  Raises :class:`NoNullSpace` when Z(lam)
+    has no sufficiently small eigenvalue (dual not converged) and
+    :class:`NonUniqueSolution` when the data does not pin down a single
+    calibration (e.g. all rotation axes parallel without planar
+    constraints).
     """
     _require_3d(mode)
-    opts = opts or DualSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    Z = assemble_Z(Q, lam)
-    scale = float(np.trace(Q))
-    q8, null_dim, unique, diag = _nullspace_solution(Z, opts.null_tol, scale)
+    V, diag = _nullspace_verdict(assemble_Z(Q, lam), float(np.trace(Q)))
+    null_dim = V.shape[1]
     if null_dim == 0:
-        raise NoNullSpace(diag)
-    if not unique or q8 is None:
-        vals, vecs = np.linalg.eigh(Z)
-        basis = vecs[:, vals < opts.null_tol * max(1.0, scale)]
-        raise NonUniqueSolution(diag, basis=basis, null_dim=null_dim)
-    q8 = project_feasible(q8)
-    q8 = DualQuat.from_vec(q8).canonicalized().vec()
-    return q8, null_dim
+        raise NoNullSpace("no null space within tolerance")
+    if diag is not None:
+        raise NonUniqueSolution(diag, basis=V, null_dim=null_dim)
+    q8 = project_feasible(_lifted_3d(Q)(float(lam[1]))[1])
+    return DualQuat.from_vec(q8).canonicalized().vec(), null_dim
 
 
-def probe_degeneracy(Q: np.ndarray, lam: np.ndarray, mode: ConstraintMode,
-                     opts: DualSolveOptions | None = None) -> tuple[int, str | None]:
+def probe_degeneracy(Q: np.ndarray, lam: np.ndarray,
+                     mode: ConstraintMode) -> tuple[int, str | None]:
     """Near-null dimension of the problem and why its optimum is not unique.
 
     Returns ``(null_dim, diagnostic)`` with ``diagnostic`` None for a
     unique optimum.  3D mode inspects the null space of Z(lam); planar mode
     ignores ``lam`` and asks the exact reduced solve.
     """
-    opts = opts or DualSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
     if mode is ConstraintMode.PLANAR:
-        _, _, degeneracy = solve_planar(Q, opts.null_tol)
+        _, _, degeneracy = solve_planar(Q)
         return (1, None) if degeneracy is None else (degeneracy.null_dim,
                                                      str(degeneracy))
-    _, null_dim, unique, diag = _nullspace_solution(
-        assemble_Z(Q, lam), opts.null_tol, float(np.trace(Q)))
-    return null_dim, None if unique else diag
+    V, diag = _nullspace_verdict(assemble_Z(Q, lam), float(np.trace(Q)))
+    return V.shape[1], diag
 
 
-def solve_global(acc: CostAccumulator, opts: DualSolveOptions | None = None,
+def solve_global(acc: CostAccumulator,
                  gap_threshold: float = GAP_THRESHOLD) -> CalibSolution:
     """Certified global optimum over an accumulator snapshot.
 
-    3D mode runs the dual solve, primal recovery and a Newton polish;
-    planar mode the exact reduced solve.  Both raise
-    :class:`NonUniqueSolution` (with the unobservable directions) when the
-    data does not pin down a single calibration.
+    3D mode runs :func:`solve_dual`, whose ``dual_value`` is a valid lower
+    bound, then :func:`recover_primal`; planar mode the exact reduced
+    solve.  Both raise :class:`NonUniqueSolution` (with the unobservable
+    directions) when the data does not pin down a single calibration.
     """
     if acc.n == 0:
         raise EmptyData("accumulator holds no motion pairs")
-    opts = opts or DualSolveOptions()
     Q = acc.normalized_q
     mode = acc.mode
     t0 = time.perf_counter()
     if mode is ConstraintMode.PLANAR:
-        q8, p_star, degeneracy = solve_planar(Q, opts.null_tol)
+        q8, p_star, degeneracy = solve_planar(Q)
         if degeneracy is not None:
             raise degeneracy
         lam, null_dim = np.array([p_star, 0.0]), 1
-        primal = float(q8 @ Q @ q8)
     else:
-        lam = solve_dual(Q, mode, opts)
-        q8, null_dim = recover_primal(Q, lam, mode, opts)
-        primal = float(q8 @ Q @ q8)
-        # Newton polish: the recovered vector can carry a small component
-        # of a nearly-null direction (finite dual tolerance); the fast
-        # solver's Newton iteration, started there, lands on the exact KKT
-        # point of the same basin in a step or two
-        polish = solve_local(Q, mode, LocalSolveOptions(init=q8))
-        if polish.converged and polish.cost <= primal + 1e-15:
-            q8 = polish.q_hat.vec()
-            primal = polish.cost
+        lam = solve_dual(Q, mode)
+        q8, null_dim = recover_primal(Q, lam, mode)
+    primal = float(q8 @ Q @ q8)
     elapsed = time.perf_counter() - t0
     dual_value = float(lam[0])
     gap = primal - dual_value

@@ -19,8 +19,7 @@ import numpy as np
 from .constraints import ConstraintMode
 from .cost import CostAccumulator, MotionPair
 from .errors import NonMonotonicTime, NonUniqueSolution
-from .global_solver import (CalibSolution, DualSolveOptions, probe_degeneracy,
-                            solve_global)
+from .global_solver import CalibSolution, probe_degeneracy, solve_global
 from .local_solver import LocalSolveOptions, solve_local
 from .planar import GroundPlane, lift_calibration, plane_alignment_dq
 from .verify import VerifyOptions, certify
@@ -35,7 +34,6 @@ class OnlineConfig:
     plane_a: GroundPlane | None = None
     plane_b: GroundPlane | None = None
     local_opts: LocalSolveOptions = field(default_factory=LocalSolveOptions)
-    dual_opts: DualSolveOptions = field(default_factory=DualSolveOptions)
     verify_opts: VerifyOptions = field(default_factory=VerifyOptions)
 
     def __post_init__(self):
@@ -45,6 +43,19 @@ class OnlineConfig:
             raise ValueError("ground planes must be given for both sensors")
         if self.plane_a is not None and self.mode is not ConstraintMode.PLANAR:
             raise ValueError("ground planes require planar mode")
+
+
+def _fast_estimate(Q, mode, local, cert, provenance: str, is_global: bool,
+                   error: NonUniqueSolution | None = None) -> CalibSolution:
+    """The fast solver's estimate with its certificate's multipliers and
+    gap; degenerate with ``error``, or with the probe's diagnostic."""
+    null_dim, diagnostic = probe_degeneracy(Q, cert.lambda_fit, mode)
+    diagnostic = diagnostic if error is None else str(error)
+    return CalibSolution(
+        q_hat=local.q_hat, lam=cert.lambda_fit, primal_cost=local.cost,
+        dual_value=float(cert.lambda_fit[0]), gap=cert.gap,
+        is_global=is_global, provenance=provenance, null_dim=null_dim,
+        degenerate=diagnostic is not None, diagnostic=diagnostic)
 
 
 class OnlineCalibrator:
@@ -86,31 +97,15 @@ class OnlineCalibrator:
             self.t_last_local_error = pair.timestamp
 
         use_global = (pair.timestamp - self.t_last_local_error) <= cfg.t_no_fail
-        degenerate = False
-        diagnostic = None
         if use_global:
             try:
-                sol = solve_global(self.acc, cfg.dual_opts,
-                                   cfg.verify_opts.gap_threshold)
+                sol = solve_global(self.acc, cfg.verify_opts.gap_threshold)
             except NonUniqueSolution as err:
-                null_dim, _ = probe_degeneracy(Q, cert.lambda_fit, cfg.mode,
-                                               cfg.dual_opts)
-                sol = CalibSolution(
-                    q_hat=local.q_hat, lam=cert.lambda_fit,
-                    primal_cost=local.cost, dual_value=float(cert.lambda_fit[0]),
-                    gap=cert.gap, is_global=False, provenance="global",
-                    null_dim=null_dim, degenerate=True, diagnostic=str(err))
-                degenerate = True
-                diagnostic = str(err)
+                sol = _fast_estimate(Q, cfg.mode, local, cert, "global", False,
+                                     err)
         else:
-            null_dim, diagnostic = probe_degeneracy(Q, cert.lambda_fit, cfg.mode,
-                                                    cfg.dual_opts)
-            degenerate = diagnostic is not None
-            sol = CalibSolution(
-                q_hat=local.q_hat, lam=cert.lambda_fit,
-                primal_cost=local.cost, dual_value=float(cert.lambda_fit[0]),
-                gap=cert.gap, is_global=cert.is_global, provenance="local",
-                null_dim=null_dim, degenerate=degenerate, diagnostic=diagnostic)
+            sol = _fast_estimate(Q, cfg.mode, local, cert, "local",
+                                 cert.is_global)
 
         self._warm = sol.q_hat.vec()
 
@@ -118,8 +113,6 @@ class OnlineCalibrator:
             lifted = lift_calibration(sol.q_hat, self._align_a, self._align_b)
             sol = replace(sol, q_hat=lifted, q_hat_planar=sol.q_hat,
                           plane_derived=PLANE_DERIVED_DOFS)
-        if degenerate and not sol.degenerate:
-            sol = replace(sol, degenerate=True, diagnostic=diagnostic)
         sol = replace(sol, solve_time=time.perf_counter() - t0)
         return sol
 

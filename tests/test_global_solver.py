@@ -5,14 +5,13 @@ from dqcalib.constraints import ConstraintMode, assemble_Z, eval_g
 from dqcalib.cost import CostAccumulator, MotionPair
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import EmptyData, NonUniqueSolution
-from dqcalib.global_solver import (DualSolveOptions, recover_primal,
-                                   solve_dual, solve_global)
+from dqcalib.global_solver import recover_primal, solve_dual, solve_global
 from dqcalib.local_solver import LocalSolveOptions, solve_local
 from dqcalib.metrics import calib_error
 from dqcalib.planar import GroundPlane, plane_alignment_dq
 from dqcalib.sim import planar_rig, random_unit_dq, sensor_pair_motions
 
-from conftest import accumulate_pairs, make_dataset
+from conftest import accumulate_pairs, make_dataset, make_study_dataset
 
 
 def oracle_dual_lambda1(Q, xtol=1e-9):
@@ -116,11 +115,32 @@ class TestSolveDual:
     def test_feasibility_of_returned_multipliers(self):
         pairs, _ = make_dataset(seed=35, n_pairs=60, noise=0.1)
         Q = accumulate_pairs(pairs).normalized_q
-        opts = DualSolveOptions()
-        lam = solve_dual(Q, ConstraintMode.FULL_3D, opts)
+        lam = solve_dual(Q, ConstraintMode.FULL_3D)
         Z = assemble_Z(Q, lam)
         min_eig = np.linalg.eigvalsh(Z)[0]
-        assert min_eig >= -opts.tol_psd * (1 + np.linalg.norm(Z))
+        assert min_eig >= -1e-9 * (1 + np.linalg.norm(Z))
+
+    def test_eigendecomposition_count_is_pinned(self, monkeypatch):
+        # one eigh of the dual block, one 4x4 eigh per slope evaluation plus
+        # one at the optimum, and one 8x8 eigvalsh for the bound; the pin is
+        # the maximum measured over these 40 datasets
+        calls = [0]
+        for name in ("eigh", "eigvalsh"):
+            kernel = getattr(np.linalg, name)
+
+            def counted(*args, _kernel=kernel, **kwargs):
+                calls[0] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        counts = []
+        for seed in range(1000, 1040):
+            pairs, _ = make_dataset(seed=seed, n_pairs=(5, 30, 60)[seed % 3],
+                                    noise=(0.0, 0.01, 0.05, 0.1)[seed % 4])
+            Q = accumulate_pairs(pairs).normalized_q
+            calls[0] = 0
+            solve_dual(Q, ConstraintMode.FULL_3D)
+            counts.append(calls[0])
+        assert max(counts) <= 13
 
 
 class TestRecoverPrimal:
@@ -198,6 +218,16 @@ class TestSolveGlobal:
             v = random_unit_dq(rng, max_translation=2.0).vec()
             best = min(best, v @ Q @ v)
         assert best >= sol.primal_cost - sol.gap - 1e-8
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_bound_is_sound_on_study_datasets(self, seed):
+        pairs, _ = make_study_dataset(seed=seed)
+        acc = accumulate_pairs(pairs)
+        sol = solve_global(acc)
+        Q = acc.normalized_q
+        assert sol.gap >= -1e-12
+        min_eig = np.linalg.eigvalsh(assemble_Z(Q, sol.lam))[0]
+        assert min_eig >= -1e-12 * (1 + np.linalg.norm(Q, ord="fro"))
 
     def test_error_decreases_with_more_data(self):
         errs = []
