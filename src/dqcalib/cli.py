@@ -128,8 +128,7 @@ def cmd_calibrate(args) -> int:
     solutions = {}
     if args.solver in ("global", "both"):
         sol, ms = _median_time_ms(
-            lambda: solve_global(acc, args.gap_threshold),
-            args.repeat)
+            lambda: solve_global(acc, args.gap_threshold), args.repeat)
         solutions["global"] = (sol.q_hat, sol.primal_cost, sol.gap,
                                sol.is_global, ms, {})
     if args.solver in ("fast", "both"):

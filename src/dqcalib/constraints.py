@@ -123,7 +123,7 @@ def schur_reduction(A: np.ndarray, C: np.ndarray, scale: float):
     return wc, Uc, reduce
 
 
-def solve_planar(Q: np.ndarray, null_tol: float = NULL_TOL):
+def solve_planar(Q: np.ndarray):
     """Global minimum of q^T Q q over the planar feasible set, in closed form.
 
     With A, B, C the (q1,q4)-(q1,q4), (q1,q4)-(q6,q7) and (q6,q7)-(q6,q7)
@@ -132,7 +132,7 @@ def solve_planar(Q: np.ndarray, null_tol: float = NULL_TOL):
     ``(q8, p_star, degeneracy)``: the sign-canonical minimizer, the exact
     optimum p* = lambda_min(S), and ``None`` or a
     :class:`NonUniqueSolution` (not raised) when C is singular or the two
-    eigenvalues of S tie, judged by ``null_tol * max(1, trace Q)``.  Its
+    eigenvalues of S tie, judged by ``NULL_TOL * max(1, trace Q)``.  Its
     8-row basis spans the minimizer and the unobservable directions, the
     near-null space of the reduced Lagrangian Hessian.
     """
@@ -153,7 +153,7 @@ def solve_planar(Q: np.ndarray, null_tol: float = NULL_TOL):
     q8 = DualQuat.from_vec(lift(Us[:, 0])).canonicalized().vec()
     p_star = float(ws[0])
 
-    thresh = null_tol * scale
+    thresh = NULL_TOL * scale
     tie = ws[1] - ws[0] < thresh
     free = np.flatnonzero(wc < thresh)
     if not tie and free.size == 0:

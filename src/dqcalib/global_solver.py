@@ -39,8 +39,6 @@ from .local_solver import project_feasible
 
 GAP_THRESHOLD = 1e-6
 
-_EYE4 = np.eye(4)
-
 
 @dataclass(frozen=True)
 class CalibSolution:
@@ -82,7 +80,7 @@ def _lifted_3d(Q: np.ndarray):
                                    max(1.0, float(np.trace(Q))))
 
     def lifted(lam2):
-        ws, Us, F = reduce(Q[:4, 4:] + lam2 * _EYE4)
+        ws, Us, F = reduce(Q[:4, 4:] + lam2 * np.eye(4))
         return ws[0], np.concatenate([Us[:, 0], -F @ Us[:, 0]])
     return lifted
 
@@ -121,8 +119,10 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
     3D mode only.  Maximizes the concave phi of the module notes by the
     sign of its slope, the lifted point's g2 residual (zero below 1e-13
     relative to the dual part).  The returned lam_1 is a valid lower bound
-    on the primal optimum: it is lowered by the negative part of Z's
-    smallest eigenvalue, so rounding cannot lift it above.
+    on the primal optimum: Z(lam) >= 0 up to rounding.  A negative
+    smallest eigenvalue of Z is removed by lowering lam_1 by it times |q|^2:
+    G1 acts on the real part only, which carries 1/|q|^2 of the null
+    vector q/|q|.
     """
     _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
@@ -134,9 +134,9 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
         return 0.0 if abs(g2) <= 1e-13 * (1.0 + np.linalg.norm(q[4:])) else g2
 
     lam2 = _decreasing_root(slope)
-    lam = np.array([lifted(lam2)[0], lam2])
-    lam[0] -= max(0.0, -float(np.linalg.eigvalsh(assemble_Z(Q, lam))[0]))
-    return lam
+    phi, q = lifted(lam2)
+    neg = max(0.0, -float(np.linalg.eigvalsh(assemble_Z(Q, [phi, lam2]))[0]))
+    return np.array([phi - neg * (q @ q), lam2])
 
 
 def _nullspace_verdict(Z: np.ndarray, scale: float):
@@ -230,8 +230,7 @@ def solve_global(acc: CostAccumulator,
     """
     if acc.n == 0:
         raise EmptyData("accumulator holds no motion pairs")
-    Q = acc.normalized_q
-    mode = acc.mode
+    Q, mode = acc.normalized_q, acc.mode
     t0 = time.perf_counter()
     if mode is ConstraintMode.PLANAR:
         q8, p_star, degeneracy = solve_planar(Q)
@@ -243,16 +242,8 @@ def solve_global(acc: CostAccumulator,
         q8, null_dim = recover_primal(Q, lam, mode)
     primal = float(q8 @ Q @ q8)
     elapsed = time.perf_counter() - t0
-    dual_value = float(lam[0])
-    gap = primal - dual_value
+    gap = primal - float(lam[0])
     return CalibSolution(
-        q_hat=DualQuat.from_vec(q8),
-        lam=lam,
-        primal_cost=primal,
-        dual_value=dual_value,
-        gap=gap,
-        is_global=bool(gap < gap_threshold),
-        provenance="global",
-        solve_time=elapsed,
-        null_dim=null_dim,
-    )
+        q_hat=DualQuat.from_vec(q8), lam=lam, primal_cost=primal,
+        dual_value=float(lam[0]), gap=gap, is_global=bool(gap < gap_threshold),
+        provenance="global", solve_time=elapsed, null_dim=null_dim)

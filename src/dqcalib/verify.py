@@ -20,20 +20,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (ConstraintMode, assemble_Z, constraint_matrices,
-                          eval_g, planar_lagrangian, solve_planar)
+from .constraints import (NULL_TOL, ConstraintMode, assemble_Z,
+                          constraint_matrices, eval_g, planar_lagrangian,
+                          solve_planar)
 from .dualquat import DualQuat
 from .errors import InfeasiblePoint
 from .global_solver import GAP_THRESHOLD
+
+PSD_TOL = 1e-9  # Z counts as PSD when lambda_min >= -PSD_TOL * (1 + |trace Q|)
 
 
 @dataclass(frozen=True)
 class VerifyOptions:
     gap_threshold: float = GAP_THRESHOLD
-    tol_psd: float = 1e-9
     residual_tol: float = 1e-6
     feas_tol: float = 1e-6
-    null_tol: float = 1e-7
 
 
 @dataclass(frozen=True)
@@ -92,14 +93,13 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
         x = q8
 
     scale = 1.0 + abs(float(np.trace(Q)))
-    psd_floor = -opts.tol_psd * scale
     primal = float(q8 @ Q @ q8)
     vals = np.linalg.eigvalsh(Z)
     residual = float(np.linalg.norm(Z @ x))
 
     min_eig = float(vals[0])
-    psd_ok = min_eig >= psd_floor
-    null_dim = int(np.sum(vals < opts.null_tol * max(1.0, abs(float(np.trace(Q))))))
+    psd_ok = min_eig >= -PSD_TOL * scale
+    null_dim = int(np.sum(vals < NULL_TOL * max(1.0, abs(float(np.trace(Q))))))
 
     gap = primal - float(lam[0])
     if not psd_ok:

@@ -120,6 +120,17 @@ class TestSolveDual:
         min_eig = np.linalg.eigvalsh(Z)[0]
         assert min_eig >= -1e-9 * (1 + np.linalg.norm(Z))
 
+    @pytest.mark.parametrize("seed", [23, 5, 888])
+    def test_bound_correction_reaches_rounding_level(self, seed):
+        # unobservable planar data in 3D mode, where the dual search ends
+        # with Z's smallest eigenvalue near -1e-12 and the null vector has a
+        # large dual part; lowering lam_1 must lift it to rounding level
+        pairs = planar_rig(seed=seed, noise_level=0.001).pairs
+        Q = accumulate_pairs(pairs).normalized_q
+        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        min_eig = np.linalg.eigvalsh(assemble_Z(Q, lam))[0]
+        assert min_eig >= -1e-15 * (1 + np.linalg.norm(Q, ord="fro"))
+
     def test_eigendecomposition_count_is_pinned(self, monkeypatch):
         # one eigh of the dual block, one 4x4 eigh per slope evaluation plus
         # one at the optimum, and one 8x8 eigvalsh for the bound; the pin is
