@@ -6,8 +6,8 @@ from .cost import CostAccumulator, MotionPair, cost_value, pair_cost_matrix
 from .dualquat import (DualQuat, canonicalize, conjugate, dq_mul,
                        from_rot_trans, left_mat, right_mat, to_rot_trans,
                        transform_point)
-from .global_solver import (CalibSolution, probe_degeneracy, recover_primal,
-                            solve_dual, solve_global)
+from .global_solver import (CalibSolution, recover_primal, solve_dual,
+                            solve_global)
 from .local_solver import LocalSolveOptions, LocalSolution, solve_local
 from .metrics import CalibError, calib_error
 from .online import OnlineCalibrator, OnlineConfig, replay
@@ -30,7 +30,7 @@ __all__ = [
     "calib_error", "canonicalize", "certify", "conjugate", "cost_value",
     "dq_mul", "eval_g", "fit_ground_plane", "from_rot_trans", "generate_path",
     "left_mat", "lift_calibration", "multiplier_matrices", "pair_cost_matrix",
-    "planar_rig", "plane_alignment_dq", "probe_degeneracy", "project_motion",
+    "planar_rig", "plane_alignment_dq", "project_motion",
     "random_unit_dq", "recover_primal", "replay", "right_mat",
     "sensor_pair_motions", "simulate_pairs", "solve_dual", "solve_global",
     "solve_local", "solve_planar",

@@ -84,6 +84,21 @@ def grad_g(q: np.ndarray) -> np.ndarray:
     return np.stack([2.0 * (G @ q) for G in constraint_matrices()])
 
 
+def fit_multipliers(q: np.ndarray, Qq: np.ndarray) -> tuple[float, ...]:
+    """Floats (lam_1, lam_2, g1, g2): the 3D residuals at q and the
+    multipliers minimizing |Qq + lam_1 G1 q + lam_2 G2 q|.
+
+    With q = (r, d), G1 q = (-r, 0) and G2 q = (d, r): the 2x2 normal
+    matrix [[|r|^2, -r.d], [-r.d, |r|^2 + |d|^2]] has determinant >= |r|^4.
+    """
+    X = np.concatenate((q, Qq)).reshape(4, 4)  # rows r, d, (Qq)_r, (Qq)_d
+    (rr, rd, rh, rk), (_, dd, dh, _) = (X[:2] @ X.T).tolist()
+    c, b = rr + dd, -(dh + rk)
+    det = rr * c - rd * rd
+    return ((c * rh + rd * b) / det, (rd * rh + rr * b) / det,
+            1.0 - rr, 2.0 * rd)
+
+
 def multiplier_matrices(lam: np.ndarray) -> np.ndarray:
     """P(lam) = lam_1 G1 + lam_2 G2, so q^T P q + lam_1 = lam^T g(q)."""
     lam = np.asarray(lam, dtype=float).reshape(2)
@@ -92,13 +107,7 @@ def multiplier_matrices(lam: np.ndarray) -> np.ndarray:
 
 def assemble_Z(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
     """Z(lam) = Q + P(lam); the Hessian of the 3D Lagrangian (up to a factor 2)."""
-    lam = np.asarray(lam, dtype=float).reshape(2)
-    Z = np.array(Q, dtype=float, copy=True)
-    idx = np.arange(4)
-    Z[idx, idx] -= lam[0]
-    Z[idx, idx + 4] += lam[1]
-    Z[idx + 4, idx] += lam[1]
-    return Z
+    return np.asarray(Q, dtype=float) + multiplier_matrices(lam)
 
 
 def schur_reduction(A: np.ndarray, C: np.ndarray, scale: float):

@@ -139,16 +139,14 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
     return np.array([phi - neg * (q @ q), lam2])
 
 
-def _nullspace_verdict(Z: np.ndarray, scale: float):
-    """``(V, diagnostic)``: V spans Z's eigenvectors below
-    ``NULL_TOL * max(1, scale)``; ``diagnostic`` is None unless V holds
-    other than one constraint-feasible direction.  ``scale`` is the data
-    magnitude the relative threshold refers to; it must not depend on the
-    multipliers (a large feasible multiplier would otherwise sweep genuine
-    noise-lifted directions into the null space).
+def nullspace_verdict(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
+    """``(V, diagnostic)`` from the eigenpairs of Z(lam): V spans those
+    below ``NULL_TOL * max(1, |trace Q|)``; ``diagnostic`` is None unless V
+    holds other than one constraint-feasible direction.  The threshold
+    must not depend on the multipliers (a large feasible multiplier would
+    otherwise sweep genuine noise-lifted directions into the null space).
     """
-    vals, vecs = np.linalg.eigh(Z)
-    V = vecs[:, vals < NULL_TOL * max(1.0, scale)]
+    V = vecs[:, vals < NULL_TOL * max(1.0, abs(float(np.trace(Q))))]
     if V.shape[1] == 0:
         return V, None
 
@@ -192,7 +190,7 @@ def recover_primal(Q: np.ndarray, lam: np.ndarray,
     """
     _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    V, diag = _nullspace_verdict(assemble_Z(Q, lam), float(np.trace(Q)))
+    V, diag = nullspace_verdict(Q, *np.linalg.eigh(assemble_Z(Q, lam)))
     null_dim = V.shape[1]
     if null_dim == 0:
         raise NoNullSpace("no null space within tolerance")
@@ -200,23 +198,6 @@ def recover_primal(Q: np.ndarray, lam: np.ndarray,
         raise NonUniqueSolution(diag, basis=V, null_dim=null_dim)
     q8 = project_feasible(_lifted_3d(Q)(float(lam[1]))[1])
     return DualQuat.from_vec(q8).canonicalized().vec(), null_dim
-
-
-def probe_degeneracy(Q: np.ndarray, lam: np.ndarray,
-                     mode: ConstraintMode) -> tuple[int, str | None]:
-    """Near-null dimension of the problem and why its optimum is not unique.
-
-    Returns ``(null_dim, diagnostic)`` with ``diagnostic`` None for a
-    unique optimum.  3D mode inspects the null space of Z(lam); planar mode
-    ignores ``lam`` and asks the exact reduced solve.
-    """
-    Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    if mode is ConstraintMode.PLANAR:
-        _, _, degeneracy = solve_planar(Q)
-        return (1, None) if degeneracy is None else (degeneracy.null_dim,
-                                                     str(degeneracy))
-    V, diag = _nullspace_verdict(assemble_Z(Q, lam), float(np.trace(Q)))
-    return V.shape[1], diag
 
 
 def solve_global(acc: CostAccumulator,

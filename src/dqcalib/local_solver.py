@@ -2,11 +2,13 @@
 
 Minimizes q^T Q q subject to the mode's equality constraints.  In 3D mode
 the feasible set is a 6-dimensional manifold, and the solver runs Newton's
-method on its tangent space: the Lagrangian Hessian, with least-squares
-multipliers, is restricted to the null space of the constraint Jacobian,
-and a backtracking line search on the cost picks the step length.  Far
-from a stationary point an indefinite Hessian enters by the magnitudes of
-its eigenvalues, so every step descends; near one the exact Newton step
+method on its tangent space (Absil, Mahony & Sepulchre, 2008).  The
+constraint Jacobian's rows (-2r, 0) and (2d, 2r) at q = (r, d) give the
+least-squares multipliers and an orthonormal tangent basis in closed
+form; the Lagrangian Hessian restricted to it takes one 6x6 eigh, and a
+backtracking line search on the cost picks the step length.  Far from a
+stationary point an indefinite Hessian enters by the magnitudes of its
+eigenvalues, so every step descends; near one the exact Newton step
 converges quadratically.  Iterates are re-projected onto the manifold
 after every step (cheap and exact for these constraints), so returned
 points are feasible to floating point accuracy.  A warm start from a
@@ -23,12 +25,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import ConstraintMode, constraint_matrices, eval_g, grad_g, solve_planar
-from .dualquat import DualQuat
+from .constraints import (ConstraintMode, assemble_Z, fit_multipliers,
+                          solve_planar)
+from .dualquat import DualQuat, quat_left_mat
 from .errors import DegenerateInit
 
 _IDENTITY8 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
-_HESSIANS = [2.0 * G for G in constraint_matrices()]
 # Lagrangian-gradient size below which a step is the exact Newton step
 _NEAR_GRAD = 1e-6
 
@@ -72,7 +74,7 @@ def project_feasible(q: np.ndarray) -> np.ndarray:
 
     The real part is normalized and the dual part orthogonalized to it.
     """
-    v = np.array(q, dtype=float).reshape(8).copy()
+    v = np.array(q, dtype=float).reshape(8)
     nr = np.linalg.norm(v[:4])
     if nr < 1e-8:
         raise DegenerateInit("initial point has (near-)zero real part")
@@ -82,28 +84,42 @@ def project_feasible(q: np.ndarray) -> np.ndarray:
 
 
 def _stationarity(Q: np.ndarray, q: np.ndarray):
-    """Least-squares multipliers, Lagrangian gradient and KKT residual at q."""
-    A = grad_g(q)
-    Qq2 = 2.0 * (Q @ q)
-    lam, *_ = np.linalg.lstsq(A.T, -Qq2, rcond=None)
-    grad = Qq2 + A.T @ lam
-    g = eval_g(q, ConstraintMode.FULL_3D)
-    return A, lam, grad, float(max(np.max(np.abs(grad)), np.max(np.abs(g))))
+    """Least-squares multipliers, Lagrangian gradient 2 Qq + lam_1 (-2r, 0)
+    + lam_2 (2d, 2r) and KKT residual (with g1, g2) at q."""
+    Qq = Q @ q
+    lam1, lam2, g1, g2 = fit_multipliers(q, Qq)
+    r = q[:4]
+    grad = 2.0 * (Qq + np.concatenate((lam2 * q[4:] - lam1 * r, lam2 * r)))
+    res = max(float(np.abs(grad).max()), abs(g1), abs(g2))
+    return np.array([lam1, lam2]), grad, res
 
 
-def _newton_direction(Q, A, lam, grad, exact: bool) -> np.ndarray:
-    """Newton step on the tangent space of the constraint manifold.
+def _tangent_basis(q: np.ndarray) -> np.ndarray:
+    """Orthonormal basis N (8x6) of the tangent space at a feasible q.
 
-    The Lagrangian Hessian 2Q + sum(lam_i 2G_i) is restricted to the null
-    space of the constraint Jacobian ``A``; ``lam`` and ``grad`` are the
-    multipliers and Lagrangian gradient at the same point.  Unless
-    ``exact``, the Hessian's eigenvalues enter by magnitude, so an
-    indefinite one still gives a descent direction (out of a saddle rather
-    than onto it).
+    With q = (r, d), E the last three columns of r's left-multiplication
+    matrix (orthonormal, orthogonal to r), u = E^T d and s^2 = 1 + |u|^2,
+    N = [[E W, 0], [-r u^T / s, E]] with W = (I + u u^T)^(-1/2) = I - u u^T
+    / (s (s + 1)) is orthonormal and annihilated by (-2r, 0) and (2d, 2r).
     """
-    N = np.linalg.qr(A.T, mode="complete")[0][:, 2:]
-    H = 2.0 * Q + sum(li * Hi for li, Hi in zip(lam, _HESSIANS))
-    w, V = np.linalg.eigh(N.T @ H @ N)
+    r, E = q[:4], quat_left_mat(q[:4])[:, 1:]
+    u = E.T @ q[4:]
+    s = np.sqrt(1.0 + u @ u)
+    N = np.zeros((8, 6))
+    N[:4, :3] = E - np.outer(E @ u, u / (s * (s + 1.0)))
+    N[4:, :3] = np.outer(r, u / -s)
+    N[4:, 3:] = E
+    return N
+
+
+def _newton_direction(Q, q, lam, grad, exact: bool) -> np.ndarray:
+    """Newton step at q on the tangent space of :func:`_tangent_basis`
+    (any orthonormal basis gives the same step) for the Lagrangian Hessian
+    2 Z(lam); ``grad`` is the Lagrangian gradient at q.  Unless ``exact``,
+    the restricted Hessian's eigenvalues enter by magnitude, so an
+    indefinite one still gives a descent direction (out of a saddle)."""
+    N = _tangent_basis(q)
+    w, V = np.linalg.eigh(N.T @ (2.0 * assemble_Z(Q, lam)) @ N)
     mag = np.maximum(np.abs(w), 1e-12 * (1.0 + np.max(np.abs(w))))
     if exact:
         mag = np.copysign(mag, w)
@@ -133,12 +149,11 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
 
     3D mode starts from ``opts.init`` (made feasible) or, without one, from
     :func:`_cold_start`, and takes at most ``opts.max_iter`` Newton
-    iterations.  Canonical dual multipliers for certification are re-fit by
-    :func:`dqcalib.verify.certify`.  A non-converged 3D run returns the last
-    iterate with ``converged=False`` rather than raising.  Planar mode
-    returns the exact reduced solution, ignores ``init`` and the budgets,
-    and never raises (a non-unique optimum is reported by
-    :func:`dqcalib.global_solver.probe_degeneracy`).
+    iterations; a non-converged run returns the last iterate with
+    ``converged=False`` rather than raising.  Planar mode returns the exact
+    reduced solution, ignores ``init`` and the budgets, and never raises.
+    :func:`dqcalib.verify.certify` re-fits the multipliers and reports a
+    non-unique optimum.
     """
     opts = opts or LocalSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
@@ -150,14 +165,14 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
                              iterations=0, kkt_residual=0.0)
     q = _cold_start(Q) if opts.init is None else project_feasible(opts.init)
     cost = q @ Q @ q
-    A, lam, grad, res = _stationarity(Q, q)
+    lam, grad, res = _stationarity(Q, q)
     iterations = 0
     while res >= opts.tol_kkt and iterations < opts.max_iter:
         # near a stationary point the exact Newton step converges
         # quadratically; cost-only backtracking would stall there at
         # rounding level, so a lower KKT residual also accepts a step
         near = np.max(np.abs(grad)) <= _NEAR_GRAD
-        d = _newton_direction(Q, A, lam, grad, exact=near)
+        d = _newton_direction(Q, q, lam, grad, exact=near)
         slope = grad @ d
         alpha = 1.0
         for _ in range(30):
@@ -166,14 +181,14 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
             armijo = trial_cost <= cost + 1e-4 * alpha * slope
             if armijo or near:
                 kkt = _stationarity(Q, trial)
-                if armijo or kkt[3] < res:
+                if armijo or kkt[2] < res:
                     break
             alpha *= 0.5
         else:
             break  # stalled; report the current iterate honestly
         iterations += 1
         q, cost = trial, trial_cost
-        A, lam, grad, res = kkt
+        lam, grad, res = kkt
         if alpha * np.max(np.abs(d)) < opts.tol_step:
             break
 

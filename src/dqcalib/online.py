@@ -4,8 +4,9 @@ Each incoming motion pair is (optionally plane-aligned and) accumulated;
 the fast solver runs warm-started from the previous solution and its
 result is certified.  A failed certificate, or a fast solve that ran out
 of iterations, stamps the error time; while the latest error is within
-the no-fail window the global solver's result replaces the fast one.  With exact ground planes configured, solutions are
-estimated in the plane-aligned frame and lifted back to 3D on output.
+the no-fail window the global solver's result replaces the fast one.
+With exact ground planes configured, solutions are estimated in the
+plane-aligned frame and lifted back to 3D on output.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .constraints import ConstraintMode
 from .cost import CostAccumulator, MotionPair
 from .errors import NonMonotonicTime, NonUniqueSolution
-from .global_solver import CalibSolution, probe_degeneracy, solve_global
+from .global_solver import CalibSolution, solve_global
 from .local_solver import LocalSolveOptions, solve_local
 from .planar import GroundPlane, lift_calibration, plane_alignment_dq
 from .verify import VerifyOptions, certify
@@ -45,16 +46,15 @@ class OnlineConfig:
             raise ValueError("ground planes require planar mode")
 
 
-def _fast_estimate(Q, mode, local, cert, provenance: str, is_global: bool,
+def _fast_estimate(local, cert, provenance: str, is_global: bool,
                    error: NonUniqueSolution | None = None) -> CalibSolution:
-    """The fast solver's estimate with its certificate's multipliers and
-    gap; degenerate with ``error``, or with the probe's diagnostic."""
-    null_dim, diagnostic = probe_degeneracy(Q, cert.lambda_fit, mode)
-    diagnostic = diagnostic if error is None else str(error)
+    """The fast solver's estimate with its certificate's multipliers, gap
+    and null space; degenerate with ``error`` or its diagnostic."""
+    diagnostic = cert.diagnostic if error is None else str(error)
     return CalibSolution(
         q_hat=local.q_hat, lam=cert.lambda_fit, primal_cost=local.cost,
         dual_value=float(cert.lambda_fit[0]), gap=cert.gap,
-        is_global=is_global, provenance=provenance, null_dim=null_dim,
+        is_global=is_global, provenance=provenance, null_dim=cert.null_dim,
         degenerate=diagnostic is not None, diagnostic=diagnostic)
 
 
@@ -101,11 +101,9 @@ class OnlineCalibrator:
             try:
                 sol = solve_global(self.acc, cfg.verify_opts.gap_threshold)
             except NonUniqueSolution as err:
-                sol = _fast_estimate(Q, cfg.mode, local, cert, "global", False,
-                                     err)
+                sol = _fast_estimate(local, cert, "global", False, err)
         else:
-            sol = _fast_estimate(Q, cfg.mode, local, cert, "local",
-                                 cert.is_global)
+            sol = _fast_estimate(local, cert, "local", cert.is_global)
 
         self._warm = sol.q_hat.vec()
 

@@ -2,16 +2,20 @@
 
 Given a feasible candidate q, the first-order dual optimality condition
 Z(lam) q = 0 is linear in the multipliers, so in 3D mode the best-fitting
-lam comes from a small least-squares solve.  If Z(lam) is positive
+lam solves 2x2 normal equations
+(:func:`dqcalib.constraints.fit_multipliers`).  If Z(lam) is positive
 semidefinite, the duality gap q^T Q q - lam_1 bounds the candidate's
-distance from the global optimum; near-zero gap certifies globality.
+distance from the global optimum; near-zero gap certifies globality.  One
+eigendecomposition of Z(lam) also gives the degeneracy verdict
+(:func:`dqcalib.global_solver.nullspace_verdict`).
 
 Planar mode needs no fit: the exact optimum p* of the reduced problem
 (:func:`dqcalib.constraints.solve_planar`) is the multiplier of the unit
 circle, Z is Q - p* G1 restricted to the planar coordinates (q1, q4, q6,
 q7), positive semidefinite by construction, and the gap q^T Q q - p* is
-the candidate's exact excess cost.  Cost normalization makes the gap
-threshold independent of the number of accumulated pairs.
+the candidate's exact excess cost; the reduced solve judges degeneracy.
+Cost normalization makes the gap threshold independent of the number of
+accumulated pairs.
 """
 
 from __future__ import annotations
@@ -20,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constraints import (NULL_TOL, ConstraintMode, assemble_Z,
-                          constraint_matrices, eval_g, planar_lagrangian,
-                          solve_planar)
+from .constraints import (ConstraintMode, assemble_Z, eval_g,
+                          fit_multipliers, planar_lagrangian, solve_planar)
 from .dualquat import DualQuat
 from .errors import InfeasiblePoint
-from .global_solver import GAP_THRESHOLD
+from .global_solver import GAP_THRESHOLD, nullspace_verdict
 
 PSD_TOL = 1e-9  # Z counts as PSD when lambda_min >= -PSD_TOL * (1 + |trace Q|)
 
@@ -42,11 +45,12 @@ class Certificate:
     """Verdict plus its evidence.
 
     ``lambda_fit`` holds the multipliers of (g1, g2); ``min_eig`` is the
-    smallest eigenvalue of Z(lambda_fit), ``residual`` is ||Z q|| and
-    ``null_dim`` counts Z's near-null eigenvalues.  In planar mode
-    ``lambda_fit`` is (p*, 0) and Z is the 4x4 restriction of Q - p* G1 to
-    (q1, q4, q6, q7), so ``min_eig`` is zero up to rounding and
-    ``null_dim`` is 1 for a unique optimum.
+    smallest eigenvalue of Z(lambda_fit), ``residual`` is ||Z q||,
+    ``null_dim`` counts Z's near-null eigenvalues and ``diagnostic`` says
+    why they allow other than one calibration (None if they do not).  In
+    planar mode ``lambda_fit`` is (p*, 0) and Z is the 4x4 restriction of
+    Q - p* G1 to (q1, q4, q6, q7), so ``min_eig`` is zero up to rounding;
+    ``null_dim`` and ``diagnostic`` come from the reduced solve.
     """
 
     lambda_fit: np.ndarray
@@ -56,6 +60,7 @@ class Certificate:
     is_global: bool
     indefinite: bool
     null_dim: int
+    diagnostic: str | None
 
 
 def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
@@ -81,25 +86,25 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
             f"constraint residual {np.max(np.abs(g)):.3e} exceeds {opts.feas_tol}")
 
     if mode is ConstraintMode.PLANAR:
-        _, p_star, _ = solve_planar(Q)
+        _, p_star, degeneracy = solve_planar(Q)
         lam = np.array([p_star, 0.0])
         Z, x = planar_lagrangian(Q, p_star, q8)
+        vals = np.linalg.eigvalsh(Z)
+        null_dim = 1 if degeneracy is None else degeneracy.null_dim
+        diagnostic = None if degeneracy is None else str(degeneracy)
     else:
-        A = np.column_stack([G @ q8 for G in constraint_matrices()])
-        # minimum-norm SVD least squares: the system is linear in the
-        # multipliers
-        lam = np.linalg.lstsq(A, -(Q @ q8), rcond=1e-12)[0]
-        Z = assemble_Z(Q, lam)
-        x = q8
+        lam = np.array(fit_multipliers(q8, Q @ q8)[:2])
+        Z, x = assemble_Z(Q, lam), q8
+        vals, vecs = np.linalg.eigh(Z)
+        V, diagnostic = nullspace_verdict(Q, vals, vecs)
+        null_dim = V.shape[1]
 
     scale = 1.0 + abs(float(np.trace(Q)))
     primal = float(q8 @ Q @ q8)
-    vals = np.linalg.eigvalsh(Z)
     residual = float(np.linalg.norm(Z @ x))
 
     min_eig = float(vals[0])
     psd_ok = min_eig >= -PSD_TOL * scale
-    null_dim = int(np.sum(vals < NULL_TOL * max(1.0, abs(float(np.trace(Q))))))
 
     gap = primal - float(lam[0])
     if not psd_ok:
@@ -123,4 +128,5 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
         is_global=is_global,
         indefinite=not psd_ok,
         null_dim=null_dim,
+        diagnostic=diagnostic,
     )

@@ -1,18 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dqcalib.constraints import ConstraintMode, eval_g
+from dqcalib.constraints import ConstraintMode, eval_g, fit_multipliers, grad_g
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import DegenerateInit
 from dqcalib.global_solver import solve_global
-from dqcalib.local_solver import (LocalSolveOptions, project_feasible,
-                                  solve_local)
+from dqcalib.local_solver import (LocalSolveOptions, _newton_direction,
+                                  _stationarity, _tangent_basis,
+                                  project_feasible, solve_local)
 from dqcalib.metrics import calib_error
 from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import add_noise, planar_rig, random_unit_dq
 from dqcalib.verify import certify
 
-from conftest import accumulate_pairs, make_dataset
+from conftest import (accumulate_pairs, lstsq_fit_multipliers,
+                      lstsq_stationarity, make_dataset, near_feasible_points,
+                      qr_newton_direction, qr_tangent_basis, random_cost,
+                      use_oracle_kernels)
 
 
 def perturbed(q, angle_rad, trans_m, rng):
@@ -145,3 +151,62 @@ class TestSolveLocal:
             LocalSolveOptions(max_iter=0)
         with pytest.raises(ValueError):
             LocalSolveOptions(tol_kkt=-1.0)
+
+
+class TestClosedFormKernels:
+    """The closed-form multipliers and tangent basis against the lstsq and
+    complete-QR forms they replace (conftest's oracles)."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(q=near_feasible_points(), seed=st.integers(0, 2**32 - 1))
+    def test_kernels_match_lstsq_and_qr_oracles(self, q, seed):
+        Q = random_cost(seed)
+        # a certificate fits the multipliers at points up to 1e-6 off the
+        # manifold
+        lam = np.array(fit_multipliers(q, Q @ q)[:2])
+        ref = np.array(lstsq_fit_multipliers(q, Q @ q))
+        assert np.linalg.norm(lam - ref) <= 1e-12 * np.linalg.norm(ref)
+        # the Newton iteration only ever sees projected points
+        p = project_feasible(q)
+        lam, grad, res = _stationarity(Q, p)
+        lam_ref, grad_ref, res_ref = lstsq_stationarity(Q, p)
+        assert np.linalg.norm(lam - lam_ref) <= 1e-12 * np.linalg.norm(lam_ref)
+        scale = np.linalg.norm(grad_ref) + np.linalg.norm(Q)
+        assert np.max(np.abs(grad - grad_ref)) <= 1e-12 * scale
+        assert abs(res - res_ref) <= 1e-12 * scale
+        N, N_ref = _tangent_basis(p), qr_tangent_basis(p)
+        assert np.linalg.norm(N.T @ N - np.eye(6)) <= 1e-12
+        assert np.linalg.norm(grad_g(p) @ N) <= 1e-12
+        assert np.linalg.norm(N @ N.T - N_ref @ N_ref.T) <= 1e-12
+        for exact in (False, True):
+            step = _newton_direction(Q, p, lam, grad, exact)
+            step_ref = qr_newton_direction(Q, p, lam_ref, grad_ref, exact)
+            assert (np.linalg.norm(step - step_ref)
+                    <= 1e-10 * np.linalg.norm(step_ref))
+
+    def test_cold_solves_match_oracle_kernels(self, monkeypatch):
+        # 160 cold solves and their certificates: the closed forms change
+        # no iteration count, convergence flag or verdict, and move the
+        # estimate, the multipliers and the gap only at rounding level
+        costs = []
+        for seed in range(1000, 1040):
+            for noise in (0.0, 0.01, 0.05, 0.1):
+                pairs, _ = make_dataset(seed=seed, noise=noise,
+                                        n_pairs=(5, 30, 60)[seed % 3])
+                costs.append(accumulate_pairs(pairs).normalized_q)
+        results = {}
+        for oracle in (False, True):
+            with monkeypatch.context() as m:
+                if oracle:
+                    use_oracle_kernels(m)
+                sols = [solve_local(Q, ConstraintMode.FULL_3D) for Q in costs]
+                results[oracle] = [
+                    (sol, certify(Q, sol.q_hat, ConstraintMode.FULL_3D))
+                    for Q, sol in zip(costs, sols)]
+        for (sol, cert), (ref, ref_cert) in zip(results[False], results[True]):
+            assert (sol.iterations, sol.converged) == (ref.iterations, ref.converged)
+            assert np.max(np.abs(sol.q_hat.vec() - ref.q_hat.vec())) <= 1e-12
+            assert np.max(np.abs(sol.lam - ref.lam)) <= 1e-12
+            assert abs(cert.gap - ref_cert.gap) <= 1e-14
+            assert ((cert.is_global, cert.null_dim, cert.diagnostic)
+                    == (ref_cert.is_global, ref_cert.null_dim, ref_cert.diagnostic))

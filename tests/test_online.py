@@ -12,7 +12,7 @@ from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import planar_rig, random_unit_dq
 from dqcalib.verify import certify
 
-from conftest import accumulate_pairs, make_dataset
+from conftest import accumulate_pairs, make_dataset, use_oracle_kernels
 from test_global_solver import FLAT_GROUND, in_plane_translation_stream
 
 
@@ -197,6 +197,96 @@ class TestStreamInvariants:
         assert len(iterations) == 299
         assert np.median(iterations) <= 5
         assert sols[-1].is_global
+
+    @pytest.mark.parametrize("seed", [33, 101, 302])
+    def test_replay_matches_lstsq_and_qr_kernels(self, seed, monkeypatch):
+        # every fast solve and certificate of a 300-step replay at 5 % noise
+        # is repeated on the same inputs through the lstsq/QR oracles, and
+        # the whole replay is repeated on them.  The one-pair step 0 is a
+        # continuum of calibrations, where 30-100 iterations amplify
+        # rounding: there both must be degenerate with the same diagnostic
+        import dqcalib.online
+        from dqcalib.sim import SimConfig, simulate_pairs
+
+        pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
+                                            seed=seed))
+        steps = []
+
+        def with_oracle(func):
+            def both(*args):
+                result = func(*args)
+                with monkeypatch.context() as m:
+                    use_oracle_kernels(m)
+                    steps.append((result, func(*args)))
+                return result
+            return both
+
+        with monkeypatch.context() as m:
+            m.setattr(dqcalib.online, "solve_local",
+                      with_oracle(dqcalib.online.solve_local))
+            m.setattr(dqcalib.online, "certify",
+                      with_oracle(dqcalib.online.certify))
+            sols = replay(pairs)
+        with monkeypatch.context() as m:
+            use_oracle_kernels(m)
+            refs = replay(pairs)
+
+        assert len(steps) == 2 * len(pairs)
+        for (local, ref), (cert, ref_cert) in zip(steps[2::2], steps[3::2]):
+            assert (local.iterations, local.converged) == (ref.iterations,
+                                                           ref.converged)
+            assert np.max(np.abs(local.q_hat.vec() - ref.q_hat.vec())) <= 1e-12
+            assert ((cert.is_global, cert.null_dim, cert.diagnostic)
+                    == (ref_cert.is_global, ref_cert.null_dim, ref_cert.diagnostic))
+
+        def verdict(s):
+            return s.provenance, s.is_global, s.null_dim, s.diagnostic
+        assert [verdict(s) for s in sols[1:]] == [verdict(s) for s in refs[1:]]
+        assert sols[0].degenerate and refs[0].degenerate
+        assert sols[0].diagnostic == refs[0].diagnostic
+        assert all(type(s.gap) is float for s in sols)
+
+    def test_linalg_kernels_per_local_step_are_pinned(self, monkeypatch):
+        # the 300-step replay of the warm-start test: a warm fast solve
+        # takes one 6x6 eigh per Newton iteration and nothing else, a 3D
+        # certificate one 8x8 eigh (plus the verdict's eigh of the null
+        # space's real parts, 1x1 on a unique optimum), and _fast_estimate
+        # none; no lstsq, QR or eigvalsh anywhere on a fast step
+        import dqcalib.online
+        from dqcalib.sim import SimConfig, simulate_pairs
+
+        calls = []
+        for name in ("eigh", "eigvalsh", "lstsq", "qr", "solve", "svd"):
+            kernel = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _kernel=kernel, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _kernel(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        per_call = {"solve_local": [], "certify": [], "_fast_estimate": []}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                start = len(calls)
+                result = func(*args, **kwargs)
+                per_call[name].append((result, calls[start:]))
+                return result
+            return wrapper
+        for name in per_call:
+            monkeypatch.setattr(dqcalib.online, name,
+                                counting(name, getattr(dqcalib.online, name)))
+        pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
+                                            seed=33))
+        replay(pairs)
+
+        assert len(per_call["solve_local"]) == len(per_call["certify"]) == 300
+        for sol, kernels in per_call["solve_local"][1:]:
+            assert kernels == [("eigh", (6, 6))] * sol.iterations
+        for cert, kernels in per_call["certify"]:
+            assert kernels[0] == ("eigh", (8, 8))
+            assert kernels[1:] == [("eigh", (cert.null_dim,) * 2)]
+        assert len(per_call["_fast_estimate"]) >= 249
+        assert all(kernels == [] for _, kernels in per_call["_fast_estimate"])
 
     def test_unconverged_fast_solve_reopens_global_window(self, monkeypatch):
         # a fast solve that runs out of iterations is a local error even

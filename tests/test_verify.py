@@ -1,16 +1,21 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from dqcalib.constraints import ConstraintMode
+from dqcalib.constraints import (NULL_TOL, ConstraintMode, assemble_Z,
+                                 solve_planar)
 from dqcalib.cost import CostAccumulator
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import InfeasiblePoint
-from dqcalib.global_solver import solve_global
+from dqcalib.global_solver import nullspace_verdict, solve_global
+from dqcalib.local_solver import solve_local
 from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import planar_rig, random_unit_dq
 from dqcalib.verify import VerifyOptions, certify
 
-from conftest import accumulate_pairs, make_dataset, make_study_dataset
+from conftest import (accumulate_pairs, make_dataset, make_study_dataset,
+                      near_feasible_points, random_cost, use_oracle_kernels)
 
 
 def yaw_perturbed(q, deg):
@@ -142,3 +147,51 @@ class TestCertify:
         tight = VerifyOptions(residual_tol=1e-30, gap_threshold=1e-30)
         cert = certify(acc.normalized_q, sol.q_hat, ConstraintMode.FULL_3D, tight)
         assert not cert.is_global
+
+
+class TestClosedFormFit:
+    @settings(max_examples=200, deadline=None)
+    @given(q=near_feasible_points(), seed=st.integers(0, 2**32 - 1))
+    def test_certificate_matches_lstsq_fit(self, q, seed):
+        # the 2x2 normal equations give the SVD least-squares multipliers
+        # at every point the feasibility tolerance admits, so the evidence
+        # and the verdict are the oracle's
+        Q = random_cost(seed)
+        cert = certify(Q, q, ConstraintMode.FULL_3D)
+        with pytest.MonkeyPatch.context() as m:
+            use_oracle_kernels(m)
+            ref = certify(Q, q, ConstraintMode.FULL_3D)
+        scale = np.linalg.norm(ref.lambda_fit)
+        assert np.linalg.norm(cert.lambda_fit - ref.lambda_fit) <= 1e-12 * scale
+        assert abs(cert.gap - ref.gap) <= 1e-12 * max(scale, abs(ref.gap))
+        assert type(cert.gap) is float
+        assert ((cert.is_global, cert.indefinite, cert.null_dim, cert.diagnostic)
+                == (ref.is_global, ref.indefinite, ref.null_dim, ref.diagnostic))
+
+    @pytest.mark.parametrize("n_pairs", [1, 2, 3, 40])
+    def test_one_null_threshold(self, n_pairs):
+        # the certificate's null_dim and diagnostic are the degeneracy
+        # verdict's on the same Z, and null_dim counts the eigenvalues
+        # below NULL_TOL * max(1, |trace Q|); one pair is a continuum
+        pairs, _ = make_dataset(seed=73, n_pairs=n_pairs, noise=0.05)
+        Q = accumulate_pairs(pairs).normalized_q
+        cert = certify(Q, solve_local(Q, ConstraintMode.FULL_3D).q_hat,
+                       ConstraintMode.FULL_3D)
+        Z = assemble_Z(Q, cert.lambda_fit)
+        V, diagnostic = nullspace_verdict(Q, *np.linalg.eigh(Z))
+        assert (cert.null_dim, cert.diagnostic) == (V.shape[1], diagnostic)
+        thresh = NULL_TOL * max(1.0, abs(float(np.trace(Q))))
+        assert cert.null_dim == int(np.sum(np.linalg.eigvalsh(Z) < thresh))
+        assert (cert.diagnostic is not None) == (n_pairs == 1)
+
+    def test_planar_degeneracy_comes_from_the_reduced_solve(self):
+        from test_global_solver import FLAT_GROUND, in_plane_translation_stream
+
+        g = plane_alignment_dq(FLAT_GROUND)
+        acc = accumulate_pairs(in_plane_translation_stream(),
+                               mode=ConstraintMode.PLANAR, align_a=g, align_b=g)
+        Q = acc.normalized_q
+        q8, _, degeneracy = solve_planar(Q)
+        cert = certify(Q, q8, ConstraintMode.PLANAR)
+        assert cert.null_dim == degeneracy.null_dim
+        assert cert.diagnostic == str(degeneracy)
