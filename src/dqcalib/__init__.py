@@ -17,7 +17,7 @@ from .planar import (GroundPlane, RansacOptions, fit_ground_plane,
 from .sim import (PoseSequence, SimConfig, add_noise, generate_path,
                   planar_rig, random_unit_dq, sensor_pair_motions,
                   simulate_pairs)
-from .verify import Certificate, VerifyOptions, certify
+from .verify import Certificate, certify
 
 __version__ = "0.1.0"
 
@@ -26,7 +26,7 @@ __all__ = [
     "CostAccumulator", "DualQuat",
     "GroundPlane", "LocalSolveOptions", "LocalSolution", "MotionPair",
     "OnlineCalibrator", "OnlineConfig", "PoseSequence", "RansacOptions",
-    "SimConfig", "VerifyOptions", "add_noise", "assemble_Z",
+    "SimConfig", "add_noise", "assemble_Z",
     "calib_error", "canonicalize", "certify", "conjugate", "cost_value",
     "dq_mul", "eval_g", "fit_ground_plane", "from_rot_trans", "generate_path",
     "left_mat", "lift_calibration", "multiplier_matrices", "pair_cost_matrix",

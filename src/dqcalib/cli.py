@@ -27,7 +27,7 @@ from .metrics import calib_error
 from .online import OnlineCalibrator, OnlineConfig
 from .planar import RansacOptions, fit_ground_plane, lift_calibration, plane_alignment_dq
 from .sim import SimConfig, sample_study_calibration, simulate_pairs
-from .verify import VerifyOptions, certify
+from .verify import certify
 
 EXIT_OK = 0
 EXIT_SOLVER = 1
@@ -122,7 +122,6 @@ def cmd_calibrate(args) -> int:
     acc = CostAccumulator(mode, align_a=align_a, align_b=align_b)
     acc.add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
     Q = acc.normalized_q
-    verify_opts = VerifyOptions(gap_threshold=args.gap_threshold)
 
     payload = {"n_pairs": len(pairs), "mode": mode.value}
     solutions = {}
@@ -136,7 +135,7 @@ def cmd_calibrate(args) -> int:
         opts = LocalSolveOptions(init=init)
         local, ms = _median_time_ms(lambda: solve_local(Q, mode, opts),
                                     args.repeat)
-        cert = certify(Q, local.q_hat, mode, verify_opts)
+        cert = certify(Q, local.q_hat, mode, args.gap_threshold)
         solutions["fast"] = (local.q_hat, local.cost, cert.gap,
                              cert.is_global, ms,
                              {"iterations": local.iterations,
@@ -171,8 +170,7 @@ def cmd_online(args) -> int:
     mode = ConstraintMode.PLANAR if plane_a is not None else _mode(args)
     config = OnlineConfig(mode=mode, t_no_fail=args.t_no_fail,
                           plane_a=plane_a, plane_b=plane_b,
-                          verify_opts=VerifyOptions(
-                              gap_threshold=args.gap_threshold))
+                          gap_threshold=args.gap_threshold)
     gt = _ground_truth(args)
     calib = OnlineCalibrator(config)
     print("t,eps_r_deg,eps_t_m,gap,provenance,is_global,time_ms")
@@ -288,15 +286,9 @@ def cmd_certify(args) -> int:
     mode = _mode(args)
     acc = CostAccumulator(mode).add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
     candidate = _parse_q8(args.candidate)
-    cert = certify(acc.normalized_q, candidate, mode,
-                   VerifyOptions(gap_threshold=args.gap_threshold))
-    _emit(args, {
-        "gap": cert.gap,
-        "residual": cert.residual,
-        "min_eig": cert.min_eig,
-        "is_global": cert.is_global,
-        "indefinite": cert.indefinite,
-    })
+    cert = certify(acc.normalized_q, candidate, mode, args.gap_threshold)
+    _emit(args, {"gap": cert.gap, "is_global": cert.is_global,
+                 "diagnostic": cert.diagnostic})
     return EXIT_OK
 
 

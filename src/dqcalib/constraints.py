@@ -53,7 +53,6 @@ for _m in (_G1, _G2):
 # the in-plane translation part (q6, q7)
 _PLANAR_ROT = [0, 3]
 _PLANAR_TRANS = [5, 6]
-_PLANAR_COORDS = _PLANAR_ROT + _PLANAR_TRANS
 
 NULL_TOL = 1e-7  # eigenvalues below NULL_TOL * max(1, trace Q) count as zero
 
@@ -76,12 +75,6 @@ def eval_g(q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
     if mode is ConstraintMode.FULL_3D:
         return np.array([g1, 2.0 * (q[:4] @ q[4:])])
     return np.array([g1, q[1], q[2], q[4], q[7]])
-
-
-def grad_g(q: np.ndarray) -> np.ndarray:
-    """Jacobian of the 3D residuals, one row per constraint (rows are 2 G_i q)."""
-    q = np.asarray(q, dtype=float).reshape(8)
-    return np.stack([2.0 * (G @ q) for G in constraint_matrices()])
 
 
 def fit_multipliers(q: np.ndarray, Qq: np.ndarray) -> tuple[float, ...]:
@@ -113,23 +106,28 @@ def assemble_Z(Q: np.ndarray, lam: np.ndarray) -> np.ndarray:
 def schur_reduction(A: np.ndarray, C: np.ndarray, scale: float):
     """Eliminate the block with Hessian ``C`` (PSD) from [[A, B], [B^T, C]].
 
-    Returns ``(wc, Uc, reduce)``: C's eigenpairs, and B -> ``(ws, Us, F)``,
-    the ascending eigenpairs of S = A - B C^+ B^T and F = C^+ B^T, whose
-    minimizer over the eliminated block at r is -F r.
+    C's eigenvalues at or below ``1e-12 * scale`` are rounding-level and
+    cut: their eigenvectors, the first ``n_cut`` columns of ``Uc``, span
+    the null space the pseudo-inverse drops.  Over the kept eigenpairs
+    W = Uc diag(wc^-1/2) whitens C, so with G = B W the reduced matrix is
+    the Gram form S = A - G G^T and F = W G^T = C^+ B^T; it rounds less
+    than A - B C^+ B^T.  Returns ``(wc, Uc, n_cut, reduce)``: C's ascending
+    eigenpairs, the cut count and B -> ``(ws, Us, F)``, S's ascending
+    eigenpairs and F, whose minimizer over the eliminated block at r is
+    -F r.
     """
-    # exact pseudo-inverse: only rounding-level eigenvalues are dropped, so
-    # the reduced minimum stays a true minimum (a dropped genuine eigenvalue
-    # would raise it)
+    # only rounding-level eigenvalues are cut, so the reduced minimum stays
+    # a true minimum (a dropped genuine eigenvalue would raise it)
     wc, Uc = np.linalg.eigh(C)
-    inv = np.divide(1.0, wc, out=np.zeros(len(wc)), where=wc > 1e-12 * scale)
-    C_pinv = (Uc * inv) @ Uc.T
+    n_cut = int(np.count_nonzero(wc <= 1e-12 * scale))
+    W = Uc[:, n_cut:] / np.sqrt(wc[n_cut:])
 
     def reduce(B):
-        F = C_pinv @ B.T
-        ws, Us = np.linalg.eigh(A - B @ F)
-        return ws, Us, F
+        G = B @ W
+        ws, Us = np.linalg.eigh(A - G @ G.T)
+        return ws, Us, W @ G.T
 
-    return wc, Uc, reduce
+    return wc, Uc, n_cut, reduce
 
 
 def solve_planar(Q: np.ndarray):
@@ -150,7 +148,7 @@ def solve_planar(Q: np.ndarray):
     B = Q[np.ix_(_PLANAR_ROT, _PLANAR_TRANS)]
     C = Q[np.ix_(_PLANAR_TRANS, _PLANAR_TRANS)]
     scale = max(1.0, float(np.trace(Q)))
-    wc, Uc, reduce = schur_reduction(A, C, scale)
+    wc, Uc, _, reduce = schur_reduction(A, C, scale)
     ws, Us, F = reduce(B)  # (q6, q7) = -F r
 
     def lift(r):
@@ -179,13 +177,3 @@ def solve_planar(Q: np.ndarray):
         reasons.append("in-plane translation unobservable (singular translation block)")
     return q8, p_star, NonUniqueSolution(
         "; ".join(reasons), basis=np.column_stack(basis), null_dim=len(basis))
-
-
-def planar_lagrangian(Q: np.ndarray, lam1: float, q: np.ndarray):
-    """Z(lam1, 0) and q restricted to the planar coordinates (q1, q4, q6, q7).
-
-    On those coordinates G2 vanishes, so ``lam1`` is the only multiplier;
-    at lam1 = p* the returned 4x4 matrix is positive semidefinite.
-    """
-    Z = assemble_Z(Q, [lam1, 0.0])[np.ix_(_PLANAR_COORDS, _PLANAR_COORDS)]
-    return Z, np.asarray(q, dtype=float).reshape(8)[_PLANAR_COORDS]

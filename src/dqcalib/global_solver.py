@@ -10,12 +10,16 @@ and the minimizer comes off the same 4x4 eigenpair (Briales &
 Gonzalez-Jimenez, CVPR 2017; Giamou et al., RA-L 2019).  A bracketing
 search on the slope's sign also converges where phi has a kink.
 
-Consistent (noise-free) data always carries structural extra null
-directions with zero real part — most prominently vec(eps * q_r), which
-closes every motion loop but is not a unit dual quaternion.  They lie in
-the null space of C, which the pseudo-inverse drops.  Uniqueness is judged
-from the near-null space of Z at the dual optimum; a genuine continuum of
-feasible solutions (unobservable data) raises NonUniqueSolution.
+Exact rotations (noise-free data in particular) carry structural extra
+null directions with zero real part — most prominently vec(eps * q_r),
+which closes every motion loop but is not a unit dual quaternion.  They
+lie in the null space of C, which the pseudo-inverse drops.  Q >= 0 makes
+B vanish on that null space, so (B + lam_2 I) does only at lam_2 = 0: it
+is then the one admissible multiplier, and the lifted point's dual part
+moves along the null space, where the cost is flat, to meet g2.
+Uniqueness is judged from the near-null space of Z at the dual optimum; a
+genuine continuum of feasible solutions (unobservable data) raises
+NonUniqueSolution.
 
 Planar mode needs no dual search: the feasible set is a circle times a
 plane, and :func:`dqcalib.constraints.solve_planar` returns the exact
@@ -73,16 +77,45 @@ def _require_3d(mode: ConstraintMode):
                          "solved exactly by constraints.solve_planar")
 
 
-def _lifted_3d(Q: np.ndarray):
-    """lam_2 -> (phi(lam_2), q): the smallest eigenvalue of the Schur
-    complement and its lifted eigenvector q = (v, -C^+ (B + lam_2 I)^T v)."""
-    _, _, reduce = schur_reduction(Q[:4, :4], Q[4:, 4:],
-                                   max(1.0, float(np.trace(Q))))
+def _reduced_dual(Q: np.ndarray):
+    """``(cut, lifted)``: whether C has a cut direction, and lam_2 ->
+    (phi(lam_2), q), the smallest eigenvalue of the Schur complement and
+    its lifted eigenvector q = (v, -C^+ (B + lam_2 I)^T v), whose dual part
+    is moved along C's cut null space to meet g2 (the cost is flat there)."""
+    _, Uc, n_cut, reduce = schur_reduction(Q[:4, :4], Q[4:, 4:],
+                                           max(1.0, float(np.trace(Q))))
+    N = Uc[:, :n_cut]
 
     def lifted(lam2):
         ws, Us, F = reduce(Q[:4, 4:] + lam2 * np.eye(4))
-        return ws[0], np.concatenate([Us[:, 0], -F @ Us[:, 0]])
-    return lifted
+        v = Us[:, 0]
+        d = -F @ v
+        vn = N.T @ v
+        if vn @ vn > 0.0:
+            d -= (v @ d) / (vn @ vn) * (N @ vn)
+        return ws[0], np.concatenate([v, d])
+    return n_cut > 0, lifted
+
+
+def dual_bound(Q: np.ndarray, lam2: float, reduced=None):
+    """The reduced-dual lower bound at ``lam2``: ``(lam, q, vals, vecs)``.
+
+    ``lam`` is (lam_1, lam_2) with lam_1 = phi(lam_2) lowered by the
+    negative part of lambda_min(Z(phi, lam_2)) times |q|^2 (G1 acts on
+    the real part only, which carries 1/|q|^2 of the null vector q/|q|),
+    so Z(lam) >= 0 up to rounding and lam_1 bounds the primal optimum from
+    below.  When C has a cut direction n, Q >= 0 forces B n = 0, so
+    (B + lam_2 I) n = lam_2 n vanishes only at lam_2 = 0, the one
+    admissible value, which replaces ``lam2``.  ``q`` is the lifted point
+    and ``(vals, vecs)`` the eigenpairs of Z(phi, lam_2).  ``reduced``
+    reuses a :func:`_reduced_dual` of the same Q.
+    """
+    cut, lifted = reduced or _reduced_dual(Q)
+    lam2 = 0.0 if cut else float(lam2)
+    phi, q = lifted(lam2)
+    vals, vecs = np.linalg.eigh(assemble_Z(Q, [phi, lam2]))
+    lam1 = phi - max(0.0, -float(vals[0])) * (q @ q)
+    return np.array([lam1, lam2]), q, vals, vecs
 
 
 def _decreasing_root(f) -> float:
@@ -118,25 +151,22 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
 
     3D mode only.  Maximizes the concave phi of the module notes by the
     sign of its slope, the lifted point's g2 residual (zero below 1e-13
-    relative to the dual part).  The returned lam_1 is a valid lower bound
-    on the primal optimum: Z(lam) >= 0 up to rounding.  A negative
-    smallest eigenvalue of Z is removed by lowering lam_1 by it times |q|^2:
-    G1 acts on the real part only, which carries 1/|q|^2 of the null
-    vector q/|q|.
+    relative to the dual part), and ends with :func:`dual_bound` there, so
+    lam_1 is a valid lower bound on the primal optimum.  When C has a cut
+    direction lam_2 = 0 is the only admissible value and there is no
+    search.
     """
     _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    lifted = _lifted_3d(Q)
+    reduced = cut, lifted = _reduced_dual(Q)
 
     def slope(lam2):  # g2 at the lifted point, zero at rounding level
         q = lifted(lam2)[1]
         g2 = 2.0 * float(q[:4] @ q[4:])
         return 0.0 if abs(g2) <= 1e-13 * (1.0 + np.linalg.norm(q[4:])) else g2
 
-    lam2 = _decreasing_root(slope)
-    phi, q = lifted(lam2)
-    neg = max(0.0, -float(np.linalg.eigvalsh(assemble_Z(Q, [phi, lam2]))[0]))
-    return np.array([phi - neg * (q @ q), lam2])
+    lam2 = 0.0 if cut else _decreasing_root(slope)
+    return dual_bound(Q, lam2, reduced)[0]
 
 
 def nullspace_verdict(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
@@ -181,12 +211,12 @@ def recover_primal(Q: np.ndarray, lam: np.ndarray,
                    mode: ConstraintMode) -> tuple[np.ndarray, int]:
     """``(q8, null_dim)`` at the dual point ``lam``; 3D mode only.
 
-    q8 is the lifted eigenvector (v, -C^+ (B + lam_2 I)^T v), made exactly
-    feasible and sign-canonical.  Raises :class:`NoNullSpace` when Z(lam)
-    has no sufficiently small eigenvalue (dual not converged) and
-    :class:`NonUniqueSolution` when the data does not pin down a single
-    calibration (e.g. all rotation axes parallel without planar
-    constraints).
+    q8 is the lifted point of the reduced dual at lam_2 (the ``q`` of
+    :func:`dual_bound`), made exactly feasible and sign-canonical.  Raises
+    :class:`NoNullSpace` when Z(lam) has no sufficiently small eigenvalue
+    (dual not converged) and :class:`NonUniqueSolution` when the data does
+    not pin down a single calibration (e.g. all rotation axes parallel
+    without planar constraints).
     """
     _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
@@ -196,7 +226,7 @@ def recover_primal(Q: np.ndarray, lam: np.ndarray,
         raise NoNullSpace("no null space within tolerance")
     if diag is not None:
         raise NonUniqueSolution(diag, basis=V, null_dim=null_dim)
-    q8 = project_feasible(_lifted_3d(Q)(float(lam[1]))[1])
+    q8 = project_feasible(_reduced_dual(Q)[1](float(lam[1]))[1])
     return DualQuat.from_vec(q8).canonicalized().vec(), null_dim
 
 

@@ -20,10 +20,10 @@ import numpy as np
 from .constraints import ConstraintMode
 from .cost import CostAccumulator, MotionPair
 from .errors import NonMonotonicTime, NonUniqueSolution
-from .global_solver import CalibSolution, solve_global
+from .global_solver import GAP_THRESHOLD, CalibSolution, solve_global
 from .local_solver import LocalSolveOptions, solve_local
 from .planar import GroundPlane, lift_calibration, plane_alignment_dq
-from .verify import VerifyOptions, certify
+from .verify import certify
 
 PLANE_DERIVED_DOFS = ("z", "roll", "pitch")
 
@@ -35,7 +35,7 @@ class OnlineConfig:
     plane_a: GroundPlane | None = None
     plane_b: GroundPlane | None = None
     local_opts: LocalSolveOptions = field(default_factory=LocalSolveOptions)
-    verify_opts: VerifyOptions = field(default_factory=VerifyOptions)
+    gap_threshold: float = GAP_THRESHOLD
 
     def __post_init__(self):
         if self.t_no_fail < 0:
@@ -52,8 +52,8 @@ def _fast_estimate(local, cert, provenance: str, is_global: bool,
     and null space; degenerate with ``error`` or its diagnostic."""
     diagnostic = cert.diagnostic if error is None else str(error)
     return CalibSolution(
-        q_hat=local.q_hat, lam=cert.lambda_fit, primal_cost=local.cost,
-        dual_value=float(cert.lambda_fit[0]), gap=cert.gap,
+        q_hat=local.q_hat, lam=cert.lam, primal_cost=local.cost,
+        dual_value=float(cert.lam[0]), gap=cert.gap,
         is_global=is_global, provenance=provenance, null_dim=cert.null_dim,
         degenerate=diagnostic is not None, diagnostic=diagnostic)
 
@@ -92,14 +92,14 @@ class OnlineCalibrator:
 
         local_opts = replace(cfg.local_opts, init=self._warm)
         local = solve_local(Q, cfg.mode, local_opts)
-        cert = certify(Q, local.q_hat, cfg.mode, cfg.verify_opts)
+        cert = certify(Q, local.q_hat, cfg.mode, cfg.gap_threshold)
         if not (cert.is_global and local.converged):
             self.t_last_local_error = pair.timestamp
 
         use_global = (pair.timestamp - self.t_last_local_error) <= cfg.t_no_fail
         if use_global:
             try:
-                sol = solve_global(self.acc, cfg.verify_opts.gap_threshold)
+                sol = solve_global(self.acc, cfg.gap_threshold)
             except NonUniqueSolution as err:
                 sol = _fast_estimate(local, cert, "global", False, err)
         else:

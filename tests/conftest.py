@@ -99,9 +99,17 @@ def rng():
 # Oracles for the closed-form 3D kernels: the generic least-squares and
 # complete-QR forms they replace, with the same signatures.
 
+def grad_g(q):
+    """Jacobian of the 3D residuals, one row per constraint (rows are 2 G_i q)."""
+    from dqcalib.constraints import constraint_matrices
+
+    q = np.asarray(q, dtype=float).reshape(8)
+    return np.stack([2.0 * (G @ q) for G in constraint_matrices()])
+
+
 def lstsq_stationarity(Q, q):
     """Multipliers, Lagrangian gradient and KKT residual by SVD lstsq."""
-    from dqcalib.constraints import ConstraintMode, eval_g, grad_g
+    from dqcalib.constraints import ConstraintMode, eval_g
 
     A = grad_g(q)
     Qq2 = 2.0 * (Q @ q)
@@ -113,8 +121,6 @@ def lstsq_stationarity(Q, q):
 
 def qr_tangent_basis(q):
     """Orthonormal null space of the constraint Jacobian by complete QR."""
-    from dqcalib.constraints import grad_g
-
     return np.linalg.qr(grad_g(q).T, mode="complete")[0][:, 2:]
 
 

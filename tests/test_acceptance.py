@@ -239,7 +239,7 @@ def test_acceptance_08_online_replay_500_steps():
     assert all(p == "global" for p in provs[:switch])
     assert all(p == "local" for p in provs[switch:])
 
-    threshold = cfg.verify_opts.gap_threshold
+    threshold = cfg.gap_threshold
     assert all(s.gap < threshold for s in sols if s.provenance == "local")
 
     batch = solve_global(accumulate_pairs(

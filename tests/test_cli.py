@@ -129,7 +129,21 @@ class TestCertifyCommand:
                    "--candidate", q8_arg(q_t)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
+        assert out == {"gap": out["gap"], "is_global": True, "diagnostic": None}
+        assert out["gap"] < 1e-10
+
+    def test_degenerate_candidate_names_its_diagnostic(self, tmp_path, capsys):
+        # planar motion in 3D mode: the truth has zero cost, but the
+        # translation along the common rotation axis is unobservable
+        rig = planar_rig(n_steps=30, seed=106)
+        path = tmp_path / "pairs.jsonl"
+        save_pairs_jsonl(rig.pairs, path)
+        rc = main(["--output", "json", "certify", "--pairs", str(path),
+                   "--candidate", q8_arg(rig.true_calib)])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
         assert out["is_global"] is True
+        assert out["diagnostic"] == "feasible set in null space is a continuum"
 
     def test_perturbed_candidate_rejected(self, tmp_path, capsys):
         from conftest import make_study_dataset

@@ -4,10 +4,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqcalib.constraints import (ConstraintMode, assemble_Z, constraint_matrices,
-                                 eval_g, grad_g, multiplier_matrices)
+                                 eval_g, multiplier_matrices)
 from dqcalib.dualquat import DualQuat
 
-from conftest import unit_dqs
+from conftest import grad_g, unit_dqs
 
 MODES = [ConstraintMode.FULL_3D, ConstraintMode.PLANAR]
 

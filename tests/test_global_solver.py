@@ -9,7 +9,8 @@ from dqcalib.global_solver import recover_primal, solve_dual, solve_global
 from dqcalib.local_solver import LocalSolveOptions, solve_local
 from dqcalib.metrics import calib_error
 from dqcalib.planar import GroundPlane, plane_alignment_dq
-from dqcalib.sim import planar_rig, random_unit_dq, sensor_pair_motions
+from dqcalib.sim import (SimConfig, planar_rig, random_unit_dq,
+                         sensor_pair_motions, simulate_pairs)
 
 from conftest import accumulate_pairs, make_dataset, make_study_dataset
 
@@ -253,6 +254,26 @@ class TestSolveGlobal:
             pairs, _ = make_dataset(seed=seed, n_pairs=60, noise=0.05)
             sol = solve_global(accumulate_pairs(pairs))
             assert sol.gap >= -1e-9
+
+
+class TestRotationExact:
+    # exact rotations make C, the dual block of Q, singular along the true
+    # rotation; Q >= 0 then leaves lam_2 = 0 as the only admissible value
+    @pytest.mark.parametrize("seed", range(12))
+    def test_certified_at_the_best_local_cost(self, seed):
+        pairs, _ = simulate_pairs(SimConfig(n_steps=40, noise_level=(0.05, 0.0),
+                                            seed=seed))
+        acc = accumulate_pairs(pairs)
+        Q = acc.normalized_q
+        sol = solve_global(acc)
+        assert sol.is_global
+        assert sol.lam[1] == 0.0
+        min_eig = np.linalg.eigvalsh(assemble_Z(Q, sol.lam))[0]
+        assert min_eig >= -1e-15 * (1 + np.linalg.norm(Q, ord="fro"))
+        rng = np.random.default_rng(seed)
+        best = min(solve_local(Q, ConstraintMode.FULL_3D, LocalSolveOptions(
+            init=random_unit_dq(rng).vec())).cost for _ in range(30))
+        assert sol.primal_cost <= best + 1e-12
 
 
 class TestPlanar:

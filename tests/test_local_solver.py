@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dqcalib.constraints import ConstraintMode, eval_g, fit_multipliers, grad_g
+from dqcalib.constraints import ConstraintMode, eval_g, fit_multipliers
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import DegenerateInit
 from dqcalib.global_solver import solve_global
@@ -15,7 +15,7 @@ from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import add_noise, planar_rig, random_unit_dq
 from dqcalib.verify import certify
 
-from conftest import (accumulate_pairs, lstsq_fit_multipliers,
+from conftest import (accumulate_pairs, grad_g, lstsq_fit_multipliers,
                       lstsq_stationarity, make_dataset, near_feasible_points,
                       qr_newton_direction, qr_tangent_basis, random_cost,
                       use_oracle_kernels)

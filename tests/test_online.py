@@ -82,7 +82,7 @@ class TestStreamInvariants:
         for s in sols:
             if s.provenance == "local":
                 assert s.is_global
-                assert s.gap < cfg.verify_opts.gap_threshold
+                assert s.gap < cfg.gap_threshold
 
     def test_emitted_certified_solutions_pass_independent_certify(self):
         rig = planar_rig(n_steps=40, seed=87, noise_level=0.02)
@@ -95,7 +95,7 @@ class TestStreamInvariants:
             if sol.is_global:
                 q_planar = sol.q_hat_planar
                 cert = certify(calib.acc.normalized_q, q_planar,
-                               ConstraintMode.PLANAR, cfg.verify_opts)
+                               ConstraintMode.PLANAR, cfg.gap_threshold)
                 assert cert.is_global
 
     def test_matches_batch_accumulation(self):
@@ -249,9 +249,11 @@ class TestStreamInvariants:
     def test_linalg_kernels_per_local_step_are_pinned(self, monkeypatch):
         # the 300-step replay of the warm-start test: a warm fast solve
         # takes one 6x6 eigh per Newton iteration and nothing else, a 3D
-        # certificate one 8x8 eigh (plus the verdict's eigh of the null
-        # space's real parts, 1x1 on a unique optimum), and _fast_estimate
-        # none; no lstsq, QR or eigvalsh anywhere on a fast step
+        # certificate the reduced dual's two 4x4 eigh (of the dual block
+        # and of the Schur complement) and one 8x8 eigh of Z at the bound
+        # (plus the verdict's eigh of the null space's real parts, 1x1 on a
+        # unique optimum), and _fast_estimate none; no lstsq, QR or
+        # eigvalsh anywhere on a fast step
         import dqcalib.online
         from dqcalib.sim import SimConfig, simulate_pairs
 
@@ -283,8 +285,9 @@ class TestStreamInvariants:
         for sol, kernels in per_call["solve_local"][1:]:
             assert kernels == [("eigh", (6, 6))] * sol.iterations
         for cert, kernels in per_call["certify"]:
-            assert kernels[0] == ("eigh", (8, 8))
-            assert kernels[1:] == [("eigh", (cert.null_dim,) * 2)]
+            assert kernels[:3] == [("eigh", (4, 4)), ("eigh", (4, 4)),
+                                   ("eigh", (8, 8))]
+            assert kernels[3:] == [("eigh", (cert.null_dim,) * 2)]
         assert len(per_call["_fast_estimate"]) >= 249
         assert all(kernels == [] for _, kernels in per_call["_fast_estimate"])
 
