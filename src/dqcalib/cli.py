@@ -20,13 +20,13 @@ from .constraints import ConstraintMode
 from .cost import CostAccumulator
 from .dualquat import DualQuat
 from .global_solver import solve_global
-from .io import (PairArrays, load_pairs_jsonl, load_point_cloud,
-                 save_pairs_jsonl, write_study_csv)
+from .io import (load_pairs_jsonl, load_point_cloud, save_pair_rows_jsonl,
+                 write_study_csv)
 from .local_solver import LocalSolveOptions, solve_local
 from .metrics import calib_error
 from .online import OnlineCalibrator, OnlineConfig
 from .planar import RansacOptions, fit_ground_plane, lift_calibration, plane_alignment_dq
-from .sim import SimConfig, sample_study_calibration, simulate_pairs
+from .sim import SimConfig, sample_study_calibration, simulate_rows
 from .verify import certify
 
 EXIT_OK = 0
@@ -215,17 +215,17 @@ def cmd_simulate(args) -> int:
     with open(args.config) as fh:
         cfg_dict = json.load(fh)
     config = _sim_config_from_dict(cfg_dict)
-    pairs, truth = simulate_pairs(config)
-    save_pairs_jsonl(pairs, args.out)
+    rows, truth = simulate_rows(config)
+    save_pair_rows_jsonl(rows, args.out)
     sidecar = {
         "true_calib": list(truth.vec()),
         "seed": config.seed,
         "noise_level": config.noise_level,
-        "n_pairs": len(pairs),
+        "n_pairs": len(rows),
     }
     with open(str(args.out) + ".gt.json", "w") as fh:
         json.dump(sidecar, fh, indent=2)
-    print(f"wrote {len(pairs)} pairs to {args.out}")
+    print(f"wrote {len(rows)} pairs to {args.out}")
     return EXIT_OK
 
 
@@ -237,8 +237,7 @@ def study_cell(noise_level, n, seed, base: dict) -> dict:
     cfg = _sim_config_from_dict({**base, "n_steps": int(n), "seed": int(seed),
                                  "noise_level": noise_level})
     cfg = dataclasses.replace(cfg, true_calib=calib)
-    pairs, truth = simulate_pairs(cfg)
-    rows = PairArrays.from_pairs(pairs)
+    rows, truth = simulate_rows(cfg)
     acc = CostAccumulator().add_batch(rows.q_a, rows.q_b, rows.w, rows.eta)
     t0 = time.perf_counter()
     sol = solve_global(acc)

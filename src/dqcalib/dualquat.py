@@ -346,10 +346,12 @@ def right_mat(q: DualQuat) -> np.ndarray:
 
 
 # -- row-wise forms ------------------------------------------------------------
-# The pair loader and the cost kernel work on (n, 8) arrays of 8-vectors.
-# These functions repeat the scalar methods' arithmetic operation by
-# operation, so every row gets exactly the bits of the scalar method.  The
+# The pair loader, the cost kernel and the simulator work on (n, 8) arrays of
+# 8-vectors.  These functions repeat the scalar methods' arithmetic operation
+# by operation, so every row gets exactly the bits of the scalar method.  The
 # scalar methods stay: on a single dual quaternion they are faster.
+
+_CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner products through the same BLAS dot as ``a[i] @ b[i]``."""
@@ -413,3 +415,89 @@ def canonicalized_rows(v: np.ndarray) -> np.ndarray:
     lead = v[np.arange(len(v)), np.argmax(big, axis=1)]
     flip = big.any(axis=1) & (lead < 0)
     return np.where(flip[:, None], -v, v)
+
+
+def conjugate_rows(v: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`DualQuat.conjugate` of an (n, 8) array."""
+    return v * _CONJ_SIGNS
+
+
+def rot_to_quat_rows(R: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`rot_to_quat` of an (n, 3, 3) array of rotations.
+
+    Each row takes the branch of Shepperd's method the scalar function
+    would take for it.
+    """
+    R = np.asarray(R, dtype=float)
+    R00, R01, R02 = R[:, 0, 0], R[:, 0, 1], R[:, 0, 2]
+    R10, R11, R12 = R[:, 1, 0], R[:, 1, 1], R[:, 1, 2]
+    R20, R21, R22 = R[:, 2, 0], R[:, 2, 1], R[:, 2, 2]
+    tr = R00 + R11 + R22
+    case = np.argmax(np.stack([tr, R00, R11, R22], axis=1), axis=1)
+    d21, d02, d10 = R21 - R12, R02 - R20, R10 - R01
+    s01, s02, s12 = R01 + R10, R02 + R20, R12 + R21
+    # per branch: the radicand of s and the numerators of the components
+    # other than the branch's own (which is 0.25 * s)
+    branches = ((tr + 1.0, (None, d21, d02, d10)),
+                (1.0 + R00 - R11 - R22, (d21, None, s01, s02)),
+                (1.0 - R00 + R11 - R22, (d02, s01, None, s12)),
+                (1.0 - R00 - R11 + R22, (d10, s02, s12, None)))
+    q = np.empty((len(R), 4))
+    for c, (radicand, numerators) in enumerate(branches):
+        rows = case == c
+        s = np.sqrt(radicand[rows]) * 2.0
+        for k, num in enumerate(numerators):
+            q[rows, k] = 0.25 * s if num is None else num[rows] / s
+    q /= np.sqrt(_row_dots(q, q))[:, None]
+    return np.where(q[:, :1] < 0, -q, q)
+
+
+def _unit_rows(real: np.ndarray, translation: np.ndarray) -> np.ndarray:
+    """Rows (real, 0.5 * (0, t) * real), sign-canonicalized."""
+    t_quat = np.concatenate([np.zeros((len(real), 1)), translation], axis=1)
+    dual = 0.5 * quat_mul_rows(t_quat, real)
+    return canonicalized_rows(np.concatenate([real, dual], axis=1))
+
+
+def from_homogeneous_rows(T: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`DualQuat.from_homogeneous` of an (n, 4, 4) array."""
+    T = np.asarray(T, dtype=float)
+    return _unit_rows(rot_to_quat_rows(T[:, :3, :3]), T[:, :3, 3])
+
+
+def from_rot_trans_rows(axis: np.ndarray, angle: np.ndarray,
+                        translation: np.ndarray) -> np.ndarray:
+    """Row-wise :meth:`DualQuat.from_rot_trans` of (n, 3) axes, (n,) angles
+    and (n, 3) translations.
+
+    Raises :class:`NonUnitAxis` with the scalar method's message for the
+    first row it would reject.
+    """
+    norm = np.sqrt(_row_dots(axis, axis))
+    bad = (angle != 0.0) & (np.abs(norm - 1.0) > 1e-9)
+    if bad.any():
+        raise NonUnitAxis(f"axis norm {norm[np.argmax(bad)]} deviates from 1")
+    half = 0.5 * angle
+    real = np.concatenate([np.cos(half)[:, None], np.sin(half)[:, None] * axis],
+                          axis=1)
+    return _unit_rows(real, translation)
+
+
+def angle_translation_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Row-wise angle (n,) and translation (n, 3) of
+    :meth:`DualQuat.to_rot_trans` on an (n, 8) array.
+
+    Raises :class:`NotUnit` for the first row that is not a unit dual
+    quaternion within ``TOL_UNIT``; the error's ``row`` is its index.
+    """
+    real, dual = v[:, :4], v[:, 4:]
+    bad = ~((np.abs(_row_dots(real, real) - 1.0) <= TOL_UNIT)
+            & (np.abs(2.0 * _row_dots(real, dual)) <= TOL_UNIT))
+    if bad.any():
+        raise NotUnit("operation requires a unit dual quaternion",
+                      row=int(np.argmax(bad)))
+    q = canonicalized_rows(v)
+    vector = q[:, 1:4]
+    angle = 2.0 * np.arctan2(np.sqrt(_row_dots(vector, vector)), q[:, 0])
+    translation = 2.0 * quat_mul_rows(q[:, 4:], q[:, :4] * _CONJ_SIGNS[:4])[:, 1:]
+    return angle, translation

@@ -289,6 +289,25 @@ class PairArrays:
                              timestamp=float(t), weight_diag=w, eta=float(eta))
 
 
+def save_pair_rows_jsonl(rows: PairArrays, path):
+    """Write rows as a motion-pair file, one line per row.
+
+    A line leaves out a weight or confidence of 1, so the rows of
+    :class:`MotionPair` objects without ``eta`` give the bytes
+    :func:`save_pairs_jsonl` writes for those pairs.
+    """
+    with open(path, "w") as fh:
+        for t, q_a, q_b, w, eta in zip(rows.t.tolist(), rows.q_a.tolist(),
+                                       rows.q_b.tolist(), rows.w.tolist(),
+                                       rows.eta.tolist()):
+            rec = {"t": t, "qa": q_a, "qb": q_b}
+            if w != [1.0] * 8:
+                rec["w"] = w
+            if eta != 1.0:
+                rec["eta"] = eta
+            fh.write(json.dumps(rec) + "\n")
+
+
 def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
     """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does
     and also for finiteness.

@@ -6,19 +6,49 @@ path tangent (after Gram-Schmidt against the normal) its x-axis.  From the
 resulting 6-DOF pose sequence, incremental motions for a pair of rigidly
 mounted sensors are generated, optionally perturbed by zero-mean Gaussian
 noise specified either absolutely or relative to the average motion.
+
+The simulator is one pipeline over arrays of dual-quaternion rows, with no
+loop over poses or pairs:
+
+* the frames of all poses at once (surface gradient, normal, Gram-Schmidt
+  x-axis, cross product), turned into (n + 1, 8) pose rows by the row form
+  of Shepperd's method in :func:`~dqcalib.dualquat.from_homogeneous_rows`;
+* the motions as (n, 2, 8) rows, ``[:, 0]`` sensor A's and ``[:, 1]``
+  sensor B's, by row products;
+* the noise as one block of normal draws, turned into perturbation rows
+  and left-composed with the motions.
+
+Every row carries exactly the bits the per-pose scalar methods give,
+including the normalize and sign-canonicalize passes that a
+:class:`~dqcalib.cost.MotionPair` applies to its motions, so
+:func:`simulate_rows` returns the rows that :func:`simulate_pairs`'s pairs
+hold.  The functions that take or return ``DualQuat`` and ``MotionPair``
+objects wrap the rows at the boundary.
+
+RNG draw order (an invariant: every seeded dataset depends on it): the
+noise generator is ``default_rng(seed)``.  It draws for the motions in
+order, sensor A's motion of a pair before sensor B's.  Each motion draws
+its rotation axis (3 normals), then its angle (1, only if sigma_rot > 0),
+then its translation (3, only if sigma_trans > 0).  The draws come as one
+block, whose values equal those of the draws made one by one in that order.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from numbers import Integral, Real
 from typing import Callable
 
 import numpy as np
 
 from .cost import MotionPair
-from .dualquat import DualQuat, quat_mul
+from .dualquat import (DualQuat, _row_dots, angle_translation_rows,
+                       canonicalized_rows, conjugate_rows, dq_mul_rows,
+                       from_homogeneous_rows, from_rot_trans_rows,
+                       normalized_rows, quat_mul)
 from .errors import DegeneratePath
+from .io import PairArrays
 from .planar import GroundPlane, transform_plane
 
 
@@ -128,6 +158,26 @@ def _resample_by_arclength(points: np.ndarray, step_length: float,
 
 # -- configuration and pose generation ---------------------------------------
 
+def _check_noise_level(level) -> None:
+    """Raise ValueError unless ``level`` is a finite nonnegative fraction or
+    a pair of finite nonnegative sigmas."""
+    if isinstance(level, (int, float)):
+        values = (level,)
+    else:
+        try:
+            values = tuple(level)
+        except TypeError:
+            raise ValueError(f"noise_level {level!r} is neither a number nor "
+                             "a pair of sigmas") from None
+        if len(values) != 2:
+            raise ValueError("noise_level sigmas must be a pair (sigma_trans_m, "
+                             f"sigma_rot_rad), got {len(values)} values")
+    for v in values:
+        if not (isinstance(v, Real) and math.isfinite(v) and v >= 0):
+            raise ValueError(f"noise_level must be finite and nonnegative, "
+                             f"got {level!r}")
+
+
 @dataclass(frozen=True)
 class SimConfig:
     path: object = field(default_factory=lambda: {"kind": "circle", "radius": 12.0})
@@ -140,18 +190,18 @@ class SimConfig:
     rate: float = 10.0
 
     def __post_init__(self):
-        if self.step_length <= 0:
-            raise ValueError("step_length must be positive")
+        for name in ("n_steps", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for name in ("step_length", "rate"):
+            value = getattr(self, name)
+            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, "
+                                 f"got {value!r}")
         if self.n_steps < 1:
             raise ValueError("n_steps must be at least 1")
-        level = self.noise_level
-        if isinstance(level, (int, float)):
-            if level < 0:
-                raise ValueError("noise level must be nonnegative")
-        else:
-            st, sr = level
-            if st < 0 or sr < 0:
-                raise ValueError("noise sigmas must be nonnegative")
+        _check_noise_level(self.noise_level)
 
 
 @dataclass(frozen=True)
@@ -171,8 +221,12 @@ class PoseSequence:
         return len(self.poses)
 
 
-def generate_path(config: SimConfig) -> PoseSequence:
-    """6-DOF poses along the configured path projected onto the surface."""
+def _unit_vectors(v: np.ndarray) -> np.ndarray:
+    return v / np.sqrt(_row_dots(v, v))[:, None]
+
+
+def _path_rows(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (n_steps + 1, 8) pose rows along the configured path."""
     height, gradient = surface_from_spec(config.surface)
     dense = _dense_path_2d(config.path, config.n_steps, config.step_length)
     xy = _resample_by_arclength(dense, config.step_length, config.n_steps)
@@ -181,26 +235,57 @@ def generate_path(config: SimConfig) -> PoseSequence:
     tangents[:-1] = xy[1:] - xy[:-1]
     tangents[-1] = tangents[-2] if len(xy) > 1 else np.array([1.0, 0.0])
 
-    poses = []
-    for (x, y), tan in zip(xy, tangents):
-        gx, gy = gradient(x, y)
-        normal = np.array([-gx, -gy, 1.0])
-        normal /= np.linalg.norm(normal)
-        t3 = np.array([tan[0], tan[1], 0.0])
-        nt = np.linalg.norm(t3)
-        if nt < 1e-12:
-            raise DegeneratePath("zero path tangent")
-        t3 /= nt
-        x_axis = t3 - (t3 @ normal) * normal
-        x_axis /= np.linalg.norm(x_axis)
-        y_axis = np.cross(normal, x_axis)
-        R = np.column_stack([x_axis, y_axis, normal])
-        T = np.eye(4)
-        T[:3, :3] = R
-        T[:3, 3] = (x, y, float(height(x, y)))
-        poses.append(DualQuat.from_homogeneous(T))
-    times = np.arange(len(poses)) / config.rate
-    return PoseSequence(times=times, poses=tuple(poses))
+    x, y = xy[:, 0], xy[:, 1]
+    gx, gy = gradient(x, y)
+    normal = _unit_vectors(np.column_stack([-gx, -gy, np.ones(len(xy))]))
+    t3 = np.column_stack([tangents, np.zeros(len(xy))])
+    nt = np.sqrt(_row_dots(t3, t3))
+    if np.any(nt < 1e-12):
+        raise DegeneratePath("zero path tangent")
+    t3 /= nt[:, None]
+    x_axis = _unit_vectors(t3 - _row_dots(t3, normal)[:, None] * normal)
+    T = np.zeros((len(xy), 4, 4))
+    T[:, :3, 0] = x_axis
+    T[:, :3, 1] = np.cross(normal, x_axis)
+    T[:, :3, 2] = normal
+    T[:, :3, 3] = np.column_stack([x, y, height(x, y)])
+    T[:, 3, 3] = 1.0
+    return np.arange(len(xy)) / config.rate, from_homogeneous_rows(T)
+
+
+def generate_path(config: SimConfig) -> PoseSequence:
+    """6-DOF poses along the configured path projected onto the surface."""
+    times, rows = _path_rows(config)
+    return PoseSequence(times=times, poses=tuple(map(DualQuat.from_vec, rows)))
+
+
+def _sensor_motions(poses: np.ndarray, true_calib: DualQuat) -> np.ndarray:
+    """(n, 2, 8) incremental motions of sensor A with (n + 1, 8) pose rows
+    and of sensor B, mounted on it by ``true_calib``; sign-canonical, not
+    yet normalized."""
+    qt = true_calib.normalized().canonicalized()
+    v_a = canonicalized_rows(dq_mul_rows(conjugate_rows(poses[:-1]), poses[1:]))
+    qt_inv = np.broadcast_to(qt.conjugate().vec(), v_a.shape)
+    v_b = canonicalized_rows(dq_mul_rows(dq_mul_rows(qt_inv, v_a),
+                                         np.broadcast_to(qt.vec(), v_a.shape)))
+    return np.stack([v_a, v_b], axis=1)
+
+
+def _held(motions: np.ndarray) -> np.ndarray:
+    """Motions normalized and sign-canonicalized as a MotionPair holds them."""
+    rows = motions.reshape(-1, 8)
+    return canonicalized_rows(normalized_rows(rows)).reshape(motions.shape)
+
+
+def _motion_pairs(times: np.ndarray, motions: np.ndarray) -> list[MotionPair]:
+    return [MotionPair(q_a=DualQuat.from_vec(a), q_b=DualQuat.from_vec(b),
+                       timestamp=t)
+            for t, (a, b) in zip(times.tolist(), motions)]
+
+
+def _pair_motions(pairs) -> np.ndarray:
+    """The motions a list of MotionPairs holds, as (n, 2, 8) rows."""
+    return np.array([(p.q_a.vec(), p.q_b.vec()) for p in pairs]).reshape(-1, 2, 8)
 
 
 def sensor_pair_motions(poses: PoseSequence, true_calib: DualQuat) -> list[MotionPair]:
@@ -212,26 +297,24 @@ def sensor_pair_motions(poses: PoseSequence, true_calib: DualQuat) -> list[Motio
     """
     if len(poses) < 2:
         raise ValueError("need at least two poses")
-    qt = true_calib.normalized().canonicalized()
-    qt_inv = qt.conjugate()
-    pairs = []
-    for i in range(len(poses) - 1):
-        v_a = (poses.poses[i].conjugate() * poses.poses[i + 1]).canonicalized()
-        v_b = (qt_inv * v_a * qt).canonicalized()
-        pairs.append(MotionPair(q_a=v_a, q_b=v_b, timestamp=float(poses.times[i + 1])))
-    return pairs
+    rows = np.array([p.vec() for p in poses.poses])
+    return _motion_pairs(poses.times[1:], _sensor_motions(rows, true_calib))
 
 
 # -- noise --------------------------------------------------------------------
 
-def _motion_magnitudes(pairs: list[MotionPair]) -> tuple[float, float]:
-    trans, rot = [], []
-    for p in pairs:
-        for q in (p.q_a, p.q_b):
-            _, angle, t = q.to_rot_trans()
-            rot.append(angle)
-            trans.append(np.linalg.norm(t))
-    return float(np.mean(trans)), float(np.mean(rot))
+def _sigmas(noise_level, held: np.ndarray) -> tuple[float, float]:
+    """:func:`noise_sigmas` of the (n, 2, 8) motions ``held``."""
+    _check_noise_level(noise_level)
+    if not isinstance(noise_level, (int, float)):
+        st, sr = noise_level
+        return float(st), float(sr)
+    if noise_level == 0:
+        return 0.0, 0.0
+    # the mean runs over the motions in order, q_a of a pair before its q_b
+    angle, t = angle_translation_rows(held.reshape(-1, 8))
+    mean_t = float(np.mean(np.sqrt(_row_dots(t, t))))
+    return noise_level * mean_t, noise_level * float(np.mean(angle))
 
 
 def noise_sigmas(pairs: list[MotionPair], noise_level) -> tuple[float, float]:
@@ -240,21 +323,32 @@ def noise_sigmas(pairs: list[MotionPair], noise_level) -> tuple[float, float]:
     A scalar is a fraction of the dataset's mean per-step translation and
     rotation magnitudes; a tuple is taken as absolute sigmas.
     """
-    if isinstance(noise_level, (int, float)):
-        if noise_level == 0:
-            return 0.0, 0.0
-        mean_t, mean_r = _motion_magnitudes(pairs)
-        return noise_level * mean_t, noise_level * mean_r
-    st, sr = noise_level
-    return float(st), float(sr)
+    return _sigmas(noise_level, _pair_motions(pairs))
 
 
-def _perturbation(rng: np.random.Generator, sigma_t: float, sigma_r: float) -> DualQuat:
-    axis = rng.normal(size=3)
-    axis /= np.linalg.norm(axis)
-    angle = rng.normal(0.0, sigma_r) if sigma_r > 0 else 0.0
-    t = rng.normal(0.0, sigma_t, size=3) if sigma_t > 0 else np.zeros(3)
-    return DualQuat.from_rot_trans(axis, angle, t)
+def _perturbed(held: np.ndarray, noise_level, seed: int) -> np.ndarray | None:
+    """The (n, 2, 8) motions ``held``, each left-composed with a random
+    displacement drawn in the module's RNG order; sign-canonical, not yet
+    normalized.  None when the noise level resolves to zero sigmas."""
+    sigma_t, sigma_r = _sigmas(noise_level, held)
+    if sigma_t == 0.0 and sigma_r == 0.0:
+        return None
+    motions = held.reshape(-1, 8)
+    n = len(motions)
+    # a normal draw is loc + scale * z: the block holds 0.0 + 1.0 * z
+    draws = np.random.default_rng(seed).normal(
+        size=(n, 3 + (sigma_r > 0) + 3 * (sigma_t > 0)))
+    axis = _unit_vectors(draws[:, :3])
+    angle = 0.0 + sigma_r * draws[:, 3] if sigma_r > 0 else np.zeros(n)
+    t = 0.0 + sigma_t * draws[:, -3:] if sigma_t > 0 else np.zeros((n, 3))
+    noise = from_rot_trans_rows(axis, angle, t)
+    return canonicalized_rows(dq_mul_rows(noise, motions)).reshape(held.shape)
+
+
+def _noisy(motions: np.ndarray, noise_level, seed: int) -> np.ndarray:
+    """:func:`add_noise` on (n, 2, 8) motion rows, before the MotionPair pass."""
+    noisy = _perturbed(_held(motions), noise_level, seed)
+    return motions if noisy is None else noisy
 
 
 def add_noise(pairs: list[MotionPair], noise_level, seed: int) -> list[MotionPair]:
@@ -264,16 +358,11 @@ def add_noise(pairs: list[MotionPair], noise_level, seed: int) -> list[MotionPai
     angle; translation noise is isotropic normal.  A zero level returns the
     input pairs unchanged.
     """
-    sigma_t, sigma_r = noise_sigmas(pairs, noise_level)
-    if sigma_t == 0.0 and sigma_r == 0.0:
+    noisy = _perturbed(_pair_motions(pairs), noise_level, seed)
+    if noisy is None:
         return list(pairs)
-    rng = np.random.default_rng(seed)
-    noisy = []
-    for p in pairs:
-        qa = (_perturbation(rng, sigma_t, sigma_r) * p.q_a).canonicalized()
-        qb = (_perturbation(rng, sigma_t, sigma_r) * p.q_b).canonicalized()
-        noisy.append(replace(p, q_a=qa, q_b=qb))
-    return noisy
+    return [replace(p, q_a=DualQuat.from_vec(a), q_b=DualQuat.from_vec(b))
+            for p, (a, b) in zip(pairs, noisy)]
 
 
 # -- sampling helpers ----------------------------------------------------------
@@ -298,16 +387,34 @@ def sample_study_calibration(rng: np.random.Generator) -> DualQuat:
     return DualQuat(r, dual).canonicalized()
 
 
-def simulate_pairs(config: SimConfig) -> tuple[list[MotionPair], DualQuat]:
-    """Full pipeline: path -> pair motions -> noise. Returns (pairs, truth)."""
+def _simulate(config: SimConfig) -> tuple[np.ndarray, np.ndarray, DualQuat]:
+    """Timestamps, (n, 2, 8) motions before the MotionPair pass, and truth."""
     rng = np.random.default_rng(config.seed)
     truth = config.true_calib
     if truth is None:
         truth = sample_study_calibration(rng)
-    poses = generate_path(config)
-    pairs = sensor_pair_motions(poses, truth)
-    pairs = add_noise(pairs, config.noise_level, seed=config.seed + 1)
-    return pairs, truth
+    times, poses = _path_rows(config)
+    motions = _noisy(_sensor_motions(poses, truth), config.noise_level,
+                     seed=config.seed + 1)
+    return times[1:], motions, truth
+
+
+def simulate_rows(config: SimConfig) -> tuple[PairArrays, DualQuat]:
+    """Full pipeline as rows: the pairs :func:`simulate_pairs` returns, as
+    the :class:`PairArrays` that ``PairArrays.from_pairs`` makes of them,
+    and the truth."""
+    times, motions, truth = _simulate(config)
+    held = _held(motions)
+    n = len(times)
+    return PairArrays(t=times, q_a=np.ascontiguousarray(held[:, 0]),
+                      q_b=np.ascontiguousarray(held[:, 1]), w=np.ones((n, 8)),
+                      eta=np.ones(n)), truth
+
+
+def simulate_pairs(config: SimConfig) -> tuple[list[MotionPair], DualQuat]:
+    """Full pipeline: path -> pair motions -> noise. Returns (pairs, truth)."""
+    times, motions, truth = _simulate(config)
+    return _motion_pairs(times, motions), truth
 
 
 # -- planar rig scenario --------------------------------------------------------
@@ -342,12 +449,12 @@ def planar_rig(n_steps: int = 60, seed: int = 0, step_length: float = 1.0,
                                "fx": 1.0, "fy": 2.0},
                          surface={"kind": "flat"}, step_length=step_length,
                          n_steps=n_steps, rate=rate)
-    body = generate_path(body_cfg)
-    sensor_a = PoseSequence(times=body.times,
-                            poses=tuple((w * mount_a).canonicalized()
-                                        for w in body.poses))
-    pairs = sensor_pair_motions(sensor_a, true_calib)
-    pairs = add_noise(pairs, noise_level, seed=seed + 1)
+    times, body = _path_rows(body_cfg)
+    sensor_a = canonicalized_rows(
+        dq_mul_rows(body, np.broadcast_to(mount_a.vec(), body.shape)))
+    motions = _noisy(_sensor_motions(sensor_a, true_calib), noise_level,
+                     seed=seed + 1)
+    pairs = _motion_pairs(times[1:], motions)
 
     body_plane = GroundPlane(normal=np.array([0.0, 0.0, 1.0]), distance=body_height)
     plane_a = transform_plane(body_plane, mount_a)

@@ -155,3 +155,124 @@ def use_oracle_kernels(monkeypatch):
     monkeypatch.setattr(dqcalib.local_solver, "_newton_direction",
                         qr_newton_direction)
     monkeypatch.setattr(dqcalib.verify, "fit_multipliers", lstsq_fit_multipliers)
+
+
+# Oracle for the simulator's row pipeline: the per-pose and per-pair loops it
+# replaces, on DualQuat and MotionPair objects, with the same signatures.
+
+def oracle_generate_path(config):
+    from dqcalib.errors import DegeneratePath
+    from dqcalib.sim import (PoseSequence, _dense_path_2d,
+                             _resample_by_arclength, surface_from_spec)
+
+    height, gradient = surface_from_spec(config.surface)
+    dense = _dense_path_2d(config.path, config.n_steps, config.step_length)
+    xy = _resample_by_arclength(dense, config.step_length, config.n_steps)
+
+    tangents = np.empty_like(xy)
+    tangents[:-1] = xy[1:] - xy[:-1]
+    tangents[-1] = tangents[-2] if len(xy) > 1 else np.array([1.0, 0.0])
+
+    poses = []
+    for (x, y), tan in zip(xy, tangents):
+        gx, gy = gradient(x, y)
+        normal = np.array([-gx, -gy, 1.0])
+        normal /= np.linalg.norm(normal)
+        t3 = np.array([tan[0], tan[1], 0.0])
+        nt = np.linalg.norm(t3)
+        if nt < 1e-12:
+            raise DegeneratePath("zero path tangent")
+        t3 /= nt
+        x_axis = t3 - (t3 @ normal) * normal
+        x_axis /= np.linalg.norm(x_axis)
+        y_axis = np.cross(normal, x_axis)
+        R = np.column_stack([x_axis, y_axis, normal])
+        T = np.eye(4)
+        T[:3, :3] = R
+        T[:3, 3] = (x, y, float(height(x, y)))
+        poses.append(DualQuat.from_homogeneous(T))
+    times = np.arange(len(poses)) / config.rate
+    return PoseSequence(times=times, poses=tuple(poses))
+
+
+def oracle_sensor_pair_motions(poses, true_calib):
+    qt = true_calib.normalized().canonicalized()
+    qt_inv = qt.conjugate()
+    pairs = []
+    for i in range(len(poses) - 1):
+        v_a = (poses.poses[i].conjugate() * poses.poses[i + 1]).canonicalized()
+        v_b = (qt_inv * v_a * qt).canonicalized()
+        pairs.append(MotionPair(q_a=v_a, q_b=v_b,
+                                timestamp=float(poses.times[i + 1])))
+    return pairs
+
+
+def oracle_noise_sigmas(pairs, noise_level):
+    if isinstance(noise_level, (int, float)):
+        if noise_level == 0:
+            return 0.0, 0.0
+        trans, rot = [], []
+        for p in pairs:
+            for q in (p.q_a, p.q_b):
+                _, angle, t = q.to_rot_trans()
+                rot.append(angle)
+                trans.append(np.linalg.norm(t))
+        return noise_level * float(np.mean(trans)), noise_level * float(np.mean(rot))
+    st, sr = noise_level
+    return float(st), float(sr)
+
+
+def _oracle_perturbation(rng, sigma_t, sigma_r):
+    axis = rng.normal(size=3)
+    axis /= np.linalg.norm(axis)
+    angle = rng.normal(0.0, sigma_r) if sigma_r > 0 else 0.0
+    t = rng.normal(0.0, sigma_t, size=3) if sigma_t > 0 else np.zeros(3)
+    return DualQuat.from_rot_trans(axis, angle, t)
+
+
+def oracle_add_noise(pairs, noise_level, seed):
+    from dataclasses import replace
+
+    sigma_t, sigma_r = oracle_noise_sigmas(pairs, noise_level)
+    if sigma_t == 0.0 and sigma_r == 0.0:
+        return list(pairs)
+    rng = np.random.default_rng(seed)
+    noisy = []
+    for p in pairs:
+        qa = (_oracle_perturbation(rng, sigma_t, sigma_r) * p.q_a).canonicalized()
+        qb = (_oracle_perturbation(rng, sigma_t, sigma_r) * p.q_b).canonicalized()
+        noisy.append(replace(p, q_a=qa, q_b=qb))
+    return noisy
+
+
+def oracle_simulate_pairs(config):
+    from dqcalib.sim import sample_study_calibration
+
+    rng = np.random.default_rng(config.seed)
+    truth = config.true_calib
+    if truth is None:
+        truth = sample_study_calibration(rng)
+    pairs = oracle_sensor_pair_motions(oracle_generate_path(config), truth)
+    return oracle_add_noise(pairs, config.noise_level, seed=config.seed + 1), truth
+
+
+def oracle_planar_rig(n_steps=60, seed=0, step_length=1.0, noise_level=0.0,
+                      mount_translation=1.5, rate=10.0):
+    """The pairs, truth and mounts of ``planar_rig`` with these arguments."""
+    from dqcalib.sim import PoseSequence, SimConfig
+
+    rng = np.random.default_rng(seed)
+    mount_a = random_unit_dq(rng, max_translation=mount_translation)
+    mount_b = random_unit_dq(rng, max_translation=mount_translation)
+    true_calib = (mount_a.conjugate() * mount_b).canonicalized()
+    body_cfg = SimConfig(path={"kind": "lissajous", "ax": 14.0, "ay": 9.0,
+                               "fx": 1.0, "fy": 2.0},
+                         surface={"kind": "flat"}, step_length=step_length,
+                         n_steps=n_steps, rate=rate)
+    body = oracle_generate_path(body_cfg)
+    sensor_a = PoseSequence(times=body.times,
+                            poses=tuple((w * mount_a).canonicalized()
+                                        for w in body.poses))
+    pairs = oracle_sensor_pair_motions(sensor_a, true_calib)
+    pairs = oracle_add_noise(pairs, noise_level, seed=seed + 1)
+    return pairs, true_calib, mount_a, mount_b

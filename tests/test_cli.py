@@ -210,6 +210,38 @@ class TestSimulateAndStudy:
         assert main(["simulate", "--config", str(cfg_path),
                      "--out", str(tmp_path / "x.jsonl")]) == 2
 
+    @pytest.mark.parametrize("bad", [
+        {"noise_level": float("nan")}, {"noise_level": [float("nan"), 0.01]},
+        {"noise_level": float("inf")}, {"n_steps": 5.0}, {"seed": 1.5},
+        {"rate": 0}], ids=lambda bad: "-".join(map(str, *bad.items())))
+    def test_simulate_rejects_bad_values(self, tmp_path, capsys, bad):
+        cfg_path = tmp_path / "sim.json"
+        # json writes NaN and Infinity as the bare words json.load reads
+        cfg_path.write_text(json.dumps({"n_steps": 5, "seed": 1, **bad}))
+        out = tmp_path / "x.jsonl"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 2
+        assert next(iter(bad)) in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_simulate_writes_the_oracle_pairs(self, tmp_path):
+        from conftest import oracle_simulate_pairs
+        from dqcalib.sim import SimConfig
+
+        cfg = {"n_steps": 40, "seed": 8, "noise_level": [0.02, 0.01],
+               "surface": {"kind": "flat"}, "rate": 20.0}
+        cfg_path = tmp_path / "sim.json"
+        cfg_path.write_text(json.dumps(cfg))
+        out = tmp_path / "pairs.jsonl"
+        assert main(["simulate", "--config", str(cfg_path),
+                     "--out", str(out)]) == 0
+        pairs, truth = oracle_simulate_pairs(SimConfig(
+            **{**cfg, "noise_level": tuple(cfg["noise_level"])}))
+        save_pairs_jsonl(pairs, tmp_path / "oracle.jsonl")
+        assert out.read_bytes() == (tmp_path / "oracle.jsonl").read_bytes()
+        sidecar = json.loads((tmp_path / "pairs.jsonl.gt.json").read_text())
+        assert sidecar["true_calib"] == list(truth.vec())
+
     def test_study_row_count_and_header(self, tmp_path, monkeypatch):
         monkeypatch.setenv("DQCALIB_THREADS", "1")
         cfg = {"noise_levels": [0.02, 0.1], "sizes": [10, 20], "seeds": 2}

@@ -4,10 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from dqcalib.dualquat import (DualQuat, canonicalize, canonicalized_rows,
-                              conjugate, dq_mul, dq_mul_rows, left_mat,
-                              normalized_rows, quat_mul, quat_to_rot,
-                              right_mat, rot_to_quat)
+from dqcalib.dualquat import (DualQuat, angle_translation_rows, canonicalize,
+                              canonicalized_rows, conjugate, conjugate_rows,
+                              dq_mul, dq_mul_rows, from_homogeneous_rows,
+                              from_rot_trans_rows, left_mat, normalized_rows,
+                              quat_mul, quat_to_rot, right_mat, rot_to_quat,
+                              rot_to_quat_rows)
 from dqcalib.errors import NonUnitAxis, NotUnit
 
 from conftest import unit_dqs, unit_quats
@@ -358,3 +360,43 @@ def test_normalized_rejects_non_finite_component(bad, k):
     v[k] = bad
     with pytest.raises(NotUnit, match="non-finite"):
         DualQuat.from_vec(v).normalized()
+
+
+def test_pose_row_forms_match_scalar_methods(rng):
+    # half-turns about each axis, and about diagonals, reach every branch of
+    # Shepperd's method; the zero and tiny angles the sign and axis rules
+    n = 400
+    axes = np.concatenate([np.eye(3), [[1.0, 1.0, 0.0], [0.0, 1.0, -1.0]],
+                           rng.normal(size=(n - 5, 3))])
+    axes /= np.linalg.norm(axes, axis=1)[:, None]
+    angles = np.concatenate([[np.pi] * 5, [0.0, 1e-12, -1e-10, 2 * np.pi],
+                             rng.uniform(-4.0, 4.0, n - 9)])
+    trans = rng.normal(size=(n, 3)) * 10.0
+    scalar = [DualQuat.from_rot_trans(a, t, d) for a, t, d in zip(axes, angles, trans)]
+    V = np.array([q.vec() for q in scalar])
+    assert same_bits(from_rot_trans_rows(axes, angles, trans), V)
+    assert same_bits(conjugate_rows(V), [q.conjugate().vec() for q in scalar])
+    angle, t = angle_translation_rows(V)
+    expected = [q.to_rot_trans() for q in scalar]
+    assert same_bits(angle, [e[1] for e in expected])
+    assert same_bits(t, [e[2] for e in expected])
+    T = np.array([q.to_homogeneous() for q in scalar])
+    assert {int(np.argmax([np.trace(R), *np.diag(R)])) for R in T[:, :3, :3]} == {0, 1, 2, 3}
+    assert same_bits(rot_to_quat_rows(T[:, :3, :3]), [rot_to_quat(R) for R in T[:, :3, :3]])
+    assert same_bits(from_homogeneous_rows(T),
+                     [DualQuat.from_homogeneous(M).vec() for M in T])
+
+
+def test_pose_row_forms_reject_as_scalar_methods():
+    axes = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 2.0], [0.0, 0.0, 3.0]])
+    with pytest.raises(NonUnitAxis, match="axis norm 2.0 "):
+        from_rot_trans_rows(axes, np.array([0.1, 0.2, 0.3]), np.zeros((3, 3)))
+    # a zero angle ignores the axis, as the scalar method does
+    from_rot_trans_rows(axes, np.zeros(3), np.zeros((3, 3)))
+    V = np.tile(DualQuat.from_rot_trans([0, 0, 1], 0.3, [1, 2, 3]).vec(), (3, 1))
+    V[2, 0] += 1e-6
+    with pytest.raises(NotUnit) as err:
+        angle_translation_rows(V)
+    assert err.value.row == 2
+    with pytest.raises(NotUnit):
+        DualQuat.from_vec(V[2]).to_rot_trans()

@@ -1,11 +1,17 @@
 import numpy as np
 import pytest
 
-from dqcalib.dualquat import DualQuat, left_mat, right_mat
+from dqcalib.dualquat import (DualQuat, canonicalized_rows, conjugate_rows,
+                              dq_mul_rows, left_mat, quat_mul_rows, right_mat)
 from dqcalib.errors import DegeneratePath
+from dqcalib.io import PairArrays
 from dqcalib.sim import (SimConfig, add_noise, generate_path, noise_sigmas,
                          planar_rig, random_unit_dq, sensor_pair_motions,
-                         simulate_pairs, surface_from_spec)
+                         simulate_pairs, simulate_rows, surface_from_spec)
+
+from conftest import (oracle_add_noise, oracle_generate_path,
+                      oracle_noise_sigmas, oracle_planar_rig,
+                      oracle_sensor_pair_motions, oracle_simulate_pairs)
 
 
 def flat_config(**kw):
@@ -160,12 +166,11 @@ class TestAddNoise:
         pairs = pairs * 250  # 50k pairs -> 100k perturbed motions
         sigma_t = 0.1
         noisy = add_noise(pairs, (sigma_t, 0.0), seed=11)
-        deltas = []
-        for clean, dirty in zip(pairs, noisy):
-            for q0, q1 in ((clean.q_a, dirty.q_a), (clean.q_b, dirty.q_b)):
-                d = (q1 * q0.conjugate()).canonicalized()
-                deltas.append(d.translation())
-        deltas = np.array(deltas)
+        q0 = np.array([(p.q_a.vec(), p.q_b.vec()) for p in pairs]).reshape(-1, 8)
+        q1 = np.array([(p.q_a.vec(), p.q_b.vec()) for p in noisy]).reshape(-1, 8)
+        d = canonicalized_rows(dq_mul_rows(q1, conjugate_rows(q0)))
+        # DualQuat.translation, row-wise
+        deltas = 2.0 * quat_mul_rows(d[:, 4:], conjugate_rows(d)[:, :4])[:, 1:]
         n = len(deltas)
         bound = 3 * sigma_t / np.sqrt(n)
         assert np.all(np.abs(deltas.mean(axis=0)) < bound * 1.5)
@@ -210,3 +215,86 @@ class TestPlanarRig:
             SimConfig(step_length=0.0)
         with pytest.raises(ValueError):
             SimConfig(noise_level=-0.1)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("n_steps", 5.0), ("n_steps", True), ("seed", 1.5), ("seed", False),
+    ("step_length", float("nan")), ("step_length", float("inf")),
+    ("rate", 0.0), ("rate", float("inf")), ("rate", -10.0),
+    ("noise_level", float("nan")), ("noise_level", float("inf")),
+    ("noise_level", (float("nan"), 0.01)), ("noise_level", (0.01, -0.1)),
+    ("noise_level", (0.01,)), ("noise_level", (0.01, 0.01, 0.01)),
+    ("noise_level", "0.05"),
+])
+def test_bad_config_rejected(field, value):
+    with pytest.raises(ValueError, match=field):
+        SimConfig(**{"n_steps": 5, field: value})
+
+
+def _pair_bits(pairs):
+    return np.array([np.concatenate([[p.timestamp], p.q_a.vec(), p.q_b.vec(),
+                                     p.weight_diag, [p.eta is None]])
+                     for p in pairs]).view(np.int64)
+
+
+def _same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
+
+
+WAVY = {"kind": "sinusoid", "terms": [
+    {"amplitude": 2.0, "wavelength": 5.0, "axis": "y", "phase": 0.3},
+    {"amplitude": 0.7, "wavelength": 3.0, "axis": "x", "phase": -1.0}]}
+WAYPOINTS = {"kind": "waypoints",
+             "points": [[0, 0], [30, 5], [10, 60], [-40, 20], [0, 0]]}
+LISSAJOUS = {"kind": "lissajous", "ax": 14.0, "ay": 9.0, "fx": 1.0, "fy": 2.0}
+
+
+@pytest.mark.parametrize("case", [
+    SimConfig(n_steps=1),
+    SimConfig(n_steps=2, noise_level=0.05, seed=3),
+    SimConfig(n_steps=7, surface={"kind": "flat"}, noise_level=(0.1, 0.0)),
+    SimConfig(n_steps=300, noise_level=0.05, seed=11),
+    SimConfig(path=LISSAJOUS, surface=WAVY, n_steps=7, noise_level=(0.0, 0.02)),
+    SimConfig(path=LISSAJOUS, surface={"kind": "flat"}, n_steps=300,
+              noise_level=(0.05, 0.3), seed=4),
+    SimConfig(path=WAYPOINTS, surface=WAVY, n_steps=60, noise_level=0.1, seed=5),
+    SimConfig(path=WAYPOINTS, surface={"kind": "flat"}, n_steps=2,
+              noise_level=(0.0, 0.02), seed=6),
+    SimConfig(path={"kind": "circle", "radius": 5.0}, surface=WAVY, n_steps=1,
+              noise_level=(0.05, 0.3), rate=7.0,
+              true_calib=DualQuat.from_rot_trans([0, 0, 1], 0.3, [1, 2, 3])),
+    {"n_steps": 1, "seed": 1},
+    {"n_steps": 80, "seed": 2, "noise_level": 0.02},
+    {"n_steps": 300, "seed": 7, "noise_level": 0.1, "mount_translation": 1.0},
+    {"n_steps": 40, "seed": 8, "noise_level": (0.05, 0.01), "rate": 4.0},
+], ids=lambda case: "rig" if isinstance(case, dict) else "sim")
+def test_row_pipeline_matches_oracle_bit_for_bit(case):
+    if isinstance(case, dict):
+        rig = planar_rig(**case)
+        pairs, truth, mount_a, mount_b = oracle_planar_rig(**case)
+        assert _same_bits(_pair_bits(rig.pairs), _pair_bits(pairs))
+        for made, expected in ((rig.true_calib, truth), (rig.mount_a, mount_a),
+                               (rig.mount_b, mount_b)):
+            assert _same_bits(made.vec(), expected.vec())
+        return
+    poses, expected_poses = generate_path(case), oracle_generate_path(case)
+    assert _same_bits(poses.times, expected_poses.times)
+    assert _same_bits([p.vec() for p in poses.poses],
+                      [p.vec() for p in expected_poses.poses])
+    pairs, truth = simulate_pairs(case)
+    expected, expected_truth = oracle_simulate_pairs(case)
+    assert _same_bits(truth.vec(), expected_truth.vec())
+    assert _same_bits(_pair_bits(pairs), _pair_bits(expected))
+    rows, _ = simulate_rows(case)
+    expected_rows = PairArrays.from_pairs(expected)
+    for name in ("t", "q_a", "q_b", "w", "eta"):
+        assert _same_bits(getattr(rows, name), getattr(expected_rows, name))
+    # the stages on their own, from the oracle's inputs
+    clean = oracle_sensor_pair_motions(expected_poses, truth)
+    assert _same_bits(_pair_bits(sensor_pair_motions(expected_poses, truth)),
+                      _pair_bits(clean))
+    assert _same_bits(noise_sigmas(clean, case.noise_level),
+                      oracle_noise_sigmas(clean, case.noise_level))
+    assert _same_bits(_pair_bits(add_noise(clean, case.noise_level, seed=9)),
+                      _pair_bits(oracle_add_noise(clean, case.noise_level, seed=9)))
