@@ -42,11 +42,10 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import MotionPair
+from .cost import MotionPair, _motion_rows
 from .dualquat import (DualQuat, _row_dots, angle_translation_rows,
                        canonicalized_rows, conjugate_rows, dq_mul_rows,
-                       from_homogeneous_rows, from_rot_trans_rows,
-                       normalized_rows, quat_mul)
+                       from_homogeneous_rows, from_rot_trans_rows, quat_mul)
 from .errors import DegeneratePath
 from .io import PairArrays
 from .planar import GroundPlane, transform_plane
@@ -273,8 +272,7 @@ def _sensor_motions(poses: np.ndarray, true_calib: DualQuat) -> np.ndarray:
 
 def _held(motions: np.ndarray) -> np.ndarray:
     """Motions normalized and sign-canonicalized as a MotionPair holds them."""
-    rows = motions.reshape(-1, 8)
-    return canonicalized_rows(normalized_rows(rows)).reshape(motions.shape)
+    return _motion_rows(motions.reshape(-1, 8)).reshape(motions.shape)
 
 
 def _motion_pairs(times: np.ndarray, motions: np.ndarray) -> list[MotionPair]:
