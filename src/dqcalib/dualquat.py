@@ -353,6 +353,7 @@ def right_mat(q: DualQuat) -> np.ndarray:
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
+
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Row-wise inner products through the same BLAS dot as ``a[i] @ b[i]``."""
     return (a[:, None, :] @ b[:, :, None])[:, 0, 0]

@@ -381,8 +381,9 @@ def test_pose_row_forms_match_scalar_methods(rng):
     assert same_bits(angle, [e[1] for e in expected])
     assert same_bits(t, [e[2] for e in expected])
     T = np.array([q.to_homogeneous() for q in scalar])
-    assert {int(np.argmax([np.trace(R), *np.diag(R)])) for R in T[:, :3, :3]} == {0, 1, 2, 3}
-    assert same_bits(rot_to_quat_rows(T[:, :3, :3]), [rot_to_quat(R) for R in T[:, :3, :3]])
+    R = T[:, :3, :3]
+    assert {int(np.argmax([np.trace(M), *np.diag(M)])) for M in R} == {0, 1, 2, 3}
+    assert same_bits(rot_to_quat_rows(R), [rot_to_quat(M) for M in R])
     assert same_bits(from_homogeneous_rows(T),
                      [DualQuat.from_homogeneous(M).vec() for M in T])
 
