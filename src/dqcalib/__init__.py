@@ -16,7 +16,7 @@ from .planar import (GroundPlane, RansacOptions, fit_ground_plane,
                      transform_plane)
 from .sim import (PoseSequence, SimConfig, add_noise, generate_path,
                   planar_rig, random_unit_dq, sensor_pair_motions,
-                  simulate_pairs, simulate_rows)
+                  simulate_pairs)
 from .verify import Certificate, certify
 
 __version__ = "0.1.0"
@@ -32,8 +32,7 @@ __all__ = [
     "left_mat", "lift_calibration", "multiplier_matrices", "pair_cost_matrix",
     "planar_rig", "plane_alignment_dq", "project_motion",
     "random_unit_dq", "recover_primal", "replay", "right_mat",
-    "sensor_pair_motions", "simulate_pairs", "simulate_rows", "solve_dual",
-    "solve_global",
+    "sensor_pair_motions", "simulate_pairs", "solve_dual", "solve_global",
     "solve_local", "solve_planar",
     "to_rot_trans", "transform_plane", "transform_point",
 ]

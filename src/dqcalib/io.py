@@ -241,19 +241,6 @@ def pair_streams(traj_a: Trajectory, traj_b: Trajectory,
 
 # -- motion-pair JSONL -----------------------------------------------------------
 
-def save_pairs_jsonl(pairs, path):
-    with open(path, "w") as fh:
-        for p in pairs:
-            rec = {"t": p.timestamp,
-                   "qa": list(p.q_a.vec()),
-                   "qb": list(p.q_b.vec())}
-            if not np.all(p.weight_diag == 1.0):
-                rec["w"] = list(p.weight_diag)
-            if p.eta is not None:
-                rec["eta"] = p.eta
-            fh.write(json.dumps(rec) + "\n")
-
-
 @dataclass(frozen=True)
 class PairArrays:
     """Motion pairs as rows: ``t`` (N,), unit sign-canonical ``q_a`` and
@@ -290,12 +277,8 @@ class PairArrays:
 
 
 def save_pair_rows_jsonl(rows: PairArrays, path):
-    """Write rows as a motion-pair file, one line per row.
-
-    A line leaves out a weight or confidence of 1, so the rows of
-    :class:`MotionPair` objects without ``eta`` give the bytes
-    :func:`save_pairs_jsonl` writes for those pairs.
-    """
+    """Write rows as a motion-pair file, one line per row; a line leaves
+    out a weight or confidence of 1."""
     with open(path, "w") as fh:
         for t, q_a, q_b, w, eta in zip(rows.t.tolist(), rows.q_a.tolist(),
                                        rows.q_b.tolist(), rows.w.tolist(),
@@ -306,6 +289,11 @@ def save_pair_rows_jsonl(rows: PairArrays, path):
             if eta != 1.0:
                 rec["eta"] = eta
             fh.write(json.dumps(rec) + "\n")
+
+
+def save_pairs_jsonl(pairs, path):
+    """Write :class:`MotionPair` objects as a motion-pair file."""
+    save_pair_rows_jsonl(PairArrays.from_pairs(pairs), path)
 
 
 def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:

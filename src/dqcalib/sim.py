@@ -172,7 +172,8 @@ def _check_noise_level(level) -> None:
             raise ValueError("noise_level sigmas must be a pair (sigma_trans_m, "
                              f"sigma_rot_rad), got {len(values)} values")
     for v in values:
-        if not (isinstance(v, Real) and math.isfinite(v) and v >= 0):
+        if (isinstance(v, bool) or not isinstance(v, Real)
+                or not (math.isfinite(v) and v >= 0)):
             raise ValueError(f"noise_level must be finite and nonnegative, "
                              f"got {level!r}")
 
@@ -195,7 +196,8 @@ class SimConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         for name in ("step_length", "rate"):
             value = getattr(self, name)
-            if not (isinstance(value, Real) and math.isfinite(value) and value > 0):
+            if (isinstance(value, bool) or not isinstance(value, Real)
+                    or not (math.isfinite(value) and value > 0)):
                 raise ValueError(f"{name} must be finite and positive, "
                                  f"got {value!r}")
         if self.n_steps < 1:

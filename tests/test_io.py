@@ -9,10 +9,9 @@ from scipy.spatial.transform import Rotation, Slerp
 from dqcalib.cost import MotionPair
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import InvalidWeight, NoOverlap, NotUnit, ParseError
-from dqcalib.io import (PairArrays, PairingConfig, STUDY_CSV_HEADER,
-                        Trajectory, load_pairs_jsonl, load_point_cloud,
-                        load_trajectory, pair_streams, relative_motions,
-                        save_pair_rows_jsonl, save_pairs_jsonl,
+from dqcalib.io import (PairingConfig, STUDY_CSV_HEADER, Trajectory,
+                        load_pairs_jsonl, load_point_cloud, load_trajectory,
+                        pair_streams, relative_motions, save_pairs_jsonl,
                         save_trajectory, sclerp, write_study_csv)
 from dqcalib.sim import random_unit_dq
 
@@ -212,6 +211,8 @@ class TestPairsJsonl:
         pairs[3] = MotionPair(q_a=pairs[3].q_a, q_b=pairs[3].q_b,
                               timestamp=pairs[3].timestamp,
                               weight_diag=np.arange(1.0, 9.0), eta=2.5)
+        pairs[5] = MotionPair(q_a=pairs[5].q_a, q_b=pairs[5].q_b,
+                              timestamp=pairs[5].timestamp, eta=0.0)
         p = tmp_path / "pairs.jsonl"
         save_pairs_jsonl(pairs, p)
         back = load_pairs_jsonl(p)
@@ -227,19 +228,6 @@ class TestPairsJsonl:
             assert np.array_equal(x.q_b.vec(), y.q_b.vec())
             assert x.timestamp == y.timestamp
             assert np.array_equal(x.weight_diag, y.weight_diag)
-
-    def test_row_writer_writes_the_pair_writers_bytes(self, tmp_path, rng):
-        pairs = [MotionPair(q_a=random_unit_dq(rng), q_b=random_unit_dq(rng),
-                            timestamp=0.1 * i) for i in range(20)]
-        pairs[3] = MotionPair(q_a=pairs[3].q_a, q_b=pairs[3].q_b,
-                              timestamp=pairs[3].timestamp,
-                              weight_diag=np.arange(1.0, 9.0), eta=2.5)
-        pairs[5] = MotionPair(q_a=pairs[5].q_a, q_b=pairs[5].q_b,
-                              timestamp=pairs[5].timestamp, eta=0.0)
-        save_pairs_jsonl(pairs, tmp_path / "pairs.jsonl")
-        save_pair_rows_jsonl(PairArrays.from_pairs(pairs), tmp_path / "rows.jsonl")
-        assert ((tmp_path / "rows.jsonl").read_bytes()
-                == (tmp_path / "pairs.jsonl").read_bytes())
 
     def test_non_unit_rejected_with_line(self, tmp_path):
         p = tmp_path / "bad.jsonl"

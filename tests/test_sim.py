@@ -224,7 +224,8 @@ class TestPlanarRig:
     ("noise_level", float("nan")), ("noise_level", float("inf")),
     ("noise_level", (float("nan"), 0.01)), ("noise_level", (0.01, -0.1)),
     ("noise_level", (0.01,)), ("noise_level", (0.01, 0.01, 0.01)),
-    ("noise_level", "0.05"),
+    ("noise_level", "0.05"), ("noise_level", True), ("noise_level", (True, 0.01)),
+    ("noise_level", (0.01, False)), ("step_length", True), ("rate", True),
 ])
 def test_bad_config_rejected(field, value):
     with pytest.raises(ValueError, match=field):
