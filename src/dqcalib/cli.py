@@ -50,6 +50,9 @@ def _parse_gt_pose(text: str) -> DualQuat:
     axis = np.array([ax, ay, az])
     n = np.linalg.norm(axis)
     if angle_deg != 0.0:
+        if n == 0.0:
+            raise ValueError(f"gt pose axis ({ax:g}, {ay:g}, {az:g}) has zero "
+                             f"length but the angle is {angle_deg:g} deg")
         axis = axis / n
     return DualQuat.from_rot_trans(axis, np.deg2rad(angle_deg), [tx, ty, tz])
 
@@ -166,6 +169,8 @@ def _maybe_lift(q_hat, align_a, align_b):
 
 def cmd_online(args) -> int:
     pairs = load_pairs_jsonl(args.pairs)
+    if not pairs:
+        raise errors.EmptyData("no pairs in input file")
     plane_a, plane_b = _alignments(args)
     mode = ConstraintMode.PLANAR if plane_a is not None else _mode(args)
     config = OnlineConfig(mode=mode, t_no_fail=args.t_no_fail,
@@ -352,7 +357,7 @@ def main(argv=None) -> int:
         return command(args)
     except (errors.ParseError, errors.NonOrthogonalRotation, FileNotFoundError,
             json.JSONDecodeError, ValueError, errors.NonMonotonicTime,
-            errors.EmptyData) as err:
+            errors.EmptyData, errors.InvalidWeight) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except errors.NonUniqueSolution as err:

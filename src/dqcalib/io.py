@@ -10,7 +10,8 @@ A motion-pair file loads into one :class:`PairArrays` record of rows, ready
 for :meth:`CostAccumulator.add_batch`; no per-pair object is built.  Its
 rows carry the bits a :class:`MotionPair` built from the same line would
 hold, and a bad file raises the error such a MotionPair would, naming the
-first bad line.
+first bad line.  The file is read line by line, never whole, and the
+numbers of 64 lines at a time are converted together.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
@@ -320,6 +322,88 @@ def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
     return w, eta
 
 
+# rows converted per numpy call; a block goes through the per-line
+# conversion only when one of its lines needs it
+_BLOCK = 64
+_decode = json.JSONDecoder().raw_decode
+
+
+def _numbered_lines(fh):
+    """(line number, stripped line) of each non-blank line.  A file whose
+    text does not decode ends with (None, the decode error), so that a bad
+    line read before the error is still the one reported."""
+    try:
+        for lineno, raw in enumerate(fh, start=1):
+            if line := raw.strip():
+                yield lineno, line
+    except UnicodeDecodeError as err:
+        yield None, err
+
+
+def _convert_block(block):
+    """The rows of a block of numbered lines converted at once, as (line
+    numbers, t bytes, qa bytes, qb bytes, records), or None when a line needs
+    the per-line conversion: a line that is not one whole JSON object,
+    lacks a key, or has a ``qa`` or ``qb`` other than a flat list of 8
+    numbers or a ``t`` other than a finite float."""
+    linenos = [lineno for lineno, _ in block]
+    lines = [line for _, line in block]
+    if linenos[-1] is None:
+        return None
+    try:
+        recs, ends = zip(*map(_decode, lines))
+    except (ValueError, RecursionError):
+        return None
+    if list(ends) != list(map(len, lines)):
+        return None
+    try:
+        # a value other than an object fails its lookups with TypeError
+        stamps = [rec["t"] for rec in recs]
+        a = np.array([rec["qa"] for rec in recs], dtype=float)
+        b = np.array([rec["qb"] for rec in recs], dtype=float)
+    except (KeyError, ValueError, TypeError, OverflowError):
+        return None
+    if (a.shape != (len(recs), 8) or b.shape != a.shape
+            or set(map(type, stamps)) != {float}):
+        return None
+    t = np.array(stamps)
+    if not np.isfinite(t).all():
+        return None
+    return linenos, t.tobytes(), a.tobytes(), b.tobytes(), recs
+
+
+def _convert_lines(block):
+    """The block's rows converted line by line, up to its first bad line:
+    ((line numbers, t bytes, qa bytes, qb bytes, records), the ParseError
+    of the bad line or None)."""
+    linenos, stamps, recs = [], [], []
+    qa, qb = bytearray(), bytearray()
+    fault = None
+    for lineno, line in block:
+        if lineno is None:
+            raise line  # the file's text failed to decode here
+        try:
+            rec = json.loads(line)
+            a = np.asarray(rec["qa"], dtype=float).reshape(8)
+            b = np.asarray(rec["qb"], dtype=float).reshape(8)
+            stamp = float(rec["t"])
+            if not math.isfinite(stamp):
+                raise ValueError(f"timestamp {stamp} is not finite")
+        except KeyError as err:
+            fault = ParseError(f"missing field {err}", line=lineno)
+            break
+        except (ValueError, TypeError) as err:
+            fault = ParseError(str(err), line=lineno)
+            break
+        linenos.append(lineno)
+        stamps.append(stamp)
+        qa += a.tobytes()
+        qb += b.tobytes()
+        recs.append(rec)
+    t = np.array(stamps, dtype=float).tobytes()
+    return (linenos, t, qa, qb, recs), fault
+
+
 def load_pairs_jsonl(path) -> PairArrays:
     """Read a motion-pair file; one JSON object per non-blank line.
 
@@ -331,35 +415,32 @@ def load_pairs_jsonl(path) -> PairArrays:
     ``w`` of the wrong length and InvalidWeight for a negative or
     non-finite ``w`` or ``eta``; a non-finite ``t`` is a ParseError, as a
     missing one is.  The message names the line.
+
+    Each non-blank line is decoded once, as one whole JSON value, and the
+    ``t``, ``qa`` and ``qb`` of 64 lines at a time are converted with one
+    numpy call per field; a block that does not convert cleanly is
+    converted line by line, up to its first bad line.  The value checks
+    then run on all rows at once.
     """
     # flat buffers hold the motions: far smaller than one array per line
-    lines, t, w, eta = [], [], [], []
-    qa, qb = bytearray(), bytearray()
+    lines, w, eta = [], [], []
+    t, qa, qb = bytearray(), bytearray(), bytearray()
     fault = None
     with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                a = np.asarray(rec["qa"], dtype=float).reshape(8)
-                b = np.asarray(rec["qb"], dtype=float).reshape(8)
-                stamp = float(rec["t"])
-                if not math.isfinite(stamp):
-                    raise ValueError(f"timestamp {stamp} is not finite")
-            except KeyError as err:
-                fault = ParseError(f"missing field {err}", line=lineno)
+        numbered = _numbered_lines(fh)
+        while block := list(islice(numbered, _BLOCK)):
+            rows = _convert_block(block)
+            if rows is None:
+                rows, fault = _convert_lines(block)
+            linenos, t_rows, qa_rows, qb_rows, recs = rows
+            lines += linenos
+            t += t_rows
+            qa += qa_rows
+            qb += qb_rows
+            w += [rec.get("w") for rec in recs]
+            eta += [rec.get("eta") for rec in recs]
+            if fault is not None:
                 break
-            except (ValueError, TypeError) as err:
-                fault = ParseError(str(err), line=lineno)
-                break
-            lines.append(lineno)
-            t.append(stamp)
-            qa += a.tobytes()
-            qb += b.tobytes()
-            w.append(rec.get("w"))
-            eta.append(rec.get("eta"))
     # the row checks run in a MotionPair's order; each looks only at the
     # rows before the first fault found so far, so the first bad line wins
     qa, qb = np.frombuffer(qa).reshape(-1, 8), np.frombuffer(qb).reshape(-1, 8)
@@ -376,7 +457,7 @@ def load_pairs_jsonl(path) -> PairArrays:
     if fault is not None:
         raise fault
     q_a, q_b, (w_rows, eta_rows) = arrays
-    return PairArrays(t=np.array(t, dtype=float), q_a=q_a, q_b=q_b, w=w_rows,
+    return PairArrays(t=np.frombuffer(t), q_a=q_a, q_b=q_b, w=w_rows,
                       eta=eta_rows)
 
 

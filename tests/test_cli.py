@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +75,16 @@ class TestCalibrate:
         out = json.loads(capsys.readouterr().out)
         assert out["global"]["eps_r_deg"] < 1e-6
         assert out["global"]["eps_t_m"] < 1e-6
+
+    @pytest.mark.parametrize("command", ["calibrate", "online"])
+    def test_gt_pose_zero_axis_exits_2(self, sim_pairs_file, capsys, command):
+        path, _ = sim_pairs_file
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            rc = main([command, "--pairs", str(path), "--gt-pose",
+                       "1,2,0.5,0,0,0,30"])
+        assert rc == 2
+        assert "axis (0, 0, 0) has zero length" in capsys.readouterr().err
 
     def test_degenerate_data_exits_3(self, tmp_path, capsys):
         rig = planar_rig(n_steps=20, seed=102)
@@ -178,6 +189,15 @@ class TestOnlineCommand:
         assert len(lines) == 16
         final = lines[-1].split(",")
         assert final[4] in ("local", "global")
+
+    def test_pair_file_without_pairs_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("\n  \n")
+        rc = main(["online", "--pairs", str(path)])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "no pairs in input file" in captured.err
 
     def test_non_monotone_timestamps_exit_2(self, tmp_path, capsys):
         pairs, _ = make_dataset(seed=106, n_pairs=4)
@@ -293,6 +313,21 @@ class TestNonFiniteInput:
         rc = main(["calibrate", "--pairs", str(path), "--repeat", "1"])
         assert rc == 3
         assert "line 3: non-finite component" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["calibrate", "certify", "online"])
+    def test_bad_weight_exits_2(self, sim_pairs_file, capsys, command):
+        path, _ = sim_pairs_file
+        lines = path.read_text().splitlines()
+        rec = json.loads(lines[4])
+        rec["w"] = [1, 1, 1, 1, 1, 1, 1, -1]
+        lines[4] = json.dumps(rec)
+        path.write_text("\n".join(lines) + "\n")
+        extra = {"calibrate": ["--repeat", "1"], "online": [],
+                 "certify": ["--candidate", "1,0,0,0,0,0,0,0"]}[command]
+        rc = main([command, "--pairs", str(path), *extra])
+        assert rc == 2
+        assert ("line 5: residual weights must be finite and nonnegative"
+                in capsys.readouterr().err)
 
     def test_nan_plane_point_names_its_line(self, tmp_path, capsys, rng):
         rig = planar_rig(n_steps=10, seed=104)

@@ -6,13 +6,15 @@ import numpy as np
 import pytest
 from scipy.spatial.transform import Rotation, Slerp
 
+import dqcalib.io
 from dqcalib.cost import MotionPair
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import InvalidWeight, NoOverlap, NotUnit, ParseError
-from dqcalib.io import (PairingConfig, STUDY_CSV_HEADER, Trajectory,
-                        load_pairs_jsonl, load_point_cloud, load_trajectory,
-                        pair_streams, relative_motions, save_pairs_jsonl,
-                        save_trajectory, sclerp, write_study_csv)
+from dqcalib.io import (PairArrays, PairingConfig, STUDY_CSV_HEADER,
+                        Trajectory, load_pairs_jsonl, load_point_cloud,
+                        load_trajectory, pair_streams, relative_motions,
+                        save_pairs_jsonl, save_trajectory, sclerp,
+                        write_study_csv)
 from dqcalib.sim import random_unit_dq
 
 
@@ -382,12 +384,9 @@ def _assert_same_outcome(path):
         return
     assert not isinstance(got, tuple), f"oracle loaded, got {got}"
     assert len(got) == len(expected)
-    for i, p in enumerate(expected):
-        assert np.array_equal(p.q_a.vec(), got.q_a[i])
-        assert np.array_equal(p.q_b.vec(), got.q_b[i])
-        assert p.timestamp == got.t[i]
-        assert np.array_equal(p.weight_diag, got.w[i])
-        assert (1.0 if p.eta is None else p.eta) == got.eta[i]
+    rows = PairArrays.from_pairs(expected)
+    for name in ("t", "q_a", "q_b", "w", "eta"):
+        assert getattr(got, name).tobytes() == getattr(rows, name).tobytes(), name
 
 
 class TestPairsLoaderAgainstOracle:
@@ -452,6 +451,140 @@ class TestNonFinitePairsAgainstOracle:
             path = tmp_path / f"pairs{k}.jsonl"
             _write_pairs_file(path, rng, n_lines, faults)
             _assert_same_outcome(path)
+
+
+def _write_lines(path, rng, n_lines, lines):
+    """A pair file of well-formed records with blank lines scattered
+    between them, record i written as ``lines[i](record)`` where given."""
+    text = []
+    for i in range(n_lines):
+        while rng.uniform() < 0.2:
+            text.append(" " * int(rng.integers(0, 3)))
+        rec = _record(rng, i)
+        text.append(lines[i](rec) if i in lines else json.dumps(rec))
+    path.write_text("\n".join(text) + "\n")
+
+
+def _malformed(rec):
+    line = json.dumps(rec)
+    return line[:len(line) // 2]
+
+
+def _nan_t(rec):
+    return json.dumps({**rec, "t": math.nan})
+
+
+# lines of unusual layout, most of which the loader cannot convert with
+# the rest of their block; some load and some raise, as the oracle decides
+LAYOUTS = {
+    "two_objects": lambda rec: json.dumps(rec) + " " + json.dumps(rec),
+    "split_object": lambda rec: json.dumps(rec).replace(', "qa"', ',\n"qa"'),
+    "array": lambda rec: json.dumps([rec]),
+    "number": lambda rec: "1.5",
+    "nested_qa": lambda rec: json.dumps(
+        {**rec, "qa": [rec["qa"][:4], rec["qa"][4:]]}),
+    "qa_16_elements": lambda rec: json.dumps({**rec, "qa": rec["qa"] * 2}),
+    "int_t": lambda rec: json.dumps({**rec, "t": 3}),
+    "bool_t": lambda rec: json.dumps({**rec, "t": True}),
+    "string_t": lambda rec: json.dumps({**rec, "t": "0.25"}),
+    "string_qa_element": lambda rec: json.dumps(
+        {**rec, "qa": [str(rec["qa"][0])] + rec["qa"][1:]}),
+    "duplicate_keys": lambda rec: json.dumps(rec)[:-1] + ', "qa": '
+                                  + json.dumps(rec["qb"]) + "}",
+    "huge_int_qa": lambda rec: json.dumps(
+        {**rec, "qa": [10**400] + rec["qa"][1:]}),
+    "deep_nesting": lambda rec: "[" * 100_000 + "]" * 100_000,
+}
+
+
+class TestMultiBlockPairsAgainstOracle:
+    """Files of about 200 rows, which span several of the loader's blocks
+    of 64 rows (blank lines do not count)."""
+
+    EDGES = (63, 64, 127, 128, 150)
+
+    @pytest.mark.parametrize("fault", sorted(FAULTS) + sorted(NON_FINITE_FAULTS))
+    def test_fault_at_block_edges(self, tmp_path, fault):
+        rng = np.random.default_rng(len(fault))
+        for row in self.EDGES:
+            path = tmp_path / f"{row}.jsonl"
+            _write_pairs_file(path, rng, 200, {row: [fault]})
+            _assert_same_outcome(path)
+
+    def test_faults_on_both_sides_of_a_block_edge(self, tmp_path):
+        rng = np.random.default_rng(4)
+        names = sorted(FAULTS) + sorted(NON_FINITE_FAULTS)
+        for early in names:
+            for late in ("non_unit_qb", "nan_w", "malformed_json", "missing_t"):
+                path = tmp_path / f"{early}-{late}.jsonl"
+                _write_pairs_file(path, rng, 200, {127: [early], 128: [late]})
+                _assert_same_outcome(path)
+
+    def test_malformed_line_after_value_fault_in_same_block(self, tmp_path):
+        rng = np.random.default_rng(5)
+        names = sorted((set(FAULTS) | set(NON_FINITE_FAULTS)) - {"malformed_json"})
+        for fault in names:
+            path = tmp_path / f"{fault}.jsonl"
+            _write_pairs_file(path, rng, 200, {70: [fault], 75: ["malformed_json"]})
+            _assert_same_outcome(path)
+
+    @pytest.mark.parametrize("layout", sorted(LAYOUTS))
+    def test_layout_sent_to_the_per_line_conversion(self, tmp_path, layout):
+        rng = np.random.default_rng(len(layout))
+        for row in (0, *self.EDGES):
+            path = tmp_path / f"{row}.jsonl"
+            _write_lines(path, rng, 200, {row: LAYOUTS[layout]})
+            _assert_same_outcome(path)
+            # a bad line earlier in the same block is the one reported,
+            # whether it fails to decode or decodes and fails to convert
+            for bad in (_malformed, _nan_t) if row % 64 else ():
+                _write_lines(path, rng, 200, {row - 1: bad, row: LAYOUTS[layout]})
+                _assert_same_outcome(path)
+
+    def test_16_element_qa_on_every_line(self, tmp_path):
+        rng = np.random.default_rng(6)
+        path = tmp_path / "pairs.jsonl"
+        _write_lines(path, rng, 200, dict.fromkeys(range(200),
+                                                  LAYOUTS["qa_16_elements"]))
+        _assert_same_outcome(path)
+
+    def test_undecodable_text_after_a_bad_line(self, tmp_path):
+        rng = np.random.default_rng(8)
+        path = tmp_path / "pairs.jsonl"
+        for lines in ({}, {10: _malformed}, {10: LAYOUTS["number"]}):
+            # the bad byte is far enough past line 10 that a per-line
+            # reader meets line 10 before it has to decode the byte
+            _write_lines(path, rng, 200, lines)
+            text = path.read_bytes().splitlines(keepends=True)
+            path.write_bytes(b"".join(text[:60]) + b"\xff\n" + b"".join(text[60:]))
+            _assert_same_outcome(path)
+
+    def test_generated_files(self, tmp_path):
+        rng = np.random.default_rng(2026)
+        names = sorted(FAULTS) + sorted(NON_FINITE_FAULTS)
+        for k in range(40):
+            n_lines = int(rng.integers(60, 260))
+            faults = {}
+            for _ in range(int(rng.integers(0, 3))):
+                line = int(rng.integers(0, n_lines))
+                faults.setdefault(line, []).append(names[rng.integers(len(names))])
+            path = tmp_path / f"pairs{k}.jsonl"
+            _write_pairs_file(path, rng, n_lines, faults)
+            _assert_same_outcome(path)
+
+    def test_well_formed_blocks_skip_the_per_line_conversion(self, tmp_path,
+                                                              monkeypatch):
+        rng = np.random.default_rng(9)
+        path = tmp_path / "pairs.jsonl"
+        _write_pairs_file(path, rng, 200, {})
+        text = path.read_text()
+        assert "\n\n" in text and '"w"' in text and '"eta"' in text
+
+        def per_line(block):
+            raise AssertionError("a well-formed block was converted line by line")
+
+        monkeypatch.setattr(dqcalib.io, "_convert_lines", per_line)
+        _assert_same_outcome(path)
 
 
 class TestPointCloudAndCsv:
