@@ -112,6 +112,7 @@ def _median_time_ms(fn, repeats: int) -> tuple[object, float]:
 # -- subcommands ----------------------------------------------------------------
 
 def cmd_calibrate(args) -> int:
+    gt = _ground_truth(args)  # a malformed value fails before the load
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise errors.EmptyData("no pairs in input file")
@@ -144,7 +145,6 @@ def cmd_calibrate(args) -> int:
                              {"iterations": local.iterations,
                               "converged": local.converged})
 
-    gt = _ground_truth(args)
     for name, (q_hat, cost, gap, is_global, ms, extra) in solutions.items():
         entry = _describe_solution(_maybe_lift(q_hat, align_a, align_b))
         entry.update(cost=float(cost), gap=float(gap), is_global=bool(is_global),
@@ -168,6 +168,7 @@ def _maybe_lift(q_hat, align_a, align_b):
 
 
 def cmd_online(args) -> int:
+    gt = _ground_truth(args)
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise errors.EmptyData("no pairs in input file")
@@ -176,7 +177,6 @@ def cmd_online(args) -> int:
     config = OnlineConfig(mode=mode, t_no_fail=args.t_no_fail,
                           plane_a=plane_a, plane_b=plane_b,
                           gap_threshold=args.gap_threshold)
-    gt = _ground_truth(args)
     calib = OnlineCalibrator(config)
     print("t,eps_r_deg,eps_t_m,gap,provenance,is_global,time_ms")
     last = None
@@ -323,7 +323,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     onl = sub.add_parser("online", help="sequential replay with fallback")
     onl.add_argument("--pairs", required=True)
-    onl.add_argument("--t-no-fail", type=float, default=5.0)
+    onl.add_argument("--t-no-fail", type=float,
+                     default=OnlineConfig.t_no_fail,
+                     help="no-fail window in seconds: inf (the default) "
+                          "gives a certified global estimate at every "
+                          "step; a finite value gives the paper's "
+                          "fast-then-verify policy, the global solver "
+                          "running only within that time of a local error")
     onl.add_argument("--plane-a")
     onl.add_argument("--plane-b")
     onl.add_argument("--gt")

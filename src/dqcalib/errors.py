@@ -32,13 +32,15 @@ class NonUniqueSolution(DQCalibError):
     """The feasible set inside the recovered null space is not a single point.
 
     Carries the null-space basis so callers can inspect the unobservable
-    directions.
+    directions.  ``estimate`` is set by a solver that computed a point
+    anyway (a degenerate ``CalibSolution``), else None.
     """
 
     def __init__(self, message, basis=None, null_dim=None):
         super().__init__(message)
         self.basis = basis
         self.null_dim = null_dim
+        self.estimate = None
 
 
 class NoNullSpace(DQCalibError):

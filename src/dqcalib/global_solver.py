@@ -19,7 +19,11 @@ is then the one admissible multiplier, and the lifted point's dual part
 moves along the null space, where the cost is flat, to meet g2.
 Uniqueness is judged from the near-null space of Z at the dual optimum; a
 genuine continuum of feasible solutions (unobservable data) raises
-NonUniqueSolution.
+NonUniqueSolution.  One pass gives everything: the search's last slope
+evaluation and one eigendecomposition of Z there yield the bound, the
+estimate and the verdict.  The search starts at lam_2 = 0 with steps of 1,
+or warm at a given lam_2 (an online caller's previous optimum) with steps
+of a tenth of its size.
 
 Planar mode needs no dual search: the feasible set is a circle times a
 plane, and :func:`dqcalib.constraints.solve_planar` returns the exact
@@ -29,7 +33,7 @@ optimum of the reduced 2x2 eigenproblem, which is its own lower bound.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -84,10 +88,10 @@ def _reduced_dual(Q: np.ndarray):
     is moved along C's cut null space to meet g2 (the cost is flat there)."""
     _, Uc, n_cut, reduce = schur_reduction(Q[:4, :4], Q[4:, 4:],
                                            max(1.0, float(np.trace(Q))))
-    N = Uc[:, :n_cut]
+    N, B, eye = Uc[:, :n_cut], Q[:4, 4:], np.eye(4)
 
     def lifted(lam2):
-        ws, Us, F = reduce(Q[:4, 4:] + lam2 * np.eye(4))
+        ws, Us, F = reduce(B + lam2 * eye)
         v = Us[:, 0]
         d = -F @ v
         vn = N.T @ v
@@ -95,6 +99,18 @@ def _reduced_dual(Q: np.ndarray):
             d -= (v @ d) / (vn @ vn) * (N @ vn)
         return ws[0], np.concatenate([v, d])
     return n_cut > 0, lifted
+
+
+class Multipliers(tuple):
+    """(lam_1, lam_2) of a :func:`dual_bound`, carrying the rest of it: the
+    lifted point ``q`` and the eigenpairs ``vals``, ``vecs`` of Z, so that
+    :func:`recover_primal` decomposes nothing again.  It indexes and
+    converts to an array as the multiplier pair does."""
+
+    def __new__(cls, lam: np.ndarray, q, vals, vecs):
+        self = super().__new__(cls, lam.tolist())
+        self.q, self.vals, self.vecs = q, vals, vecs
+        return self
 
 
 def dual_bound(Q: np.ndarray, lam2: float, reduced=None):
@@ -118,16 +134,19 @@ def dual_bound(Q: np.ndarray, lam2: float, reduced=None):
     return np.array([lam1, lam2]), q, vals, vecs
 
 
-def _decreasing_root(f) -> float:
+def _decreasing_root(f, x0: float = 0.0) -> float:
     """Sign change of a nonincreasing f: a bracket grown geometrically from
-    0, shrunk by Illinois regula falsi to 1e-12 relative width, bisected
-    when three steps have not halved it (so a jump in f is found too).
-    Returns a zero of f or the last bracket end with the smaller |f|."""
-    a = b = 0.0
-    fa = fb = f(0.0)
-    while fb and np.sign(fb) == np.sign(fa) and abs(b) < 1e12:
+    ``x0`` (offsets s, 2s, 4s, ... with s = 10 % of |x0|, or 1 at x0 = 0),
+    shrunk by Illinois regula falsi to 1e-12 relative width, bisected when
+    three steps have not halved it (so a jump in f is found too).  Returns
+    a zero of f or the last bracket end with the smaller |f|."""
+    a = b = x0
+    fa = fb = f(x0)
+    step = 0.1 * abs(x0) or 1.0
+    while fb and np.sign(fb) == np.sign(fa) and abs(b - x0) < 1e12:
         a, fa = b, fb
-        b = 2.0 * b if b else np.copysign(1.0, fb)
+        b = x0 + np.copysign(step, fb)
+        step *= 2.0
         fb = f(b)
     wa, wb = fa, fb  # Illinois: an end kept twice enters at half its value
     widths = [np.inf] * 3
@@ -146,27 +165,34 @@ def _decreasing_root(f) -> float:
     return a if abs(fa) <= abs(fb) else b
 
 
-def solve_dual(Q: np.ndarray, mode: ConstraintMode) -> np.ndarray:
-    """Maximize lam_1 subject to Z(lam) >= 0; returns (lam_1, lam_2).
+def solve_dual(Q: np.ndarray, mode: ConstraintMode,
+               lam2_start: float = 0.0) -> Multipliers:
+    """Maximize lam_1 subject to Z(lam) >= 0; returns the optimal
+    (lam_1, lam_2) as :class:`Multipliers`.
 
     3D mode only.  Maximizes the concave phi of the module notes by the
     sign of its slope, the lifted point's g2 residual (zero below 1e-13
-    relative to the dual part), and ends with :func:`dual_bound` there, so
-    lam_1 is a valid lower bound on the primal optimum.  When C has a cut
-    direction lam_2 = 0 is the only admissible value and there is no
-    search.
+    relative to the dual part), with a bracket grown from ``lam2_start``
+    (a warm start: the previous solve's lam_2 on a slightly changed Q).
+    It ends with :func:`dual_bound` at the root found, reusing the slope
+    evaluation there, so lam_1 is a valid lower bound on the primal
+    optimum.  When C has a cut direction lam_2 = 0 is the only admissible
+    value and there is no search.
     """
     _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    reduced = cut, lifted = _reduced_dual(Q)
+    cut, lifted = _reduced_dual(Q)
+    seen = {}
 
     def slope(lam2):  # g2 at the lifted point, zero at rounding level
-        q = lifted(lam2)[1]
+        seen[lam2] = phi_q = lifted(lam2)
+        q = phi_q[1]
         g2 = 2.0 * float(q[:4] @ q[4:])
         return 0.0 if abs(g2) <= 1e-13 * (1.0 + np.linalg.norm(q[4:])) else g2
 
-    lam2 = 0.0 if cut else _decreasing_root(slope)
-    return dual_bound(Q, lam2, reduced)[0]
+    lam2 = 0.0 if cut else _decreasing_root(slope, float(lam2_start))
+    return Multipliers(*dual_bound(
+        Q, lam2, (cut, lambda x: seen.get(x) or lifted(x))))
 
 
 def nullspace_verdict(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
@@ -207,37 +233,51 @@ def nullspace_verdict(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
     return V, None
 
 
-def recover_primal(Q: np.ndarray, lam: np.ndarray,
-                   mode: ConstraintMode) -> tuple[np.ndarray, int]:
+def _feasible(q: np.ndarray) -> np.ndarray:
+    """q made exactly feasible and sign-canonical."""
+    return DualQuat.from_vec(project_feasible(q)).canonicalized().vec()
+
+
+def recover_primal(Q: np.ndarray, lam, mode: ConstraintMode
+                   ) -> tuple[np.ndarray, int]:
     """``(q8, null_dim)`` at the dual point ``lam``; 3D mode only.
 
-    q8 is the lifted point of the reduced dual at lam_2 (the ``q`` of
-    :func:`dual_bound`), made exactly feasible and sign-canonical.  Raises
-    :class:`NoNullSpace` when Z(lam) has no sufficiently small eigenvalue
-    (dual not converged) and :class:`NonUniqueSolution` when the data does
-    not pin down a single calibration (e.g. all rotation axes parallel
-    without planar constraints).
+    Both are read off the :func:`dual_bound` at lam_2, with no further
+    decomposition when ``lam`` carries that bound (:class:`Multipliers`,
+    as :func:`solve_dual` returns them); other multipliers are first
+    bounded at their lam_2.  q8 is the lifted point made exactly feasible
+    and sign-canonical, and the eigenpairs of Z give the verdict
+    (:func:`nullspace_verdict`).  Raises :class:`NoNullSpace` when Z has no
+    sufficiently small eigenvalue (dual not converged) and
+    :class:`NonUniqueSolution` when the data does not pin down a single
+    calibration (e.g. all rotation axes parallel without planar
+    constraints).
     """
     _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    V, diag = nullspace_verdict(Q, *np.linalg.eigh(assemble_Z(Q, lam)))
+    if not isinstance(lam, Multipliers):
+        lam = Multipliers(*dual_bound(Q, lam[1]))
+    V, diag = nullspace_verdict(Q, lam.vals, lam.vecs)
     null_dim = V.shape[1]
     if null_dim == 0:
         raise NoNullSpace("no null space within tolerance")
     if diag is not None:
         raise NonUniqueSolution(diag, basis=V, null_dim=null_dim)
-    q8 = project_feasible(_reduced_dual(Q)[1](float(lam[1]))[1])
-    return DualQuat.from_vec(q8).canonicalized().vec(), null_dim
+    return _feasible(lam.q), null_dim
 
 
-def solve_global(acc: CostAccumulator,
-                 gap_threshold: float = GAP_THRESHOLD) -> CalibSolution:
+def solve_global(acc: CostAccumulator, gap_threshold: float = GAP_THRESHOLD,
+                 *, lam2_start: float = 0.0) -> CalibSolution:
     """Certified global optimum over an accumulator snapshot.
 
-    3D mode runs :func:`solve_dual`, whose ``dual_value`` is a valid lower
-    bound, then :func:`recover_primal`; planar mode the exact reduced
-    solve.  Both raise :class:`NonUniqueSolution` (with the unobservable
-    directions) when the data does not pin down a single calibration.
+    3D mode runs :func:`solve_dual` from ``lam2_start`` (a warm start,
+    such as the previous online step's ``lam[1]``; the default is the cold
+    search), whose bound is a valid lower bound, then reads the estimate
+    and its verdict off that bound with :func:`recover_primal`; planar mode
+    takes the exact reduced solve and ignores ``lam2_start``.  Both raise
+    :class:`NonUniqueSolution` (with the unobservable directions) when the
+    data does not pin down a single calibration; its ``estimate`` is the
+    point the solve found anyway, as a degenerate, non-global solution.
     """
     if acc.n == 0:
         raise EmptyData("accumulator holds no motion pairs")
@@ -245,16 +285,24 @@ def solve_global(acc: CostAccumulator,
     t0 = time.perf_counter()
     if mode is ConstraintMode.PLANAR:
         q8, p_star, degeneracy = solve_planar(Q)
-        if degeneracy is not None:
-            raise degeneracy
-        lam, null_dim = np.array([p_star, 0.0]), 1
+        lam = np.array([p_star, 0.0])
+        null_dim = 1 if degeneracy is None else degeneracy.null_dim
     else:
-        lam = solve_dual(Q, mode)
-        q8, null_dim = recover_primal(Q, lam, mode)
+        lam, degeneracy = solve_dual(Q, mode, lam2_start), None
+        try:
+            q8, null_dim = recover_primal(Q, lam, mode)
+        except NonUniqueSolution as err:
+            q8, null_dim, degeneracy = _feasible(lam.q), err.null_dim, err
+        lam = np.array(lam)
     primal = float(q8 @ Q @ q8)
     elapsed = time.perf_counter() - t0
     gap = primal - float(lam[0])
-    return CalibSolution(
+    sol = CalibSolution(
         q_hat=DualQuat.from_vec(q8), lam=lam, primal_cost=primal,
         dual_value=float(lam[0]), gap=gap, is_global=bool(gap < gap_threshold),
         provenance="global", solve_time=elapsed, null_dim=null_dim)
+    if degeneracy is not None:
+        degeneracy.estimate = replace(sol, is_global=False, degenerate=True,
+                                      diagnostic=str(degeneracy))
+        raise degeneracy
+    return sol

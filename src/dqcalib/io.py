@@ -303,8 +303,12 @@ def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
     and also for finiteness.
 
     The error raised for a bad row carries the row's index as ``row``.
+    A file whose rows carry neither is not scanned row by row.
     """
-    w, eta = np.ones((len(w_rows), 8)), np.ones(len(eta_rows))
+    n = len(w_rows)
+    w, eta = np.ones((n, 8)), np.ones(n)
+    if w_rows.count(None) == eta_rows.count(None) == n:
+        return w, eta
     for i, (w_i, eta_i) in enumerate(zip(w_rows, eta_rows)):
         try:
             if w_i is not None:

@@ -1,12 +1,16 @@
-"""Online calibration combining the fast local and the global solver.
+"""Online calibration: a certified global estimate at every step, or the
+paper's fast-then-verify policy.
 
-Each incoming motion pair is (optionally plane-aligned and) accumulated;
-the fast solver runs warm-started from the previous solution and its
-result is certified.  A failed certificate, or a fast solve that ran out
-of iterations, stamps the error time; while the latest error is within
-the no-fail window the global solver's result replaces the fast one.
-With exact ground planes configured, solutions are estimated in the
-plane-aligned frame and lifted back to 3D on output.
+Each incoming motion pair is (optionally plane-aligned and) accumulated.
+By default (``t_no_fail = inf``) every step is one global solve whose dual
+search starts at the previous step's lam_2; it certifies itself, so no
+fast solve or separate certificate runs.  With a finite no-fail window the
+fast solver runs warm-started from the previous solution and its result is
+certified.  A failed certificate, or a fast solve that ran out of
+iterations, stamps the error time; while the latest error is within the
+window the global solver's result replaces the fast one.  With exact
+ground planes configured, solutions are estimated in the plane-aligned
+frame and lifted back to 3D on output.
 """
 
 from __future__ import annotations
@@ -30,8 +34,14 @@ PLANE_DERIVED_DOFS = ("z", "roll", "pitch")
 
 @dataclass(frozen=True)
 class OnlineConfig:
+    """``t_no_fail`` is the no-fail window in seconds.  ``inf`` (the
+    default) never closes it: every step returns the warm-started global
+    solve, certified or flagged degenerate.  A finite value gives the
+    paper's policy: fast solve and certificate, with the global solver
+    inside the window after a local error."""
+
     mode: ConstraintMode = ConstraintMode.FULL_3D
-    t_no_fail: float = 5.0
+    t_no_fail: float = math.inf
     plane_a: GroundPlane | None = None
     plane_b: GroundPlane | None = None
     local_opts: LocalSolveOptions = field(default_factory=LocalSolveOptions)
@@ -75,6 +85,7 @@ class OnlineCalibrator:
         self.t_last_local_error: float | None = None
         self._last_time = -np.inf
         self._warm: np.ndarray | None = None
+        self._lam2 = 0.0  # the previous lam_2: the dual search starts there
 
     def update(self, pair: MotionPair) -> CalibSolution:
         """Process one pair and return the current calibration estimate."""
@@ -88,24 +99,15 @@ class OnlineCalibrator:
 
         t0 = time.perf_counter()
         self.acc.add(pair)
-        Q = self.acc.normalized_q
-
-        local_opts = replace(cfg.local_opts, init=self._warm)
-        local = solve_local(Q, cfg.mode, local_opts)
-        cert = certify(Q, local.q_hat, cfg.mode, cfg.gap_threshold)
-        if not (cert.is_global and local.converged):
-            self.t_last_local_error = pair.timestamp
-
-        use_global = (pair.timestamp - self.t_last_local_error) <= cfg.t_no_fail
-        if use_global:
+        if math.isinf(cfg.t_no_fail):
             try:
-                sol = solve_global(self.acc, cfg.gap_threshold)
+                sol = self._solve_global()
             except NonUniqueSolution as err:
-                sol = _fast_estimate(local, cert, "global", False, err)
+                sol = err.estimate
         else:
-            sol = _fast_estimate(local, cert, "local", cert.is_global)
-
+            sol = self._fast_then_verify(pair.timestamp)
         self._warm = sol.q_hat.vec()
+        self._lam2 = float(sol.lam[1])
 
         if self._align_a is not None:
             lifted = lift_calibration(sol.q_hat, self._align_a, self._align_b)
@@ -113,6 +115,27 @@ class OnlineCalibrator:
                           plane_derived=PLANE_DERIVED_DOFS)
         sol = replace(sol, solve_time=time.perf_counter() - t0)
         return sol
+
+    def _solve_global(self) -> CalibSolution:
+        return solve_global(self.acc, self.config.gap_threshold,
+                            lam2_start=self._lam2)
+
+    def _fast_then_verify(self, timestamp: float) -> CalibSolution:
+        """The paper's policy: the certified fast estimate, or the global
+        one while the latest local error is within the no-fail window."""
+        cfg = self.config
+        Q = self.acc.normalized_q
+        local = solve_local(Q, cfg.mode,
+                            replace(cfg.local_opts, init=self._warm))
+        cert = certify(Q, local.q_hat, cfg.mode, cfg.gap_threshold)
+        if not (cert.is_global and local.converged):
+            self.t_last_local_error = timestamp
+        if timestamp - self.t_last_local_error > cfg.t_no_fail:
+            return _fast_estimate(local, cert, "local", cert.is_global)
+        try:
+            return self._solve_global()
+        except NonUniqueSolution as err:
+            return _fast_estimate(local, cert, "global", False, err)
 
 
 def replay(pairs, config: OnlineConfig | None = None) -> list[CalibSolution]:

@@ -86,6 +86,23 @@ class TestCalibrate:
         assert rc == 2
         assert "axis (0, 0, 0) has zero length" in capsys.readouterr().err
 
+    def test_bad_gt_pose_fails_before_the_load(self, sim_pairs_file, capsys,
+                                               monkeypatch):
+        import dqcalib.cli
+
+        path, _ = sim_pairs_file
+        calls = []
+        for name in ("load_pairs_jsonl", "solve_global"):
+            def counted(*args, _name=name, _func=getattr(dqcalib.cli, name),
+                        **kwargs):
+                calls.append(_name)
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(dqcalib.cli, name, counted)
+        rc = main(["calibrate", "--pairs", str(path), "--gt-pose", "1,2,0.5"])
+        assert rc == 2
+        assert "expected tx,ty,tz" in capsys.readouterr().err
+        assert calls == []
+
     def test_degenerate_data_exits_3(self, tmp_path, capsys):
         rig = planar_rig(n_steps=20, seed=102)
         path = tmp_path / "planar_pairs.jsonl"
@@ -189,6 +206,35 @@ class TestOnlineCommand:
         assert len(lines) == 16
         final = lines[-1].split(",")
         assert final[4] in ("local", "global")
+
+    @pytest.fixture
+    def stream_file(self, tmp_path):
+        # 8 s of 3D motion at 10 Hz: longer than a 5 s no-fail window
+        from dqcalib.sim import SimConfig, simulate_pairs
+
+        pairs, _ = simulate_pairs(SimConfig(n_steps=80, noise_level=0.02,
+                                            seed=107))
+        path = tmp_path / "pairs.jsonl"
+        save_pairs_jsonl(pairs, path)
+        return path
+
+    @staticmethod
+    def provenances(out):
+        return [line.split(",")[4] for line in out.strip().splitlines()[1:]]
+
+    def test_default_is_global_at_every_step(self, stream_file, capsys):
+        assert main(["online", "--pairs", str(stream_file)]) == 0
+        provs = self.provenances(capsys.readouterr().out)
+        assert len(provs) == 80
+        assert set(provs) == {"global"}
+
+    def test_finite_window_hands_over_to_the_fast_solver(self, stream_file,
+                                                         capsys):
+        rc = main(["online", "--pairs", str(stream_file), "--t-no-fail", "5"])
+        assert rc == 0
+        provs = self.provenances(capsys.readouterr().out)
+        assert provs[0] == "global"
+        assert "local" in provs[50:]
 
     def test_pair_file_without_pairs_exits_2(self, tmp_path, capsys):
         path = tmp_path / "pairs.jsonl"

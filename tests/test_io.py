@@ -572,6 +572,19 @@ class TestMultiBlockPairsAgainstOracle:
             _write_pairs_file(path, rng, n_lines, faults)
             _assert_same_outcome(path)
 
+    def test_only_weight_past_the_first_block_is_checked(self, tmp_path):
+        # no line carries a w or an eta except one bad eta in the second
+        # block: its line is the one named
+        rng = np.random.default_rng(10)
+        records = [{"t": 0.1 * (i + 1), "qa": list(random_unit_dq(rng).vec()),
+                    "qb": list(random_unit_dq(rng).vec())} for i in range(200)]
+        records[100]["eta"] = -1.0
+        path = tmp_path / "pairs.jsonl"
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in records))
+        with pytest.raises(InvalidWeight, match="^line 101: eta must be"):
+            load_pairs_jsonl(path)
+        _assert_same_outcome(path)
+
     def test_well_formed_blocks_skip_the_per_line_conversion(self, tmp_path,
                                                               monkeypatch):
         rng = np.random.default_rng(9)

@@ -193,7 +193,7 @@ class TestStreamInvariants:
         monkeypatch.setattr(dqcalib.online, "solve_local", solve_local)
         pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
                                             seed=33))
-        sols = replay(pairs)
+        sols = replay(pairs, OnlineConfig(t_no_fail=5.0))
         assert len(iterations) == 299
         assert np.median(iterations) <= 5
         assert sols[-1].is_global
@@ -226,10 +226,10 @@ class TestStreamInvariants:
                       with_oracle(dqcalib.online.solve_local))
             m.setattr(dqcalib.online, "certify",
                       with_oracle(dqcalib.online.certify))
-            sols = replay(pairs)
+            sols = replay(pairs, OnlineConfig(t_no_fail=5.0))
         with monkeypatch.context() as m:
             use_oracle_kernels(m)
-            refs = replay(pairs)
+            refs = replay(pairs, OnlineConfig(t_no_fail=5.0))
 
         assert len(steps) == 2 * len(pairs)
         for (local, ref), (cert, ref_cert) in zip(steps[2::2], steps[3::2]):
@@ -279,7 +279,7 @@ class TestStreamInvariants:
                                 counting(name, getattr(dqcalib.online, name)))
         pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
                                             seed=33))
-        replay(pairs)
+        replay(pairs, OnlineConfig(t_no_fail=5.0))
 
         assert len(per_call["solve_local"]) == len(per_call["certify"]) == 300
         for sol, kernels in per_call["solve_local"][1:]:
@@ -290,6 +290,75 @@ class TestStreamInvariants:
             assert kernels[3:] == [("eigh", (cert.null_dim,) * 2)]
         assert len(per_call["_fast_estimate"]) >= 249
         assert all(kernels == [] for _, kernels in per_call["_fast_estimate"])
+
+    def test_default_step_is_one_warm_global_solve(self, monkeypatch):
+        # the default replay neither fast-solves nor certifies; a step's
+        # kernels are the global solve's: one 4x4 eigh of the dual block,
+        # one 4x4 eigh per slope evaluation of the dual search, one 8x8
+        # eigh of Z at the bound and the verdict's eigh of the null space's
+        # real parts, and a warm search takes few slope evaluations
+        import dqcalib.global_solver
+        import dqcalib.online
+        from dqcalib.sim import SimConfig, simulate_pairs
+
+        calls = []
+        for name in ("eigh", "eigvalsh", "lstsq", "qr", "solve", "svd"):
+            kernel = getattr(np.linalg, name)
+
+            def counted(a, *args, _name=name, _kernel=kernel, **kwargs):
+                calls.append((_name, np.shape(a)))
+                return _kernel(a, *args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+
+        def not_called(*args, **kwargs):
+            raise AssertionError("the default step ran the fast path")
+        monkeypatch.setattr(dqcalib.online, "solve_local", not_called)
+        monkeypatch.setattr(dqcalib.online, "certify", not_called)
+
+        real_root = dqcalib.global_solver._decreasing_root
+        evaluations = []
+
+        def counting_root(f, x0):
+            evaluations.append(0)
+
+            def counted_f(x):
+                evaluations[-1] += 1
+                return f(x)
+            return real_root(counted_f, x0)
+        monkeypatch.setattr(dqcalib.global_solver, "_decreasing_root",
+                            counting_root)
+
+        pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
+                                            seed=33))
+        calib = OnlineCalibrator()
+        for pair in pairs:
+            start = len(calls)
+            sol = calib.update(pair)
+            n = evaluations[-1]
+            assert calls[start:] == ([("eigh", (4, 4))] * (1 + n)
+                                     + [("eigh", (8, 8)),
+                                        ("eigh", (sol.null_dim,) * 2)])
+        assert len(evaluations) == 300
+        assert np.median(evaluations[1:]) <= 5
+
+    @pytest.mark.parametrize("seed", [33, 101, 302])
+    def test_default_verdicts_match_the_window_policy(self, seed):
+        from dqcalib.sim import SimConfig, simulate_pairs
+
+        pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
+                                            seed=seed))
+        sols = replay(pairs)
+        refs = replay(pairs, OnlineConfig(t_no_fail=5.0))
+
+        def verdict(s):
+            return s.is_global, s.null_dim, s.degenerate, s.diagnostic
+        assert [verdict(s) for s in sols] == [verdict(s) for s in refs]
+        assert all(s.provenance == "global" for s in sols)
+        assert sum(not s.is_global for s in sols) == 1  # the one-pair step
+        for sol, ref in zip(sols, refs):
+            if sol.is_global and ref.is_global:
+                diff = sol.q_hat.vec() - ref.q_hat.vec()
+                assert np.max(np.abs(diff)) <= 1e-8
 
     def test_unconverged_fast_solve_reopens_global_window(self, monkeypatch):
         # a fast solve that runs out of iterations is a local error even
