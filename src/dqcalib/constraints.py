@@ -111,10 +111,10 @@ def schur_reduction(A: np.ndarray, C: np.ndarray, scale: float):
     the null space the pseudo-inverse drops.  Over the kept eigenpairs
     W = Uc diag(wc^-1/2) whitens C, so with G = B W the reduced matrix is
     the Gram form S = A - G G^T and F = W G^T = C^+ B^T; it rounds less
-    than A - B C^+ B^T.  Returns ``(wc, Uc, n_cut, reduce)``: C's ascending
-    eigenpairs, the cut count and B -> ``(ws, Us, F)``, S's ascending
-    eigenpairs and F, whose minimizer over the eliminated block at r is
-    -F r.
+    than A - B C^+ B^T.  Returns ``(wc, Uc, W, reduce)``: C's ascending
+    eigenpairs, W (C^+ = W W^T, one column per kept eigenpair) and B ->
+    ``(ws, Us, F)``, S's ascending eigenpairs and F, whose minimizer over
+    the eliminated block at r is -F r.
     """
     # only rounding-level eigenvalues are cut, so the reduced minimum stays
     # a true minimum (a dropped genuine eigenvalue would raise it)
@@ -127,7 +127,7 @@ def schur_reduction(A: np.ndarray, C: np.ndarray, scale: float):
         ws, Us = np.linalg.eigh(A - G @ G.T)
         return ws, Us, W @ G.T
 
-    return wc, Uc, n_cut, reduce
+    return wc, Uc, W, reduce
 
 
 def solve_planar(Q: np.ndarray):

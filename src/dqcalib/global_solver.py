@@ -7,8 +7,11 @@ phi(lam_2) = lambda_min(A - (B + lam_2 I) C^+ (B + lam_2 I)^T), and the
 slope of phi is the g2 residual of the lifted smallest eigenvector
 q = (v, -C^+ (B + lam_2 I)^T v): dual stationarity is primal feasibility,
 and the minimizer comes off the same 4x4 eigenpair (Briales &
-Gonzalez-Jimenez, CVPR 2017; Giamou et al., RA-L 2019).  A bracketing
-search on the slope's sign also converges where phi has a kink.
+Gonzalez-Jimenez, CVPR 2017; Giamou et al., RA-L 2019).  phi's curvature
+comes off the same eigenpairs too, so the root of the slope is found by
+Newton steps at no extra decomposition, safeguarded by the bracket the
+slope's signs give: where phi has a kink (tied eigenvalues) the search
+bisects.
 
 Exact rotations (noise-free data in particular) carry structural extra
 null directions with zero real part — most prominently vec(eps * q_r),
@@ -21,9 +24,8 @@ Uniqueness is judged from the near-null space of Z at the dual optimum; a
 genuine continuum of feasible solutions (unobservable data) raises
 NonUniqueSolution.  One pass gives everything: the search's last slope
 evaluation and one eigendecomposition of Z there yield the bound, the
-estimate and the verdict.  The search starts at lam_2 = 0 with steps of 1,
-or warm at a given lam_2 (an online caller's previous optimum) with steps
-of a tenth of its size.
+estimate and the verdict.  The search starts at lam_2 = 0, or warm at a
+given lam_2 (an online caller's previous optimum).
 
 Planar mode needs no dual search: the feasible set is a circle times a
 plane, and :func:`dqcalib.constraints.solve_planar` returns the exact
@@ -32,6 +34,7 @@ optimum of the reduced 2x2 eigenproblem, which is its own lower bound.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, replace
 
@@ -46,6 +49,14 @@ from .errors import EmptyData, NoNullSpace, NonUniqueSolution
 from .local_solver import project_feasible
 
 GAP_THRESHOLD = 1e-6
+
+
+def check_gap_threshold(gap_threshold: float) -> None:
+    """Raise ValueError unless the duality-gap threshold is finite and
+    nonnegative: NaN or a negative value certifies nothing, inf anything."""
+    if not 0.0 <= gap_threshold < math.inf:
+        raise ValueError(f"gap threshold must be finite and nonnegative, "
+                         f"got {gap_threshold}")
 
 
 @dataclass(frozen=True)
@@ -83,22 +94,36 @@ def _require_3d(mode: ConstraintMode):
 
 def _reduced_dual(Q: np.ndarray):
     """``(cut, lifted)``: whether C has a cut direction, and lam_2 ->
-    (phi(lam_2), q), the smallest eigenvalue of the Schur complement and
-    its lifted eigenvector q = (v, -C^+ (B + lam_2 I)^T v), whose dual part
-    is moved along C's cut null space to meet g2 (the cost is flat there)."""
-    _, Uc, n_cut, reduce = schur_reduction(Q[:4, :4], Q[4:, 4:],
-                                           max(1.0, float(np.trace(Q))))
-    N, B, eye = Uc[:, :n_cut], Q[:4, 4:], np.eye(4)
+    (phi(lam_2), q, phi''(lam_2)): the smallest eigenvalue of the Schur
+    complement S, its lifted eigenvector q = (v, -C^+ (B + lam_2 I)^T v),
+    whose dual part is moved along C's cut null space to meet g2 (the cost
+    is flat there), and phi's curvature.  With C^+ = W W^T and F = C^+ (B +
+    lam_2 I)^T, S' = -(F + F^T) and S'' = -2 W W^T, so second-order
+    perturbation of S's eigenpairs (w_j, u_j), v = u_0, gives phi'' =
+    -2 |W^T v|^2 + 2 sum_{j>=1} (u_j^T (F + F^T) v)^2 / (w_0 - w_j); it is
+    NaN where w_0 and w_1 tie (a kink of phi)."""
+    _, Uc, W, reduce = schur_reduction(Q[:4, :4], Q[4:, 4:],
+                                       max(1.0, float(np.trace(Q))))
+    cut, B, eye = W.shape[1] < 4, Q[:4, 4:], np.eye(4)
+    N = Uc[:, :4 - W.shape[1]]
 
     def lifted(lam2):
         ws, Us, F = reduce(B + lam2 * eye)
         v = Us[:, 0]
-        d = -F @ v
-        vn = N.T @ v
-        if vn @ vn > 0.0:
-            d -= (v @ d) / (vn @ vn) * (N @ vn)
-        return ws[0], np.concatenate([v, d])
-    return n_cut > 0, lifted
+        Fv = F @ v
+        d = -Fv
+        if cut:
+            vn = N.T @ v
+            if vn @ vn > 0.0:
+                d -= (v @ d) / (vn @ vn) * (N @ vn)
+        gaps = ws[0] - ws[1:]
+        if gaps[0] < 0.0:
+            c, Wv = Us[:, 1:].T @ (Fv + F.T @ v), W.T @ v
+            curvature = 2.0 * float(c @ (c / gaps) - Wv @ Wv)
+        else:
+            curvature = np.nan
+        return ws[0], np.concatenate([v, d]), curvature
+    return cut, lifted
 
 
 class Multipliers(tuple):
@@ -128,41 +153,51 @@ def dual_bound(Q: np.ndarray, lam2: float, reduced=None):
     """
     cut, lifted = reduced or _reduced_dual(Q)
     lam2 = 0.0 if cut else float(lam2)
-    phi, q = lifted(lam2)
+    phi, q, _ = lifted(lam2)
     vals, vecs = np.linalg.eigh(assemble_Z(Q, [phi, lam2]))
     lam1 = phi - max(0.0, -float(vals[0])) * (q @ q)
     return np.array([lam1, lam2]), q, vals, vecs
 
 
-def _decreasing_root(f, x0: float = 0.0) -> float:
-    """Sign change of a nonincreasing f: a bracket grown geometrically from
-    ``x0`` (offsets s, 2s, 4s, ... with s = 10 % of |x0|, or 1 at x0 = 0),
-    shrunk by Illinois regula falsi to 1e-12 relative width, bisected when
-    three steps have not halved it (so a jump in f is found too).  Returns
-    a zero of f or the last bracket end with the smaller |f|."""
-    a = b = x0
-    fa = fb = f(x0)
-    step = 0.1 * abs(x0) or 1.0
-    while fb and np.sign(fb) == np.sign(fa) and abs(b - x0) < 1e12:
-        a, fa = b, fb
-        b = x0 + np.copysign(step, fb)
-        step *= 2.0
-        fb = f(b)
-    wa, wb = fa, fb  # Illinois: an end kept twice enters at half its value
-    widths = [np.inf] * 3
-    while (fb and np.sign(fb) != np.sign(fa) and len(widths) < 100
-           and abs(b - a) > 1e-12 * (1 + abs(a) + abs(b))):
-        x = (a * wb - b * wa) / (wb - wa)
-        if abs(b - a) > 0.5 * widths[-3] or not min(a, b) < x < max(a, b):
-            x = 0.5 * (a + b)
-        widths.append(abs(b - a))
-        fx = f(x)
-        if np.sign(fx) == np.sign(fb):
-            wa *= 0.5
-        else:
-            a, fa, wa = b, fb, wb
-        b, fb, wb = x, fx, fx
-    return a if abs(fa) <= abs(fb) else b
+def _slope_root(slope, x0: float = 0.0) -> float:
+    """Root of a nonincreasing slope by safeguarded Newton steps from
+    ``x0``.  ``slope(x)`` returns the slope and its derivative.  The latest
+    points with a positive and a negative slope bracket the root.  A Newton
+    step is taken when the derivative is negative and the step lands
+    strictly inside the bracket; with both ends known it must also be at
+    most half the step before last.  Otherwise the search bisects the
+    bracket, or, with one end known, steps s, 2s, 4s, ... towards the root
+    (s = 10 % of |x0|, or 1 at x0 = 0), up to 1e12 from ``x0``.  A second
+    step in a row below the width tolerance, 1e-12 relative, is lengthened
+    to it.  The search stops at a zero slope, at a bracket within the
+    tolerance or after 100 evaluations, and returns an evaluated point:
+    the zero, or the bracket end with the smaller |slope|."""
+    ends = {}  # slope > 0 -> (x, slope) at the latest such point
+    x, grow, steps = x0, 0.1 * abs(x0) or 1.0, [np.inf, np.inf]
+    for _ in range(100):
+        g, h = slope(x)
+        if not g:
+            return x
+        ends[g > 0] = (x, g)
+        lo, hi = ends.get(True, (-np.inf,))[0], ends.get(False, (np.inf,))[0]
+        if len(ends) == 2:
+            if hi - lo <= 1e-12 * (1 + abs(lo) + abs(hi)):
+                break
+        elif abs(x - x0) >= 1e12:
+            break
+        newton, tol = x - g / h if h < 0 else np.nan, 1e-12 * (1 + abs(x))
+        if abs(newton - x) < tol and steps[-1] < tol:
+            # rounding noise in the slope fails zero's test: a step of the
+            # tolerance closes a bracket instead of creeping
+            newton = x + np.copysign(tol, g)
+        if len(ends) == 2:
+            if not (lo < newton < hi and abs(newton - x) <= 0.5 * steps[-2]):
+                newton = 0.5 * (lo + hi)
+        elif not lo < newton < hi:
+            newton, grow = x + np.copysign(grow, g), 2.0 * grow
+        steps.append(abs(newton - x))
+        x = newton
+    return min(ends.values(), key=lambda end: abs(end[1]))[0]
 
 
 def solve_dual(Q: np.ndarray, mode: ConstraintMode,
@@ -170,11 +205,12 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode,
     """Maximize lam_1 subject to Z(lam) >= 0; returns the optimal
     (lam_1, lam_2) as :class:`Multipliers`.
 
-    3D mode only.  Maximizes the concave phi of the module notes by the
-    sign of its slope, the lifted point's g2 residual (zero below 1e-13
-    relative to the dual part), with a bracket grown from ``lam2_start``
-    (a warm start: the previous solve's lam_2 on a slightly changed Q).
-    It ends with :func:`dual_bound` at the root found, reusing the slope
+    3D mode only.  Finds the zero of the slope of the concave phi of the
+    module notes, the lifted point's g2 residual (zero below 1e-13
+    relative to the dual part), by safeguarded Newton steps on phi's
+    curvature from ``lam2_start`` (a warm start: the previous solve's
+    lam_2 on a slightly changed Q), bisecting where the slope jumps.  It
+    ends with :func:`dual_bound` at the point found, reusing the slope
     evaluation there, so lam_1 is a valid lower bound on the primal
     optimum.  When C has a cut direction lam_2 = 0 is the only admissible
     value and there is no search.
@@ -185,12 +221,14 @@ def solve_dual(Q: np.ndarray, mode: ConstraintMode,
     seen = {}
 
     def slope(lam2):  # g2 at the lifted point, zero at rounding level
-        seen[lam2] = phi_q = lifted(lam2)
-        q = phi_q[1]
+        seen[lam2] = phi_q_h = lifted(lam2)
+        q = phi_q_h[1]
         g2 = 2.0 * float(q[:4] @ q[4:])
-        return 0.0 if abs(g2) <= 1e-13 * (1.0 + np.linalg.norm(q[4:])) else g2
+        if abs(g2) <= 1e-13 * (1.0 + np.linalg.norm(q[4:])):
+            g2 = 0.0
+        return g2, phi_q_h[2]
 
-    lam2 = 0.0 if cut else _decreasing_root(slope, float(lam2_start))
+    lam2 = 0.0 if cut else _slope_root(slope, float(lam2_start))
     return Multipliers(*dual_bound(
         Q, lam2, (cut, lambda x: seen.get(x) or lifted(x))))
 
@@ -207,7 +245,9 @@ def nullspace_verdict(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
         return V, None
 
     # separate directions that carry real-part norm from pure-dual ones
-    eig_a, U = np.linalg.eigh(V[:4].T @ V[:4])
+    # (one direction carries its squared real-part norm: no eigh)
+    R = V[:4].T @ V[:4]
+    eig_a, U = (R[0], np.ones((1, 1))) if len(R) == 1 else np.linalg.eigh(R)
     n_carriers = int(np.sum(eig_a > 1e-3))
     if n_carriers == 0:
         return V, "null space has no unit-normalizable direction"
@@ -279,6 +319,7 @@ def solve_global(acc: CostAccumulator, gap_threshold: float = GAP_THRESHOLD,
     data does not pin down a single calibration; its ``estimate`` is the
     point the solve found anyway, as a degenerate, non-global solution.
     """
+    check_gap_threshold(gap_threshold)
     if acc.n == 0:
         raise EmptyData("accumulator holds no motion pairs")
     Q, mode = acc.normalized_q, acc.mode

@@ -24,7 +24,8 @@ import numpy as np
 from .constraints import ConstraintMode
 from .cost import CostAccumulator, MotionPair
 from .errors import NonMonotonicTime, NonUniqueSolution
-from .global_solver import GAP_THRESHOLD, CalibSolution, solve_global
+from .global_solver import (GAP_THRESHOLD, CalibSolution, check_gap_threshold,
+                            solve_global)
 from .local_solver import LocalSolveOptions, solve_local
 from .planar import GroundPlane, lift_calibration, plane_alignment_dq
 from .verify import certify
@@ -48,8 +49,10 @@ class OnlineConfig:
     gap_threshold: float = GAP_THRESHOLD
 
     def __post_init__(self):
-        if self.t_no_fail < 0:
-            raise ValueError("t_no_fail must be nonnegative")
+        if not self.t_no_fail >= 0:  # NaN too
+            raise ValueError(
+                f"t_no_fail must be nonnegative, got {self.t_no_fail}")
+        check_gap_threshold(self.gap_threshold)
         if (self.plane_a is None) != (self.plane_b is None):
             raise ValueError("ground planes must be given for both sensors")
         if self.plane_a is not None and self.mode is not ConstraintMode.PLANAR:
@@ -113,7 +116,8 @@ class OnlineCalibrator:
             lifted = lift_calibration(sol.q_hat, self._align_a, self._align_b)
             sol = replace(sol, q_hat=lifted, q_hat_planar=sol.q_hat,
                           plane_derived=PLANE_DERIVED_DOFS)
-        sol = replace(sol, solve_time=time.perf_counter() - t0)
+        # every path above built sol afresh for this step: stamp it in place
+        object.__setattr__(sol, "solve_time", time.perf_counter() - t0)
         return sol
 
     def _solve_global(self) -> CalibSolution:

@@ -28,7 +28,8 @@ import numpy as np
 from .constraints import ConstraintMode, eval_g, fit_multipliers, solve_planar
 from .dualquat import DualQuat
 from .errors import InfeasiblePoint
-from .global_solver import GAP_THRESHOLD, dual_bound, nullspace_verdict
+from .global_solver import (GAP_THRESHOLD, check_gap_threshold, dual_bound,
+                            nullspace_verdict)
 
 FEAS_TOL = 1e-6  # largest constraint residual of a candidate, linear scale
 
@@ -61,8 +62,10 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
     ``q_hat`` may be a DualQuat or an 8-vector; it must satisfy the mode's
     constraints within ``FEAS_TOL`` (every residual on the linear scale),
     else :class:`InfeasiblePoint` is raised.  The candidate is certified
-    globally optimal when its gap is below ``gap_threshold``.
+    globally optimal when its gap is below ``gap_threshold``, which must be
+    finite and nonnegative (ValueError).
     """
+    check_gap_threshold(gap_threshold)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
     q8 = q_hat.vec() if isinstance(q_hat, DualQuat) else np.asarray(
         q_hat, dtype=float).reshape(8)

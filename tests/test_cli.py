@@ -375,6 +375,29 @@ class TestNonFiniteInput:
         assert ("line 5: residual weights must be finite and nonnegative"
                 in capsys.readouterr().err)
 
+    @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
+    @pytest.mark.parametrize("command", ["calibrate", "certify", "online"])
+    def test_bad_gap_threshold_exits_2(self, sim_pairs_file, capsys, command,
+                                       threshold):
+        # NaN or a negative threshold would certify nothing, inf anything
+        path, _ = sim_pairs_file
+        extra = {"calibrate": ["--repeat", "1"], "online": [],
+                 "certify": ["--candidate", "1,0,0,0,0,0,0,0"]}[command]
+        rc = main(["--gap-threshold", threshold, command, "--pairs", str(path),
+                   *extra])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "gap threshold must be finite and nonnegative" in out.err
+
+    def test_nan_no_fail_window_exits_2(self, sim_pairs_file, capsys):
+        path, _ = sim_pairs_file
+        rc = main(["online", "--pairs", str(path), "--t-no-fail", "nan"])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert "t_no_fail must be nonnegative, got nan" in out.err
+
     def test_nan_plane_point_names_its_line(self, tmp_path, capsys, rng):
         rig = planar_rig(n_steps=10, seed=104)
         pairs_path = tmp_path / "pairs.jsonl"

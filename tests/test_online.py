@@ -251,9 +251,9 @@ class TestStreamInvariants:
         # takes one 6x6 eigh per Newton iteration and nothing else, a 3D
         # certificate the reduced dual's two 4x4 eigh (of the dual block
         # and of the Schur complement) and one 8x8 eigh of Z at the bound
-        # (plus the verdict's eigh of the null space's real parts, 1x1 on a
-        # unique optimum), and _fast_estimate none; no lstsq, QR or
-        # eigvalsh anywhere on a fast step
+        # (plus the verdict's eigh of the null space's real parts when it
+        # has more than one direction), and _fast_estimate none; no lstsq,
+        # QR or eigvalsh anywhere on a fast step
         import dqcalib.online
         from dqcalib.sim import SimConfig, simulate_pairs
 
@@ -287,7 +287,8 @@ class TestStreamInvariants:
         for cert, kernels in per_call["certify"]:
             assert kernels[:3] == [("eigh", (4, 4)), ("eigh", (4, 4)),
                                    ("eigh", (8, 8))]
-            assert kernels[3:] == [("eigh", (cert.null_dim,) * 2)]
+            assert kernels[3:] == ([] if cert.null_dim == 1 else
+                                   [("eigh", (cert.null_dim,) * 2)])
         assert len(per_call["_fast_estimate"]) >= 249
         assert all(kernels == [] for _, kernels in per_call["_fast_estimate"])
 
@@ -295,8 +296,9 @@ class TestStreamInvariants:
         # the default replay neither fast-solves nor certifies; a step's
         # kernels are the global solve's: one 4x4 eigh of the dual block,
         # one 4x4 eigh per slope evaluation of the dual search, one 8x8
-        # eigh of Z at the bound and the verdict's eigh of the null space's
-        # real parts, and a warm search takes few slope evaluations
+        # eigh of Z at the bound and, when Z has more than one near-null
+        # direction, the verdict's eigh of their real parts; a warm Newton
+        # search takes few slope evaluations
         import dqcalib.global_solver
         import dqcalib.online
         from dqcalib.sim import SimConfig, simulate_pairs
@@ -315,7 +317,7 @@ class TestStreamInvariants:
         monkeypatch.setattr(dqcalib.online, "solve_local", not_called)
         monkeypatch.setattr(dqcalib.online, "certify", not_called)
 
-        real_root = dqcalib.global_solver._decreasing_root
+        real_root = dqcalib.global_solver._slope_root
         evaluations = []
 
         def counting_root(f, x0):
@@ -325,7 +327,7 @@ class TestStreamInvariants:
                 evaluations[-1] += 1
                 return f(x)
             return real_root(counted_f, x0)
-        monkeypatch.setattr(dqcalib.global_solver, "_decreasing_root",
+        monkeypatch.setattr(dqcalib.global_solver, "_slope_root",
                             counting_root)
 
         pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
@@ -335,11 +337,12 @@ class TestStreamInvariants:
             start = len(calls)
             sol = calib.update(pair)
             n = evaluations[-1]
+            verdict = ([] if sol.null_dim == 1 else
+                       [("eigh", (sol.null_dim,) * 2)])
             assert calls[start:] == ([("eigh", (4, 4))] * (1 + n)
-                                     + [("eigh", (8, 8)),
-                                        ("eigh", (sol.null_dim,) * 2)])
+                                     + [("eigh", (8, 8))] + verdict)
         assert len(evaluations) == 300
-        assert np.median(evaluations[1:]) <= 5
+        assert np.median(evaluations[1:]) <= 3
 
     @pytest.mark.parametrize("seed", [33, 101, 302])
     def test_default_verdicts_match_the_window_policy(self, seed):
@@ -395,6 +398,17 @@ def _batch_acc(rig):
     g_b = plane_alignment_dq(rig.plane_b)
     return accumulate_pairs(rig.pairs, mode=ConstraintMode.PLANAR,
                             align_a=g_a, align_b=g_b)
+
+
+@pytest.mark.parametrize("field,bad", [("t_no_fail", np.nan),
+                                       ("t_no_fail", -1.0),
+                                       ("gap_threshold", np.nan),
+                                       ("gap_threshold", np.inf),
+                                       ("gap_threshold", -1e-6)])
+def test_bad_threshold_rejected(field, bad):
+    # a NaN window would run the fast path on every step
+    with pytest.raises(ValueError, match="must be"):
+        OnlineConfig(**{field: bad})
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -39,6 +39,13 @@ class TestCertify:
         assert cert.gap < 1e-10
         assert cert.is_global
 
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -1e-6])
+    def test_bad_gap_threshold(self, threshold):
+        pairs, q_t = make_dataset(seed=61, n_pairs=20)
+        Q = accumulate_pairs(pairs).normalized_q
+        with pytest.raises(ValueError, match="gap threshold"):
+            certify(Q, q_t, ConstraintMode.FULL_3D, threshold)
+
     def test_zero_cost_certifies_anything_feasible(self, rng):
         Q = CostAccumulator().normalized_q
         q = random_unit_dq(rng)
