@@ -19,7 +19,7 @@ from . import errors
 from .constraints import ConstraintMode
 from .cost import CostAccumulator
 from .dualquat import DualQuat
-from .global_solver import solve_global
+from .global_solver import check_gap_threshold, solve_global
 from .io import (load_pairs_jsonl, load_point_cloud, save_pair_rows_jsonl,
                  write_study_csv)
 from .local_solver import LocalSolveOptions, solve_local
@@ -360,6 +360,8 @@ def main(argv=None) -> int:
     # looked up at call time, so a rebound cmd_<command> is the one that runs
     command = globals()[f"cmd_{args.command}"]
     try:
+        # a bad threshold fails before any file is read or solve is run
+        check_gap_threshold(args.gap_threshold)
         return command(args)
     except (errors.ParseError, errors.NonOrthogonalRotation, FileNotFoundError,
             json.JSONDecodeError, ValueError, errors.NonMonotonicTime,

@@ -170,14 +170,10 @@ class CostAccumulator:
             terms = _cost_rows(q_a[rows], q_b[rows], w[rows])
             terms *= eta[rows, None, None]
             # a running sum in input order, as one pair at a time would add
-            # (a one-row block is its own sum: no accumulate, no copy)
             terms[0] += self.sum_q
-            self.sum_q = (terms[0] if len(terms) == 1 else
-                          np.add.accumulate(terms, out=terms)[-1].copy())
-        if len(eta) == 1:
-            self.sum_eta += float(eta[0])
-        else:
-            self.sum_eta = float(np.add.accumulate(np.append(self.sum_eta, eta))[-1])
+            self.sum_q = np.add.accumulate(terms, out=terms)[-1].copy()
+        for e in eta.tolist():
+            self.sum_eta += e
         self.n += len(q_a)
         return self
 

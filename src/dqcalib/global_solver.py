@@ -245,9 +245,7 @@ def nullspace_verdict(Q: np.ndarray, vals: np.ndarray, vecs: np.ndarray):
         return V, None
 
     # separate directions that carry real-part norm from pure-dual ones
-    # (one direction carries its squared real-part norm: no eigh)
-    R = V[:4].T @ V[:4]
-    eig_a, U = (R[0], np.ones((1, 1))) if len(R) == 1 else np.linalg.eigh(R)
+    eig_a, U = np.linalg.eigh(V[:4].T @ V[:4])
     n_carriers = int(np.sum(eig_a > 1e-3))
     if n_carriers == 0:
         return V, "null space has no unit-normalizable direction"

@@ -116,8 +116,7 @@ class OnlineCalibrator:
             lifted = lift_calibration(sol.q_hat, self._align_a, self._align_b)
             sol = replace(sol, q_hat=lifted, q_hat_planar=sol.q_hat,
                           plane_derived=PLANE_DERIVED_DOFS)
-        # every path above built sol afresh for this step: stamp it in place
-        object.__setattr__(sol, "solve_time", time.perf_counter() - t0)
+        sol = replace(sol, solve_time=time.perf_counter() - t0)
         return sol
 
     def _solve_global(self) -> CalibSolution:

@@ -376,19 +376,32 @@ class TestNonFiniteInput:
                 in capsys.readouterr().err)
 
     @pytest.mark.parametrize("threshold", ["nan", "inf", "-1"])
-    @pytest.mark.parametrize("command", ["calibrate", "certify", "online"])
-    def test_bad_gap_threshold_exits_2(self, sim_pairs_file, capsys, command,
-                                       threshold):
-        # NaN or a negative threshold would certify nothing, inf anything
+    @pytest.mark.parametrize("command", [
+        ["calibrate", "--repeat", "1"],
+        ["calibrate", "--solver", "fast", "--repeat", "1"],
+        ["certify", "--candidate", "1,0,0,0,0,0,0,0"],
+        ["online"]], ids=["calibrate", "calibrate-fast", "certify", "online"])
+    def test_bad_gap_threshold_exits_2(self, sim_pairs_file, capsys,
+                                       monkeypatch, command, threshold):
+        # NaN or a negative threshold would certify nothing, inf anything;
+        # it is rejected before the file is loaded or any solver runs
+        import dqcalib.cli
+
         path, _ = sim_pairs_file
-        extra = {"calibrate": ["--repeat", "1"], "online": [],
-                 "certify": ["--candidate", "1,0,0,0,0,0,0,0"]}[command]
-        rc = main(["--gap-threshold", threshold, command, "--pairs", str(path),
-                   *extra])
+        calls = []
+        for name in ("load_pairs_jsonl", "solve_global", "solve_local"):
+            def counted(*args, _name=name, _func=getattr(dqcalib.cli, name),
+                        **kwargs):
+                calls.append(_name)
+                return _func(*args, **kwargs)
+            monkeypatch.setattr(dqcalib.cli, name, counted)
+        rc = main(["--gap-threshold", threshold, command[0], "--pairs",
+                   str(path), *command[1:]])
         assert rc == 2
         out = capsys.readouterr()
         assert out.out == ""
         assert "gap threshold must be finite and nonnegative" in out.err
+        assert calls == []
 
     def test_nan_no_fail_window_exits_2(self, sim_pairs_file, capsys):
         path, _ = sim_pairs_file

@@ -251,9 +251,9 @@ class TestStreamInvariants:
         # takes one 6x6 eigh per Newton iteration and nothing else, a 3D
         # certificate the reduced dual's two 4x4 eigh (of the dual block
         # and of the Schur complement) and one 8x8 eigh of Z at the bound
-        # (plus the verdict's eigh of the null space's real parts when it
-        # has more than one direction), and _fast_estimate none; no lstsq,
-        # QR or eigvalsh anywhere on a fast step
+        # (plus the verdict's eigh of the null space's real parts, 1x1 on a
+        # unique optimum), and _fast_estimate none; no lstsq, QR or
+        # eigvalsh anywhere on a fast step
         import dqcalib.online
         from dqcalib.sim import SimConfig, simulate_pairs
 
@@ -287,8 +287,7 @@ class TestStreamInvariants:
         for cert, kernels in per_call["certify"]:
             assert kernels[:3] == [("eigh", (4, 4)), ("eigh", (4, 4)),
                                    ("eigh", (8, 8))]
-            assert kernels[3:] == ([] if cert.null_dim == 1 else
-                                   [("eigh", (cert.null_dim,) * 2)])
+            assert kernels[3:] == [("eigh", (cert.null_dim,) * 2)]
         assert len(per_call["_fast_estimate"]) >= 249
         assert all(kernels == [] for _, kernels in per_call["_fast_estimate"])
 
@@ -296,9 +295,8 @@ class TestStreamInvariants:
         # the default replay neither fast-solves nor certifies; a step's
         # kernels are the global solve's: one 4x4 eigh of the dual block,
         # one 4x4 eigh per slope evaluation of the dual search, one 8x8
-        # eigh of Z at the bound and, when Z has more than one near-null
-        # direction, the verdict's eigh of their real parts; a warm Newton
-        # search takes few slope evaluations
+        # eigh of Z at the bound and the verdict's eigh of the null space's
+        # real parts, and a warm Newton search takes few slope evaluations
         import dqcalib.global_solver
         import dqcalib.online
         from dqcalib.sim import SimConfig, simulate_pairs
@@ -337,10 +335,9 @@ class TestStreamInvariants:
             start = len(calls)
             sol = calib.update(pair)
             n = evaluations[-1]
-            verdict = ([] if sol.null_dim == 1 else
-                       [("eigh", (sol.null_dim,) * 2)])
             assert calls[start:] == ([("eigh", (4, 4))] * (1 + n)
-                                     + [("eigh", (8, 8))] + verdict)
+                                     + [("eigh", (8, 8)),
+                                        ("eigh", (sol.null_dim,) * 2)])
         assert len(evaluations) == 300
         assert np.median(evaluations[1:]) <= 3
 
