@@ -17,15 +17,15 @@ import numpy as np
 
 from . import errors
 from .constraints import ConstraintMode
-from .cost import CostAccumulator
+from .cost import CostAccumulator, check_planes
 from .dualquat import DualQuat
 from .global_solver import check_gap_threshold, solve_global
 from .io import (load_pairs_jsonl, load_point_cloud, save_pair_rows_jsonl,
                  write_study_csv)
-from .local_solver import LocalSolveOptions, solve_local
+from .local_solver import solve_local
 from .metrics import calib_error
-from .online import OnlineCalibrator, OnlineConfig
-from .planar import RansacOptions, fit_ground_plane, lift_calibration, plane_alignment_dq
+from .online import OnlineCalibrator, OnlineConfig, check_t_no_fail
+from .planar import fit_ground_plane, lift_calibration, plane_alignment_dq
 from .sim import SimConfig, sample_study_calibration, simulate_rows
 from .verify import certify
 
@@ -62,11 +62,10 @@ def _mode(args) -> ConstraintMode:
 
 
 def _alignments(args):
-    if not getattr(args, "plane_a", None):
+    if args.plane_a is None:
         return None, None
-    opts = RansacOptions(seed=args.seed)
-    plane_a = fit_ground_plane(load_point_cloud(args.plane_a), opts)
-    plane_b = fit_ground_plane(load_point_cloud(args.plane_b), opts)
+    plane_a = fit_ground_plane(load_point_cloud(args.plane_a), args.seed)
+    plane_b = fit_ground_plane(load_point_cloud(args.plane_b), args.seed)
     return plane_a, plane_b
 
 
@@ -136,8 +135,7 @@ def cmd_calibrate(args) -> int:
                                sol.is_global, ms, {})
     if args.solver in ("fast", "both"):
         init = _parse_q8(args.init).vec() if args.init else None
-        opts = LocalSolveOptions(init=init)
-        local, ms = _median_time_ms(lambda: solve_local(Q, mode, opts),
+        local, ms = _median_time_ms(lambda: solve_local(Q, mode, init),
                                     args.repeat)
         cert = certify(Q, local.q_hat, mode, args.gap_threshold)
         solutions["fast"] = (local.q_hat, local.cost, cert.gap,
@@ -360,8 +358,12 @@ def main(argv=None) -> int:
     # looked up at call time, so a rebound cmd_<command> is the one that runs
     command = globals()[f"cmd_{args.command}"]
     try:
-        # a bad threshold fails before any file is read or solve is run
+        # bad option values fail before any file is read or solve is run
         check_gap_threshold(args.gap_threshold)
+        if args.command in ("calibrate", "online"):  # planes imply planar
+            check_planes(ConstraintMode.PLANAR, args.plane_a, args.plane_b)
+        if args.command == "online":
+            check_t_no_fail(args.t_no_fail)
         return command(args)
     except (errors.ParseError, errors.NonOrthogonalRotation, FileNotFoundError,
             json.JSONDecodeError, ValueError, errors.NonMonotonicTime,

@@ -59,6 +59,15 @@ class MotionPair:
         object.__setattr__(self, "weight_diag", w)
 
 
+def check_planes(mode: ConstraintMode, plane_a, plane_b) -> None:
+    """Raise ValueError unless the ground planes (or their alignments) are
+    given for both sensors, in planar mode, or for neither."""
+    if (plane_a is None) != (plane_b is None):
+        raise ValueError("ground planes must be given for both sensors")
+    if plane_a is not None and mode is not ConstraintMode.PLANAR:
+        raise ValueError("ground planes require planar mode")
+
+
 def _check_weights(w: np.ndarray, eta: np.ndarray) -> None:
     """Raise InvalidWeight unless every weight is finite and nonnegative."""
     if not (np.isfinite(w).all() and (w >= 0).all()):
@@ -119,15 +128,17 @@ def _project_rows(q: np.ndarray, align: DualQuat) -> np.ndarray:
 class CostAccumulator:
     """Running sum of per-pair cost matrices with weight normalization.
 
-    In planar mode with alignment displacements set, incoming motions are
-    conjugated into the respective ground-plane frames before their cost
-    matrix is formed.  Single writer; snapshots returned by
-    :attr:`normalized_q` are fresh arrays safe to hand to solver threads.
+    With alignment displacements set (both or neither, in planar mode;
+    else ValueError), incoming motions are conjugated into the respective
+    ground-plane frames before their cost matrix is formed.  Single writer;
+    snapshots returned by :attr:`normalized_q` are fresh arrays safe to
+    hand to solver threads.
     """
 
     def __init__(self, mode: ConstraintMode = ConstraintMode.FULL_3D,
                  align_a: DualQuat | None = None,
                  align_b: DualQuat | None = None):
+        check_planes(mode, align_a, align_b)
         self.mode = mode
         self.align_a = align_a
         self.align_b = align_b
@@ -162,7 +173,7 @@ class CostAccumulator:
     def _add_rows(self, q_a, q_b, w, eta) -> "CostAccumulator":
         """Add checked rows: unit sign-canonical motions and finite,
         nonnegative weights."""
-        if self.mode is ConstraintMode.PLANAR and self.align_a is not None:
+        if self.align_a is not None:
             q_a = _project_rows(q_a, self.align_a)
             q_b = _project_rows(q_b, self.align_b)
         for i in range(0, len(q_a), BLOCK_ROWS):
@@ -183,13 +194,6 @@ class CostAccumulator:
             return np.zeros((8, 8))
         Q = self.sum_q / self.sum_eta
         return 0.5 * (Q + Q.T)
-
-    def copy(self) -> "CostAccumulator":
-        other = CostAccumulator(self.mode, self.align_a, self.align_b)
-        other.sum_q = self.sum_q.copy()
-        other.n = self.n
-        other.sum_eta = self.sum_eta
-        return other
 
 
 def cost_value(acc: CostAccumulator, q: np.ndarray) -> float:

@@ -5,8 +5,8 @@ A dual quaternion is a pair (real, dual) of quaternions; it represents a
 rigid displacement when the real part is unit and the dual part is
 orthogonal to it.  The 8-vector form concatenates real then dual part.
 
-Composition convention: ``dq_mul(p, q)`` applies ``q`` first, then ``p``
-(like homogeneous-matrix products), so "apply a then b" is ``b * a``.
+Composition convention: the product ``p * q`` applies ``q`` first, then
+``p`` (like homogeneous-matrix products), so "apply a then b" is ``b * a``.
 """
 
 from __future__ import annotations
@@ -215,18 +215,18 @@ class DualQuat:
         orth_defect = abs(2.0 * (self.real @ self.dual))
         return norm_defect <= tol and orth_defect <= tol
 
-    def normalized(self, limit: float = NORMALIZE_LIMIT) -> "DualQuat":
+    def normalized(self) -> "DualQuat":
         """Return the nearest unit dual quaternion.
 
         Renormalizes the real part and projects the dual part onto the
         tangent.  Raises :class:`NotUnit` when a component is not finite or
-        the defect exceeds ``limit``; small constraint drift is repaired
-        silently.
+        the defect exceeds ``NORMALIZE_LIMIT``; small constraint drift is
+        repaired silently.
         """
         if not (np.isfinite(self.real).all() and np.isfinite(self.dual).all()):
             raise NotUnit("non-finite component")
         nr = np.linalg.norm(self.real)
-        if abs(nr * nr - 1.0) > limit:
+        if abs(nr * nr - 1.0) > NORMALIZE_LIMIT:
             raise NotUnit(f"real-part norm {nr} too far from 1")
         dual_scale = 1.0 + np.linalg.norm(self.dual)
         raw_orth = 2.0 * (self.real @ self.dual)
@@ -234,7 +234,7 @@ class DualQuat:
             return self  # already unit to machine precision; keep bits stable
         real = self.real / nr
         orth = 2.0 * (real @ self.dual)
-        if abs(orth) > limit * dual_scale:
+        if abs(orth) > NORMALIZE_LIMIT * dual_scale:
             raise NotUnit(f"real/dual orthogonality defect {orth}")
         dual = self.dual - (real @ self.dual) * real
         return DualQuat(real, dual)
@@ -300,31 +300,6 @@ class DualQuat:
         return f"DualQuat(real={r}, dual={d})"
 
 
-def dq_mul(p: DualQuat, q: DualQuat) -> DualQuat:
-    """Dual quaternion product; ``q`` acts first, ``p`` second."""
-    return p * q
-
-
-def conjugate(q: DualQuat) -> DualQuat:
-    return q.conjugate()
-
-
-def canonicalize(q: DualQuat) -> DualQuat:
-    return q.canonicalized()
-
-
-def transform_point(q: DualQuat, v) -> np.ndarray:
-    return q.transform_point(v)
-
-
-def from_rot_trans(axis, angle, translation) -> DualQuat:
-    return DualQuat.from_rot_trans(axis, angle, translation)
-
-
-def to_rot_trans(q: DualQuat):
-    return q.to_rot_trans()
-
-
 def left_mat(p: DualQuat) -> np.ndarray:
     """8x8 matrix L with L @ vec(q) = vec(p * q); block lower triangular."""
     M = np.zeros((8, 8))
@@ -379,8 +354,7 @@ def dq_mul_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def normalized_rows(v: np.ndarray) -> np.ndarray:
-    """Row-wise :meth:`DualQuat.normalized` of an (n, 8) array, with the
-    default limit ``NORMALIZE_LIMIT``.
+    """Row-wise :meth:`DualQuat.normalized` of an (n, 8) array.
 
     Raises :class:`NotUnit` with the scalar method's message for the first
     row it would reject; the error's ``row`` is that row's index.

@@ -86,12 +86,6 @@ class CalibSolution:
     plane_derived: tuple[str, ...] | None = None
 
 
-def _require_3d(mode: ConstraintMode):
-    if mode is not ConstraintMode.FULL_3D:
-        raise ValueError("the dual search is for 3D mode; planar mode is "
-                         "solved exactly by constraints.solve_planar")
-
-
 def _reduced_dual(Q: np.ndarray):
     """``(cut, lifted)``: whether C has a cut direction, and lam_2 ->
     (phi(lam_2), q, phi''(lam_2)): the smallest eigenvalue of the Schur
@@ -200,22 +194,20 @@ def _slope_root(slope, x0: float = 0.0) -> float:
     return min(ends.values(), key=lambda end: abs(end[1]))[0]
 
 
-def solve_dual(Q: np.ndarray, mode: ConstraintMode,
-               lam2_start: float = 0.0) -> Multipliers:
-    """Maximize lam_1 subject to Z(lam) >= 0; returns the optimal
-    (lam_1, lam_2) as :class:`Multipliers`.
+def solve_dual(Q: np.ndarray, lam2_start: float = 0.0) -> Multipliers:
+    """Maximize lam_1 subject to Z(lam) >= 0 in 3D mode; returns the
+    optimal (lam_1, lam_2) as :class:`Multipliers`.
 
-    3D mode only.  Finds the zero of the slope of the concave phi of the
-    module notes, the lifted point's g2 residual (zero below 1e-13
-    relative to the dual part), by safeguarded Newton steps on phi's
-    curvature from ``lam2_start`` (a warm start: the previous solve's
-    lam_2 on a slightly changed Q), bisecting where the slope jumps.  It
-    ends with :func:`dual_bound` at the point found, reusing the slope
-    evaluation there, so lam_1 is a valid lower bound on the primal
-    optimum.  When C has a cut direction lam_2 = 0 is the only admissible
-    value and there is no search.
+    Finds the zero of the slope of the concave phi of the module notes,
+    the lifted point's g2 residual (zero below 1e-13 relative to the dual
+    part), by safeguarded Newton steps on phi's curvature from
+    ``lam2_start`` (a warm start: the previous solve's lam_2 on a slightly
+    changed Q), bisecting where the slope jumps.  It ends with
+    :func:`dual_bound` at the point found, reusing the slope evaluation
+    there, so lam_1 is a valid lower bound on the primal optimum.  When C
+    has a cut direction lam_2 = 0 is the only admissible value and there
+    is no search.
     """
-    _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
     cut, lifted = _reduced_dual(Q)
     seen = {}
@@ -276,14 +268,12 @@ def _feasible(q: np.ndarray) -> np.ndarray:
     return DualQuat.from_vec(project_feasible(q)).canonicalized().vec()
 
 
-def recover_primal(Q: np.ndarray, lam, mode: ConstraintMode
-                   ) -> tuple[np.ndarray, int]:
-    """``(q8, null_dim)`` at the dual point ``lam``; 3D mode only.
+def recover_primal(Q: np.ndarray, lam: Multipliers) -> tuple[np.ndarray, int]:
+    """``(q8, null_dim)`` at the 3D dual point ``lam`` that
+    :func:`solve_dual` returned for the same Q.
 
-    Both are read off the :func:`dual_bound` at lam_2, with no further
-    decomposition when ``lam`` carries that bound (:class:`Multipliers`,
-    as :func:`solve_dual` returns them); other multipliers are first
-    bounded at their lam_2.  q8 is the lifted point made exactly feasible
+    Both are read off the :func:`dual_bound` that ``lam`` carries, with no
+    further decomposition: q8 is the lifted point made exactly feasible
     and sign-canonical, and the eigenpairs of Z give the verdict
     (:func:`nullspace_verdict`).  Raises :class:`NoNullSpace` when Z has no
     sufficiently small eigenvalue (dual not converged) and
@@ -291,10 +281,7 @@ def recover_primal(Q: np.ndarray, lam, mode: ConstraintMode
     calibration (e.g. all rotation axes parallel without planar
     constraints).
     """
-    _require_3d(mode)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
-    if not isinstance(lam, Multipliers):
-        lam = Multipliers(*dual_bound(Q, lam[1]))
     V, diag = nullspace_verdict(Q, lam.vals, lam.vecs)
     null_dim = V.shape[1]
     if null_dim == 0:
@@ -327,9 +314,9 @@ def solve_global(acc: CostAccumulator, gap_threshold: float = GAP_THRESHOLD,
         lam = np.array([p_star, 0.0])
         null_dim = 1 if degeneracy is None else degeneracy.null_dim
     else:
-        lam, degeneracy = solve_dual(Q, mode, lam2_start), None
+        lam, degeneracy = solve_dual(Q, lam2_start), None
         try:
-            q8, null_dim = recover_primal(Q, lam, mode)
+            q8, null_dim = recover_primal(Q, lam)
         except NonUniqueSolution as err:
             q8, null_dim, degeneracy = _feasible(lam.q), err.null_dim, err
         lam = np.array(lam)

@@ -11,8 +11,10 @@ stationary point an indefinite Hessian enters by the magnitudes of its
 eigenvalues, so every step descends; near one the exact Newton step
 converges quadratically.  Iterates are re-projected onto the manifold
 after every step (cheap and exact for these constraints), so returned
-points are feasible to floating point accuracy.  A warm start from a
-nearby optimum, as in online use, converges in two or three iterations.
+points are feasible to floating point accuracy.  The budgets are fixed
+(``MAX_ITER``, ``TOL_KKT``, ``TOL_STEP``); the one setting is the start.
+A warm start (``init``) from a nearby optimum, as in online use,
+converges in two or three iterations.
 Planar mode needs no iteration: the planar problem reduces to a 2x2
 eigenproblem (:func:`dqcalib.constraints.solve_planar`) whose solution is
 global, so the fast and the global solver return the same estimate.
@@ -33,24 +35,11 @@ from .errors import DegenerateInit
 _IDENTITY8 = np.array([1.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0])
 # Lagrangian-gradient size below which a step is the exact Newton step
 _NEAR_GRAD = 1e-6
-
-
-@dataclass(frozen=True)
-class LocalSolveOptions:
-    """3D budgets: ``max_iter`` caps the Newton iterations, ``tol_kkt`` is
-    the KKT residual that counts as converged and ``tol_step`` the step
-    size that ends the iteration early.  ``init`` is the starting point;
-    without one the solver starts from the cheaper of the identity and a
-    spectral guess."""
-
-    max_iter: int = 100
-    tol_kkt: float = 1e-10
-    tol_step: float = 1e-12
-    init: np.ndarray | None = None
-
-    def __post_init__(self):
-        if self.max_iter < 1 or self.tol_kkt <= 0 or self.tol_step <= 0:
-            raise ValueError("solver tolerances and budgets must be positive")
+# 3D budgets: Newton iterations, the KKT residual that counts as converged
+# and the step size that ends the iteration early
+MAX_ITER = 100
+TOL_KKT = 1e-10
+TOL_STEP = 1e-12
 
 
 @dataclass(frozen=True)
@@ -144,18 +133,18 @@ def _cold_start(Q: np.ndarray) -> np.ndarray:
 
 
 def solve_local(Q: np.ndarray, mode: ConstraintMode,
-                opts: LocalSolveOptions | None = None) -> LocalSolution:
+                init: np.ndarray | None = None) -> LocalSolution:
     """Return a KKT point of the constrained quadratic program.
 
-    3D mode starts from ``opts.init`` (made feasible) or, without one, from
-    :func:`_cold_start`, and takes at most ``opts.max_iter`` Newton
-    iterations; a non-converged run returns the last iterate with
+    3D mode starts from ``init`` (made feasible) or, without one, from
+    :func:`_cold_start`, and takes at most ``MAX_ITER`` Newton iterations
+    until the KKT residual is below ``TOL_KKT`` or a step below
+    ``TOL_STEP``; a non-converged run returns the last iterate with
     ``converged=False`` rather than raising.  Planar mode returns the exact
-    reduced solution, ignores ``init`` and the budgets, and never raises.
+    reduced solution, ignores ``init``, and never raises.
     :func:`dqcalib.verify.certify` re-fits the multipliers and reports a
     non-unique optimum.
     """
-    opts = opts or LocalSolveOptions()
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
     if mode is ConstraintMode.PLANAR:
         q8, p_star, _ = solve_planar(Q)
@@ -163,11 +152,11 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
                              lam=np.array([p_star, 0.0]),
                              cost=float(q8 @ Q @ q8), converged=True,
                              iterations=0, kkt_residual=0.0)
-    q = _cold_start(Q) if opts.init is None else project_feasible(opts.init)
+    q = _cold_start(Q) if init is None else project_feasible(init)
     cost = q @ Q @ q
     lam, grad, res = _stationarity(Q, q)
     iterations = 0
-    while res >= opts.tol_kkt and iterations < opts.max_iter:
+    while res >= TOL_KKT and iterations < MAX_ITER:
         # near a stationary point the exact Newton step converges
         # quadratically; cost-only backtracking would stall there at
         # rounding level, so a lower KKT residual also accepts a step
@@ -189,14 +178,14 @@ def solve_local(Q: np.ndarray, mode: ConstraintMode,
         iterations += 1
         q, cost = trial, trial_cost
         lam, grad, res = kkt
-        if alpha * np.max(np.abs(d)) < opts.tol_step:
+        if alpha * np.max(np.abs(d)) < TOL_STEP:
             break
 
     return LocalSolution(
         q_hat=DualQuat.from_vec(q).canonicalized(),
         lam=lam,
         cost=float(cost),
-        converged=bool(res < opts.tol_kkt),
+        converged=bool(res < TOL_KKT),
         iterations=iterations,
         kkt_residual=res,
     )

@@ -17,20 +17,27 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .constraints import ConstraintMode
-from .cost import CostAccumulator, MotionPair
+from .cost import CostAccumulator, MotionPair, check_planes
 from .errors import NonMonotonicTime, NonUniqueSolution
 from .global_solver import (GAP_THRESHOLD, CalibSolution, check_gap_threshold,
                             solve_global)
-from .local_solver import LocalSolveOptions, solve_local
+from .local_solver import solve_local
 from .planar import GroundPlane, lift_calibration, plane_alignment_dq
 from .verify import certify
 
 PLANE_DERIVED_DOFS = ("z", "roll", "pitch")
+
+
+def check_t_no_fail(t_no_fail: float) -> None:
+    """Raise ValueError unless the no-fail window is nonnegative (inf
+    included): a NaN window would run the fast path on every step."""
+    if not t_no_fail >= 0:  # NaN too
+        raise ValueError(f"t_no_fail must be nonnegative, got {t_no_fail}")
 
 
 @dataclass(frozen=True)
@@ -45,18 +52,12 @@ class OnlineConfig:
     t_no_fail: float = math.inf
     plane_a: GroundPlane | None = None
     plane_b: GroundPlane | None = None
-    local_opts: LocalSolveOptions = field(default_factory=LocalSolveOptions)
     gap_threshold: float = GAP_THRESHOLD
 
     def __post_init__(self):
-        if not self.t_no_fail >= 0:  # NaN too
-            raise ValueError(
-                f"t_no_fail must be nonnegative, got {self.t_no_fail}")
+        check_t_no_fail(self.t_no_fail)
         check_gap_threshold(self.gap_threshold)
-        if (self.plane_a is None) != (self.plane_b is None):
-            raise ValueError("ground planes must be given for both sensors")
-        if self.plane_a is not None and self.mode is not ConstraintMode.PLANAR:
-            raise ValueError("ground planes require planar mode")
+        check_planes(self.mode, self.plane_a, self.plane_b)
 
 
 def _fast_estimate(local, cert, provenance: str, is_global: bool,
@@ -128,8 +129,7 @@ class OnlineCalibrator:
         one while the latest local error is within the no-fail window."""
         cfg = self.config
         Q = self.acc.normalized_q
-        local = solve_local(Q, cfg.mode,
-                            replace(cfg.local_opts, init=self._warm))
+        local = solve_local(Q, cfg.mode, self._warm)
         cert = certify(Q, local.q_hat, cfg.mode, cfg.gap_threshold)
         if not (cert.is_global and local.converged):
             self.t_last_local_error = timestamp

@@ -89,12 +89,10 @@ def transform_plane(plane: GroundPlane, frame: DualQuat) -> GroundPlane:
     return GroundPlane(normal=normal, distance=distance)
 
 
-@dataclass(frozen=True)
-class RansacOptions:
-    seed: int
-    iterations: int = 200
-    inlier_threshold: float = 0.05
-
+# minimal samples drawn per fit, and the distance within which a point is
+# an inlier of a sample's plane
+RANSAC_ITERATIONS = 200
+INLIER_THRESHOLD = 0.05
 
 # points scored per matrix product: bounds the scoring temporaries (800 KB of
 # distances at 200 hypotheses) whatever the size of the cloud
@@ -150,17 +148,17 @@ def _inlier_counts(points: np.ndarray, normals: np.ndarray,
     return counts
 
 
-def fit_ground_plane(points: np.ndarray, opts: RansacOptions) -> GroundPlane:
+def fit_ground_plane(points: np.ndarray, seed: int) -> GroundPlane:
     """RANSAC plane fit with least-squares refinement over the inliers.
 
-    Sampling: ``opts.iterations`` minimal samples, each three distinct
+    Sampling: ``RANSAC_ITERATIONS`` minimal samples, each three distinct
     point indices drawn uniformly, all in one pass from
-    ``np.random.default_rng(opts.seed)``, so the fit is deterministic by
-    seed; a 3-point cloud has its single sample.  A sample whose
-    cross-product norm is below 1e-12 is dropped.  Scoring: a point is an
-    inlier of a sample's plane when its distance is at most
-    ``opts.inlier_threshold``; the first sample with the most inliers wins,
-    and the plane is refit by SVD over its inliers.
+    ``np.random.default_rng(seed)``, so the fit is deterministic by seed; a
+    3-point cloud has its single sample.  A sample whose cross-product norm
+    is below 1e-12 is dropped.  Scoring: a point is an inlier of a sample's
+    plane when its distance is at most ``INLIER_THRESHOLD``; the first
+    sample with the most inliers wins, and the plane is refit by SVD over
+    its inliers.
 
     The returned plane is oriented so its offset is nonnegative.  Raises
     :class:`DegenerateInput` when fewer than three points are given, any
@@ -176,14 +174,14 @@ def fit_ground_plane(points: np.ndarray, opts: RansacOptions) -> GroundPlane:
     if np.linalg.matrix_rank(points - points.mean(axis=0), tol=1e-9) < 2:
         raise DegenerateInput("all points are collinear")
 
-    rng = np.random.default_rng(opts.seed)
-    normals, offsets = _hypotheses(points,
-                                   _minimal_samples(n_pts, opts.iterations, rng))
+    rng = np.random.default_rng(seed)
+    normals, offsets = _hypotheses(
+        points, _minimal_samples(n_pts, RANSAC_ITERATIONS, rng))
     if len(normals) == 0:
         raise DegenerateInput("no non-collinear minimal sample found")
     best = int(np.argmax(_inlier_counts(points, normals, offsets,
-                                        opts.inlier_threshold)))
-    mask = np.abs(points @ normals[best] + offsets[best]) <= opts.inlier_threshold
+                                        INLIER_THRESHOLD)))
+    mask = np.abs(points @ normals[best] + offsets[best]) <= INLIER_THRESHOLD
 
     inliers = points[mask]
     centroid = inliers.mean(axis=0)

@@ -124,14 +124,22 @@ def qr_tangent_basis(q):
     return np.linalg.qr(grad_g(q).T, mode="complete")[0][:, 2:]
 
 
-def qr_newton_direction(Q, q, lam, grad, exact):
-    """The safeguarded tangent-space Newton step on the QR basis."""
+def qr_restricted_hessian(Q, q, lam):
+    """(N, w, V, mag): the QR tangent basis N, the eigenpairs (w, V) of the
+    Lagrangian Hessian restricted to it, and the magnitudes |w| floored at
+    1e-12 (1 + max |w|), as the safeguarded Newton step uses them."""
     from dqcalib.constraints import constraint_matrices
 
     N = qr_tangent_basis(q)
     H = 2.0 * Q + sum(li * 2.0 * G for li, G in zip(lam, constraint_matrices()))
     w, V = np.linalg.eigh(N.T @ H @ N)
     mag = np.maximum(np.abs(w), 1e-12 * (1.0 + np.max(np.abs(w))))
+    return N, w, V, mag
+
+
+def qr_newton_direction(Q, q, lam, grad, exact):
+    """The safeguarded tangent-space Newton step on the QR basis."""
+    N, w, V, mag = qr_restricted_hessian(Q, q, lam)
     if exact:
         mag = np.copysign(mag, w)
     return -(N @ V) @ ((V.T @ (N.T @ grad)) / mag)
@@ -144,6 +152,46 @@ def lstsq_fit_multipliers(q, Qq):
     A = np.column_stack([G @ q for G in constraint_matrices()])
     lam = np.linalg.lstsq(A, -Qq, rcond=1e-12)[0]
     return float(lam[0]), float(lam[1])
+
+
+# The closed-form kernels and their oracles are both backward stable, so they
+# agree to a forward-error bound C_FWD * eps * kappa times the scale of the
+# data, kappa the condition number of the problem the kernel solves.  Over
+# 60 000 drawn points the largest error / (eps * kappa * scale) was 6.5.
+C_FWD = 16.0
+
+# drawn (q, random_cost seed) at which fixed relative tolerances (1e-12 on
+# the certificate's multipliers, 1e-10 on the Newton step) failed
+ILL_CONDITIONED_DRAWS = [
+    (np.array([0.0, -float.fromhex("0x1.aab2ace0d7b78p-20"),
+               -float.fromhex("0x1.fffffffffd38dp-1"), 0.0,
+               float.fromhex("0x1.75fffffffdf88p+4"), 0.0, 0.0,
+               float.fromhex("0x1.37b084483d931p-15")]), 314),
+    (np.array([float.fromhex(x) for x in (
+        "-0x1.894614fb9bb3ap-4", "0x1.6e164f5db20a0p-2",
+        "0x1.c958dc9a1b2a2p-1", "-0x1.053290d28464dp-2",
+        "0x1.1293c4095b04cp+2", "-0x1.04afb65a4ecb2p+4",
+        "0x1.9c951f9295fc0p+2", "-0x1.e004a3f86e85ep+0")]), 382),
+]
+
+
+def forward_tol(kappa, scale):
+    """C_FWD * eps * kappa * scale."""
+    return C_FWD * np.finfo(float).eps * kappa * scale
+
+
+def normal_matrix_cond(q):
+    """Condition number of the multiplier fit's 2x2 normal matrix at q."""
+    r, d = q[:4], q[4:]
+    rd = r @ d
+    return np.linalg.cond([[r @ r, -rd], [-rd, r @ r + d @ d]])
+
+
+def restricted_hessian_cond(Q, q, lam):
+    """Condition number of the Newton step's restricted Hessian, its
+    eigenvalues taken by their floored magnitudes."""
+    mag = qr_restricted_hessian(Q, q, lam)[3]
+    return mag.max() / mag.min()
 
 
 def use_oracle_kernels(monkeypatch):

@@ -15,7 +15,7 @@ from dqcalib.cost import CostAccumulator
 from dqcalib.dualquat import DualQuat, left_mat, right_mat
 from dqcalib.errors import NonUniqueSolution
 from dqcalib.global_solver import solve_global
-from dqcalib.local_solver import LocalSolveOptions, solve_local
+from dqcalib.local_solver import solve_local
 from dqcalib.metrics import calib_error
 from dqcalib.online import OnlineConfig, replay
 from dqcalib.planar import plane_alignment_dq
@@ -57,7 +57,7 @@ def test_acceptance_01_exact_recovery_noise_free():
         # fast solver initialized from the global result, as in the
         # combined pipeline
         local = solve_local(acc.normalized_q, ConstraintMode.FULL_3D,
-                            LocalSolveOptions(init=sol.q_hat.vec()))
+                            sol.q_hat.vec())
         err_l = calib_error(local.q_hat, truth)
         assert err_l.eps_r < 1e-6 and err_l.eps_t < 1e-6
     elapsed = time.perf_counter() - t0
@@ -94,7 +94,7 @@ def test_acceptance_03_dual_oracle_equivalence():
         pairs, _ = simulate_pairs(cfg)
         Q = accumulate_pairs(pairs).normalized_q
         from dqcalib.global_solver import solve_dual
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
         ref = oracle_dual_lambda1(Q)
         worst = max(worst, abs(lam[0] - ref))
     assert worst < 1e-6
@@ -113,7 +113,7 @@ def test_acceptance_04_local_global_agreement():
         acc = accumulate_pairs(pairs)
         sol = solve_global(acc)
         local = solve_local(acc.normalized_q, ConstraintMode.FULL_3D,
-                            LocalSolveOptions(init=sol.q_hat.vec()))
+                            sol.q_hat.vec())
         dist = calib_error(local.q_hat, sol.q_hat)
         assert dist.eps_r < 1e-4 and dist.eps_t < 1e-4
         cert = certify(acc.normalized_q, local.q_hat, ConstraintMode.FULL_3D)
@@ -267,8 +267,7 @@ def test_acceptance_09_performance_envelope():
     local_times = []
     for _ in range(20):
         t0 = time.perf_counter()
-        solve_local(Q, ConstraintMode.FULL_3D,
-                    LocalSolveOptions(init=sol.q_hat.vec()))
+        solve_local(Q, ConstraintMode.FULL_3D, sol.q_hat.vec())
         local_times.append(time.perf_counter() - t0)
     warm_ms = np.median(local_times) * 1e3
     assert warm_ms < 50.0

@@ -25,6 +25,21 @@ def q8_arg(q):
     return ",".join(repr(float(v)) for v in q.vec())
 
 
+def count_calls(monkeypatch, *names):
+    """Wrap the named ``dqcalib.cli`` functions; returns the list each call
+    appends its name to."""
+    import dqcalib.cli
+
+    calls = []
+    for name in names:
+        def counted(*args, _name=name, _func=getattr(dqcalib.cli, name),
+                    **kwargs):
+            calls.append(_name)
+            return _func(*args, **kwargs)
+        monkeypatch.setattr(dqcalib.cli, name, counted)
+    return calls
+
+
 def write_plane_cloud(path, plane: GroundPlane, rng, n=60):
     basis = np.linalg.svd(np.outer(plane.normal, plane.normal) - np.eye(3))[0][:, :2]
     coords = rng.uniform(-4, 4, (n, 2))
@@ -88,16 +103,8 @@ class TestCalibrate:
 
     def test_bad_gt_pose_fails_before_the_load(self, sim_pairs_file, capsys,
                                                monkeypatch):
-        import dqcalib.cli
-
         path, _ = sim_pairs_file
-        calls = []
-        for name in ("load_pairs_jsonl", "solve_global"):
-            def counted(*args, _name=name, _func=getattr(dqcalib.cli, name),
-                        **kwargs):
-                calls.append(_name)
-                return _func(*args, **kwargs)
-            monkeypatch.setattr(dqcalib.cli, name, counted)
+        calls = count_calls(monkeypatch, "load_pairs_jsonl", "solve_global")
         rc = main(["calibrate", "--pairs", str(path), "--gt-pose", "1,2,0.5"])
         assert rc == 2
         assert "expected tx,ty,tz" in capsys.readouterr().err
@@ -385,16 +392,9 @@ class TestNonFiniteInput:
                                        monkeypatch, command, threshold):
         # NaN or a negative threshold would certify nothing, inf anything;
         # it is rejected before the file is loaded or any solver runs
-        import dqcalib.cli
-
         path, _ = sim_pairs_file
-        calls = []
-        for name in ("load_pairs_jsonl", "solve_global", "solve_local"):
-            def counted(*args, _name=name, _func=getattr(dqcalib.cli, name),
-                        **kwargs):
-                calls.append(_name)
-                return _func(*args, **kwargs)
-            monkeypatch.setattr(dqcalib.cli, name, counted)
+        calls = count_calls(monkeypatch, "load_pairs_jsonl", "solve_global",
+                            "solve_local")
         rc = main(["--gap-threshold", threshold, command[0], "--pairs",
                    str(path), *command[1:]])
         assert rc == 2
@@ -403,13 +403,46 @@ class TestNonFiniteInput:
         assert "gap threshold must be finite and nonnegative" in out.err
         assert calls == []
 
-    def test_nan_no_fail_window_exits_2(self, sim_pairs_file, capsys):
+    def test_nan_no_fail_window_exits_2(self, sim_pairs_file, tmp_path,
+                                        capsys, monkeypatch):
+        # NaN or a negative window is rejected before the pair file or the
+        # ground-plane clouds are loaded
         path, _ = sim_pairs_file
-        rc = main(["online", "--pairs", str(path), "--t-no-fail", "nan"])
+        cloud = tmp_path / "ground.xyz"
+        write_plane_cloud(cloud, GroundPlane(normal=[0, 0, 1], distance=1.0),
+                          np.random.default_rng(0))
+        calls = count_calls(monkeypatch, "load_pairs_jsonl",
+                            "load_point_cloud")
+        for window, shown in (("nan", "nan"), ("-1", "-1.0")):
+            rc = main(["online", "--pairs", str(path), "--t-no-fail", window,
+                       "--plane-a", str(cloud), "--plane-b", str(cloud)])
+            assert rc == 2
+            out = capsys.readouterr()
+            assert out.out == ""
+            assert f"t_no_fail must be nonnegative, got {shown}" in out.err
+        assert calls == []
+
+    @pytest.mark.parametrize("flag", ["--plane-a", "--plane-b"])
+    @pytest.mark.parametrize("command", [["calibrate", "--repeat", "1"],
+                                         ["online"]],
+                             ids=["calibrate", "online"])
+    def test_one_plane_flag_exits_2(self, sim_pairs_file, tmp_path, capsys,
+                                    monkeypatch, command, flag):
+        # ground planes come for both sensors or for neither; one alone
+        # fails before any file is read
+        path, _ = sim_pairs_file
+        cloud = tmp_path / "ground.xyz"
+        write_plane_cloud(cloud, GroundPlane(normal=[0, 0, 1], distance=1.0),
+                          np.random.default_rng(0))
+        calls = count_calls(monkeypatch, "load_pairs_jsonl",
+                            "load_point_cloud")
+        rc = main([command[0], "--pairs", str(path), flag, str(cloud),
+                   *command[1:]])
         assert rc == 2
         out = capsys.readouterr()
         assert out.out == ""
-        assert "t_no_fail must be nonnegative, got nan" in out.err
+        assert "ground planes must be given for both sensors" in out.err
+        assert calls == []
 
     def test_nan_plane_point_names_its_line(self, tmp_path, capsys, rng):
         rig = planar_rig(n_steps=10, seed=104)

@@ -260,6 +260,21 @@ def test_planar_add_batch_matches_sequential_add(seed, n, weighted):
     assert batch.sum_eta == sum_eta
 
 
+def test_one_alignment_rejected():
+    # an alignment for one sensor only would leave the other frame unset
+    g = DualQuat.identity()
+    for one in ({"align_a": g}, {"align_b": g}):
+        with pytest.raises(ValueError, match="both sensors"):
+            CostAccumulator(ConstraintMode.PLANAR, **one)
+
+
+def test_alignments_need_planar_mode():
+    # 3D mode would ignore them
+    g = DualQuat.identity()
+    with pytest.raises(ValueError, match="require planar mode"):
+        CostAccumulator(ConstraintMode.FULL_3D, align_a=g, align_b=g)
+
+
 def test_add_batch_rejects_negative_weights(pairs_5000):
     rows = PairArrays.from_pairs(pairs_5000[:4])
     w = np.ones((4, 8))

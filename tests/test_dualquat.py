@@ -4,12 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.spatial.transform import Rotation
 
-from dqcalib.dualquat import (DualQuat, angle_translation_rows, canonicalize,
-                              canonicalized_rows, conjugate, conjugate_rows,
-                              dq_mul, dq_mul_rows, from_homogeneous_rows,
-                              from_rot_trans_rows, left_mat, normalized_rows,
-                              quat_mul, quat_to_rot, right_mat, rot_to_quat,
-                              rot_to_quat_rows)
+from dqcalib.dualquat import (DualQuat, angle_translation_rows,
+                              canonicalized_rows, conjugate_rows, dq_mul_rows,
+                              from_homogeneous_rows, from_rot_trans_rows,
+                              left_mat, normalized_rows, quat_mul, quat_to_rot,
+                              right_mat, rot_to_quat, rot_to_quat_rows)
 from dqcalib.errors import NonUnitAxis, NotUnit
 
 from conftest import unit_dqs, unit_quats
@@ -69,7 +68,7 @@ def random_homogeneous(rng, t_scale=2.0):
 class TestDualQuatMul:
     def test_identity(self, rng):
         q = DualQuat.from_homogeneous(random_homogeneous(rng))
-        assert dq_mul(DualQuat.identity(), q).is_close(q, atol=1e-15)
+        assert (DualQuat.identity() * q).is_close(q, atol=1e-15)
 
     def test_times_conjugate_is_identity(self, rng):
         q = DualQuat.from_homogeneous(random_homogeneous(rng))
@@ -93,11 +92,12 @@ class TestDualQuatMul:
 class TestConjugate:
     def test_identity(self):
         e = DualQuat.identity()
-        assert conjugate(e).is_close(e, atol=0.0)
+        assert e.conjugate().is_close(e, atol=0.0)
 
     def test_involution(self, rng):
         q = DualQuat.from_homogeneous(random_homogeneous(rng))
-        assert conjugate(conjugate(q)).is_close(q, atol=0.0, up_to_sign=False)
+        assert q.conjugate().conjugate().is_close(q, atol=0.0,
+                                                  up_to_sign=False)
 
     def test_inverse_displacement(self, rng):
         for _ in range(20):
@@ -206,16 +206,18 @@ class TestMatrixization:
 class TestCanonicalize:
     def test_positive_scalar_unchanged(self):
         q = DualQuat.from_rot_trans([0, 0, 1], 0.5, [1, 2, 3])
-        assert canonicalize(q) is q or canonicalize(q).is_close(q, up_to_sign=False)
+        c = q.canonicalized()
+        assert c is q or c.is_close(q, up_to_sign=False)
 
     def test_negated_identity(self):
         q = -DualQuat.identity()
-        assert canonicalize(q).is_close(DualQuat.identity(), atol=0.0, up_to_sign=False)
+        assert q.canonicalized().is_close(DualQuat.identity(), atol=0.0,
+                                          up_to_sign=False)
 
     def test_zero_scalar_tiebreak(self):
         q = DualQuat(np.array([0.0, 0, 0, 1]), np.zeros(4))
-        a = canonicalize(q).vec()
-        b = canonicalize(-q).vec()
+        a = q.canonicalized().vec()
+        b = (-q).canonicalized().vec()
         assert np.array_equal(a, b)
 
 

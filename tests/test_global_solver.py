@@ -10,7 +10,7 @@ from dqcalib.cost import CostAccumulator, MotionPair
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import EmptyData, NonUniqueSolution
 from dqcalib.global_solver import recover_primal, solve_dual, solve_global
-from dqcalib.local_solver import LocalSolveOptions, solve_local
+from dqcalib.local_solver import solve_local
 from dqcalib.metrics import calib_error
 from dqcalib.planar import GroundPlane, plane_alignment_dq
 from dqcalib.sim import (SimConfig, planar_rig, random_unit_dq,
@@ -25,18 +25,21 @@ def oracle_dual_lambda1(Q, xtol=1e-9):
 
     Independent route: scipy bounded scalar minimization for the inner
     maximization over lam_2 plus a grid scan and Brent root refinement on
-    the outer feasibility boundary in lam_1.
+    the outer feasibility boundary in lam_1.  A lam_1 counts as feasible
+    when phi(lam_1) >= -tau, tau = 1e-12 (1 + |Q|_2): on noise-free costs
+    the dual optimum is 0 and rounding puts phi(0) near -1e-17.
     """
     from scipy.optimize import brentq, minimize_scalar
 
     bound = 4.0 * (1.0 + np.linalg.norm(Q, 2))
+    tau = 1e-12 * (1.0 + np.linalg.norm(Q, 2))
 
     def phi(l1):
         res = minimize_scalar(
             lambda l2: -np.linalg.eigvalsh(assemble_Z(Q, [l1, l2]))[0],
             bounds=(-bound, bound), method="bounded",
             options={"xatol": 1e-12})
-        return -res.fun
+        return tau - res.fun  # phi(l1) + tau
 
     ub = float(Q[0, 0])  # identity is feasible: cost = Q[0,0]
     if ub <= xtol:
@@ -100,14 +103,14 @@ FLAT_GROUND = GroundPlane(normal=[0.0, 0.0, 1.0], distance=1.0)
 
 @st.composite
 def dual_costs(draw):
-    """A random positive definite cost or a noisy simulated calibration
-    cost: the oracle scans lam_1 upwards from 0, so it needs an optimum
-    above rounding level (noise-free costs have optimum 0)."""
+    """A random positive definite cost or a simulated calibration cost,
+    noise-free (dual optimum 0) or noisy."""
     seed = draw(st.integers(0, 2**32 - 1))
     if draw(st.booleans()):
         return random_cost(seed)
+    noise = draw(st.sampled_from([0.0, 0.01, 0.05, 0.1]))
     pairs, _ = make_dataset(seed=seed, n_pairs=draw(st.integers(2, 60)),
-                            noise=draw(st.sampled_from([0.01, 0.05, 0.1])))
+                            noise=noise)
     return accumulate_pairs(pairs).normalized_q
 
 
@@ -125,7 +128,7 @@ class TestSolveDual:
     @settings(max_examples=50, deadline=None)
     @given(Q=dual_costs())
     def test_lambda1_matches_brute_force_oracle_property(self, Q):
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
         assert abs(lam[0] - oracle_dual_lambda1(Q)) < 1e-6
 
     @pytest.mark.parametrize("k,start", [(0.25, 0.0), (0.25, -0.25),
@@ -138,34 +141,35 @@ class TestSolveDual:
         Q = kinked_cost(k)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            lam = solve_dual(Q, ConstraintMode.FULL_3D, start)
+            lam = solve_dual(Q, start)
         assert abs(lam[0] - oracle_dual_lambda1(Q)) < 1e-6
         assert abs(lam[0] - 1.0) < 1e-9
         assert abs(lam[1] + k) < 1e-9
 
     def test_zero_cost_matrix(self):
-        lam = solve_dual(np.zeros((8, 8)), ConstraintMode.FULL_3D)
+        lam = solve_dual(np.zeros((8, 8)))
         assert np.allclose(lam, [0.0, 0.0], atol=1e-9)
 
     def test_noise_free_dual_value_is_zero(self):
         pairs, _ = make_dataset(seed=21, n_pairs=10)
         Q = accumulate_pairs(pairs).normalized_q
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
         assert abs(lam[0]) < 1e-9
         assert np.linalg.eigvalsh(assemble_Z(Q, lam))[0] >= -1e-9
 
-    @pytest.mark.parametrize("seed,noise,n", [(31, 0.05, 50), (32, 0.1, 80),
-                                              (33, 0.02, 30), (34, 0.08, 120)])
+    @pytest.mark.parametrize("seed,noise,n", [
+        (31, 0.05, 50), (32, 0.1, 80), (33, 0.02, 30), (34, 0.08, 120),
+        *[(seed, 0.0, 8) for seed in range(10)]])
     def test_matches_brute_force_oracle(self, seed, noise, n):
         pairs, _ = make_dataset(seed=seed, n_pairs=n, noise=noise)
         Q = accumulate_pairs(pairs).normalized_q
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
         assert abs(lam[0] - oracle_dual_lambda1(Q)) < 1e-6
 
     def test_feasibility_of_returned_multipliers(self):
         pairs, _ = make_dataset(seed=35, n_pairs=60, noise=0.1)
         Q = accumulate_pairs(pairs).normalized_q
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
         Z = assemble_Z(Q, lam)
         min_eig = np.linalg.eigvalsh(Z)[0]
         assert min_eig >= -1e-9 * (1 + np.linalg.norm(Z))
@@ -177,7 +181,7 @@ class TestSolveDual:
         # large dual part; lowering lam_1 must lift it to rounding level
         pairs = planar_rig(seed=seed, noise_level=0.001).pairs
         Q = accumulate_pairs(pairs).normalized_q
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
         min_eig = np.linalg.eigvalsh(assemble_Z(Q, lam))[0]
         assert min_eig >= -1e-15 * (1 + np.linalg.norm(Q, ord="fro"))
 
@@ -228,15 +232,15 @@ class TestSolveDual:
 class TestRecoverPrimal:
     def test_diagonal_gap_case(self):
         Q = np.diag([0.0] + [1.0] * 7)
-        q8, null_dim = recover_primal(Q, np.zeros(2), ConstraintMode.FULL_3D)
+        q8, null_dim = recover_primal(Q, solve_dual(Q))
         assert null_dim == 1
         assert np.allclose(q8, [1, 0, 0, 0, 0, 0, 0, 0], atol=1e-12)
 
     def test_noise_free_recovery(self):
         pairs, q_t = make_dataset(seed=22, n_pairs=8)
         Q = accumulate_pairs(pairs).normalized_q
-        lam = solve_dual(Q, ConstraintMode.FULL_3D)
-        q8, null_dim = recover_primal(Q, lam, ConstraintMode.FULL_3D)
+        lam = solve_dual(Q)
+        q8, null_dim = recover_primal(Q, lam)
         assert null_dim == 2  # truth plus the structural pure-dual direction
         err = calib_error(type(q_t).from_vec(q8), q_t)
         assert err.eps_r < 1e-6
@@ -292,7 +296,7 @@ class TestSolveGlobal:
             acc = accumulate_pairs(pairs)
             sol = solve_global(acc)
             local = solve_local(acc.normalized_q, ConstraintMode.FULL_3D,
-                                LocalSolveOptions(init=random_unit_dq(rng).vec()))
+                                random_unit_dq(rng).vec())
             assert sol.dual_value <= local.cost + 1e-9
 
     def test_certificate_soundness_by_sampling(self, rng):
@@ -347,8 +351,9 @@ class TestRotationExact:
         min_eig = np.linalg.eigvalsh(assemble_Z(Q, sol.lam))[0]
         assert min_eig >= -1e-15 * (1 + np.linalg.norm(Q, ord="fro"))
         rng = np.random.default_rng(seed)
-        best = min(solve_local(Q, ConstraintMode.FULL_3D, LocalSolveOptions(
-            init=random_unit_dq(rng).vec())).cost for _ in range(30))
+        best = min(solve_local(Q, ConstraintMode.FULL_3D,
+                               random_unit_dq(rng).vec()).cost
+                   for _ in range(30))
         assert sol.primal_cost <= best + 1e-12
 
 

@@ -147,8 +147,8 @@ class TestStreamInvariants:
         real_solve_local = dqcalib.online.solve_local
         miss = [False]
 
-        def solve_local(Q, mode, opts=None):
-            sol = real_solve_local(Q, mode, opts)
+        def solve_local(Q, mode, init=None):
+            sol = real_solve_local(Q, mode, init)
             if not miss[0]:
                 return sol
             delta = DualQuat.from_rot_trans([0, 0, 1], np.deg2rad(1.0), [0, 0, 0])
@@ -184,9 +184,9 @@ class TestStreamInvariants:
         real_solve_local = dqcalib.online.solve_local
         iterations = []
 
-        def solve_local(Q, mode, opts=None):
-            sol = real_solve_local(Q, mode, opts)
-            if opts.init is not None:
+        def solve_local(Q, mode, init=None):
+            sol = real_solve_local(Q, mode, init)
+            if init is not None:
                 iterations.append(sol.iterations)
             return sol
 
@@ -370,8 +370,8 @@ class TestStreamInvariants:
         real_solve_local = dqcalib.online.solve_local
         unconverged = [False]
 
-        def solve_local(Q, mode, opts=None):
-            sol = real_solve_local(Q, mode, opts)
+        def solve_local(Q, mode, init=None):
+            sol = real_solve_local(Q, mode, init)
             return dataclasses.replace(sol, converged=not unconverged[0])
 
         monkeypatch.setattr(dqcalib.online, "solve_local", solve_local)

@@ -5,10 +5,11 @@ import pytest
 
 from dqcalib.dualquat import DualQuat
 from dqcalib.errors import DegenerateInput
-from dqcalib.planar import (GroundPlane, RansacOptions, _hypotheses,
-                            _inlier_counts, _minimal_samples, fit_ground_plane,
-                            lift_calibration, plane_alignment_dq,
-                            project_motion, transform_plane)
+from dqcalib.planar import (INLIER_THRESHOLD, RANSAC_ITERATIONS, GroundPlane,
+                            _hypotheses, _inlier_counts, _minimal_samples,
+                            fit_ground_plane, lift_calibration,
+                            plane_alignment_dq, project_motion,
+                            transform_plane)
 from dqcalib.sim import planar_rig, random_unit_dq
 
 EZ = np.array([0.0, 0.0, 1.0])
@@ -139,7 +140,7 @@ class TestRansac:
         pts = np.column_stack([rng.uniform(-5, 5, 100),
                                rng.uniform(-5, 5, 100),
                                np.full(100, 2.0)])
-        plane = fit_ground_plane(pts, RansacOptions(seed=0))
+        plane = fit_ground_plane(pts, 0)
         assert np.allclose(np.abs(plane.normal), EZ, atol=1e-9)
         assert abs(plane.distance - 2.0) < 1e-9
         assert np.max(np.abs(plane.signed_distance(pts))) < 1e-9
@@ -153,30 +154,30 @@ class TestRansac:
         inliers += rng.normal(0, 0.005, inliers.shape)
         outliers = rng.uniform(-5, 5, (n_out, 3))
         pts = np.vstack([inliers, outliers])
-        fit = fit_ground_plane(pts, RansacOptions(seed=1))
+        fit = fit_ground_plane(pts, 1)
         angle = np.arccos(np.clip(abs(fit.normal @ true_normal), -1, 1))
         assert np.degrees(angle) < 0.5
 
     def test_three_points_exact(self):
         pts = np.array([[0.0, 0, 0], [1, 0, 0], [0, 1, 1]])
-        plane = fit_ground_plane(pts, RansacOptions(seed=0))
+        plane = fit_ground_plane(pts, 0)
         assert np.max(np.abs(plane.signed_distance(pts))) < 1e-12
 
     def test_collinear_points_rejected(self):
         pts = np.outer(np.linspace(0, 1, 10), [1.0, 2.0, 3.0])
         with pytest.raises(DegenerateInput):
-            fit_ground_plane(pts, RansacOptions(seed=0))
+            fit_ground_plane(pts, 0)
 
     def test_too_few_points_rejected(self):
         with pytest.raises(DegenerateInput):
-            fit_ground_plane(np.zeros((2, 3)), RansacOptions(seed=0))
+            fit_ground_plane(np.zeros((2, 3)), 0)
 
     def test_deterministic_by_seed(self, rng):
         pts = np.vstack([sample_plane_points(
             GroundPlane(normal=EZ, distance=1.0), rng, n=60),
             rng.uniform(-3, 3, (20, 3))])
-        a = fit_ground_plane(pts, RansacOptions(seed=42))
-        b = fit_ground_plane(pts, RansacOptions(seed=42))
+        a = fit_ground_plane(pts, 42)
+        b = fit_ground_plane(pts, 42)
         assert np.array_equal(a.normal, b.normal)
         assert a.distance == b.distance
 
@@ -187,13 +188,13 @@ def test_fitted_plane_feeds_alignment(rng):
     n /= np.linalg.norm(n)
     plane = GroundPlane(normal=n, distance=1.7)
     pts = sample_plane_points(plane, rng, n=80)
-    fit = fit_ground_plane(pts, RansacOptions(seed=3))
+    fit = fit_ground_plane(pts, 3)
     q = plane_alignment_dq(fit)
     mapped = np.array([q.transform_point(p) for p in pts])
     assert np.max(np.abs(mapped[:, 2])) < 1e-8
 
 
-def oracle_fit_ground_plane(points, opts):
+def oracle_fit_ground_plane(points, seed):
     """The per-hypothesis loop the batched kernel replaced, kept as its
     oracle and scoring the kernel's samples.
 
@@ -207,8 +208,8 @@ def oracle_fit_ground_plane(points, opts):
     centered = points - points.mean(axis=0)
     if np.linalg.matrix_rank(centered, tol=1e-9) < 2:
         raise DegenerateInput("all points are collinear")
-    samples = _minimal_samples(n_pts, opts.iterations,
-                               np.random.default_rng(opts.seed))
+    samples = _minimal_samples(n_pts, RANSAC_ITERATIONS,
+                               np.random.default_rng(seed))
     counts, best, best_mask = [], None, None
     for idx in samples:
         p0, p1, p2 = points[idx]
@@ -219,7 +220,7 @@ def oracle_fit_ground_plane(points, opts):
         normal = cross / norm
         offset = -float(normal @ p0)
         dist = np.abs(points @ normal + offset)
-        mask = dist <= opts.inlier_threshold
+        mask = dist <= INLIER_THRESHOLD
         counts.append(int(mask.sum()))
         if best is None or counts[-1] > counts[best]:
             best, best_mask = len(counts) - 1, mask
@@ -274,15 +275,14 @@ class TestRansacKernel:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_loop_oracle(self, cloud, seed):
         pts = CLOUDS[cloud](np.random.default_rng(seed))
-        opts = RansacOptions(seed=seed)
-        plane, counts, best = oracle_fit_ground_plane(pts, opts)
-        samples = _minimal_samples(len(pts), opts.iterations,
-                                   np.random.default_rng(opts.seed))
+        plane, counts, best = oracle_fit_ground_plane(pts, seed)
+        samples = _minimal_samples(len(pts), RANSAC_ITERATIONS,
+                                   np.random.default_rng(seed))
         normals, offsets = _hypotheses(pts, samples)
-        got = _inlier_counts(pts, normals, offsets, opts.inlier_threshold)
+        got = _inlier_counts(pts, normals, offsets, INLIER_THRESHOLD)
         assert got.tolist() == counts
         assert int(np.argmax(got)) == best
-        fit = fit_ground_plane(pts, opts)
+        fit = fit_ground_plane(pts, seed)
         assert np.array_equal(fit.normal, plane.normal)
         assert fit.distance == plane.distance
 
@@ -290,15 +290,15 @@ class TestRansacKernel:
         split = 0
         for seed in range(10):
             pts = _two_plane_cloud(np.random.default_rng(seed))
-            opts = RansacOptions(seed=seed)
-            samples = _minimal_samples(len(pts), opts.iterations,
+            samples = _minimal_samples(len(pts), RANSAC_ITERATIONS,
                                        np.random.default_rng(seed))
             normals, offsets = _hypotheses(pts, samples)
-            counts = _inlier_counts(pts, normals, offsets, opts.inlier_threshold)
+            counts = _inlier_counts(pts, normals, offsets, INLIER_THRESHOLD)
             tied = np.abs(offsets[counts == counts.max()])
             split += tied[0] != tied[-1]
-            fit = fit_ground_plane(pts, opts)
-            assert fit.distance == oracle_fit_ground_plane(pts, opts)[0].distance
+            fit = fit_ground_plane(pts, seed)
+            oracle = oracle_fit_ground_plane(pts, seed)[0]
+            assert fit.distance == oracle.distance
             assert abs(fit.distance - tied[0]) < 1e-12
         # the first and the last tied sample lie on different planes
         assert split > 0
@@ -316,7 +316,7 @@ class TestRansacKernel:
         assert normals.shape == (0, 3) and offsets.shape == (0,)
         for fit in (fit_ground_plane, oracle_fit_ground_plane):
             with pytest.raises(DegenerateInput):
-                fit(pts, RansacOptions(seed=0))
+                fit(pts, 0)
 
     def test_counts_do_not_depend_on_block_size(self, monkeypatch):
         pts = _contaminated_cloud(np.random.default_rng(5), 700, 300)
@@ -354,16 +354,15 @@ class TestRansacKernel:
         pts = sample_plane_points(GroundPlane(normal=EZ, distance=1.0), rng, n=20)
         pts[4, 1] = bad
         with pytest.raises(DegenerateInput):
-            fit_ground_plane(pts, RansacOptions(seed=0))
+            fit_ground_plane(pts, 0)
 
     def test_peak_memory_not_above_loop(self):
         rng = np.random.default_rng(11)
         pts = _contaminated_cloud(rng, 900_000, 100_000)
-        opts = RansacOptions(seed=0)
         peaks = []
         for fit in (oracle_fit_ground_plane, fit_ground_plane):
             tracemalloc.start()
-            fit(pts, opts)
+            fit(pts, 0)
             peaks.append(tracemalloc.get_traced_memory()[1])
             tracemalloc.stop()
         loop_peak, kernel_peak = peaks

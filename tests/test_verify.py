@@ -2,7 +2,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dqcalib.constraints import (NULL_TOL, ConstraintMode, assemble_Z,
@@ -16,8 +16,9 @@ from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import SimConfig, planar_rig, random_unit_dq, simulate_pairs
 from dqcalib.verify import certify
 
-from conftest import (accumulate_pairs, make_dataset, make_study_dataset,
-                      near_feasible_points, random_cost, use_oracle_kernels)
+from conftest import (ILL_CONDITIONED_DRAWS, accumulate_pairs, forward_tol,
+                      make_dataset, make_study_dataset, near_feasible_points,
+                      normal_matrix_cond, random_cost, use_oracle_kernels)
 
 
 def yaw_perturbed(q, deg):
@@ -193,18 +194,23 @@ class TestSoundness:
 class TestClosedFormFit:
     @settings(max_examples=200, deadline=None)
     @given(q=near_feasible_points(), seed=st.integers(0, 2**32 - 1))
+    @example(*ILL_CONDITIONED_DRAWS[0])
+    @example(*ILL_CONDITIONED_DRAWS[1])
     def test_certificate_matches_lstsq_fit(self, q, seed):
         # the 2x2 normal equations give the SVD least-squares multipliers
         # at every point the feasibility tolerance admits, so the evidence
-        # and the verdict are the oracle's
+        # and the verdict are the oracle's, to the normal equations'
+        # forward-error bound relative to the data's scale
         Q = random_cost(seed)
         cert = certify(Q, q, ConstraintMode.FULL_3D)
         with pytest.MonkeyPatch.context() as m:
             use_oracle_kernels(m)
             ref = certify(Q, q, ConstraintMode.FULL_3D)
-        scale = np.linalg.norm(ref.lam)
-        assert np.linalg.norm(cert.lam - ref.lam) <= 1e-12 * scale
-        assert abs(cert.gap - ref.gap) <= 1e-12 * max(scale, abs(ref.gap))
+        scale = np.linalg.norm(ref.lam) + np.linalg.norm(Q)
+        kappa = normal_matrix_cond(q)
+        assert np.linalg.norm(cert.lam - ref.lam) <= forward_tol(kappa, scale)
+        assert (abs(cert.gap - ref.gap)
+                <= forward_tol(kappa, scale + abs(ref.gap)))
         assert type(cert.gap) is float
         assert ((cert.is_global, cert.null_dim, cert.diagnostic)
                 == (ref.is_global, ref.null_dim, ref.diagnostic))
