@@ -14,16 +14,16 @@ from .planar import (GroundPlane, fit_ground_plane, lift_calibration,
 from .sim import (PoseSequence, SimConfig, add_noise, generate_path,
                   planar_rig, random_unit_dq, sensor_pair_motions,
                   simulate_pairs)
-from .verify import Certificate, certify
+from .verify import certify
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CalibError", "CalibSolution", "Certificate", "ConstraintMode",
-    "CostAccumulator", "DualQuat", "GroundPlane", "LocalSolution",
-    "MotionPair", "OnlineCalibrator", "OnlineConfig", "PoseSequence",
-    "SimConfig", "add_noise", "assemble_Z", "calib_error", "certify",
-    "cost_value", "eval_g", "fit_ground_plane", "generate_path", "left_mat",
+    "CalibError", "CalibSolution", "ConstraintMode", "CostAccumulator",
+    "DualQuat", "GroundPlane", "LocalSolution", "MotionPair",
+    "OnlineCalibrator", "OnlineConfig", "PoseSequence", "SimConfig",
+    "add_noise", "assemble_Z", "calib_error", "certify", "cost_value",
+    "eval_g", "fit_ground_plane", "generate_path", "left_mat",
     "lift_calibration", "multiplier_matrices", "pair_cost_matrix",
     "planar_rig", "plane_alignment_dq", "project_motion", "random_unit_dq",
     "recover_primal", "replay", "right_mat", "sensor_pair_motions",

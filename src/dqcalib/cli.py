@@ -24,8 +24,9 @@ from .io import (load_pairs_jsonl, load_point_cloud, save_pair_rows_jsonl,
                  write_study_csv)
 from .local_solver import solve_local
 from .metrics import calib_error
-from .online import OnlineCalibrator, OnlineConfig, check_t_no_fail
-from .planar import fit_ground_plane, lift_calibration, plane_alignment_dq
+from .online import (OnlineCalibrator, OnlineConfig, check_t_no_fail,
+                     lift_solution)
+from .planar import fit_ground_plane, plane_alignment_dq
 from .sim import SimConfig, sample_study_calibration, simulate_rows
 from .verify import certify
 
@@ -40,6 +41,15 @@ def _parse_q8(text: str) -> DualQuat:
     if len(vals) != 8:
         raise ValueError(f"expected 8 comma-separated floats, got {len(vals)}")
     return DualQuat.from_vec(vals).normalized().canonicalized()
+
+
+def _option_q8(name: str, text: str) -> DualQuat:
+    """An ``--init`` or ``--gt`` value; one that is not a unit dual
+    quaternion is a config error (ValueError), unlike a ``--candidate``."""
+    try:
+        return _parse_q8(text)
+    except errors.NotUnit as err:
+        raise ValueError(f"{name}: {err}") from err
 
 
 def _parse_gt_pose(text: str) -> DualQuat:
@@ -62,16 +72,14 @@ def _mode(args) -> ConstraintMode:
 
 
 def _alignments(args):
-    if args.plane_a is None:
-        return None, None
-    plane_a = fit_ground_plane(load_point_cloud(args.plane_a), args.seed)
-    plane_b = fit_ground_plane(load_point_cloud(args.plane_b), args.seed)
-    return plane_a, plane_b
+    return [None if path is None else
+            fit_ground_plane(load_point_cloud(path), args.seed)
+            for path in (args.plane_a, args.plane_b)]
 
 
 def _ground_truth(args) -> DualQuat | None:
     if getattr(args, "gt", None):
-        return _parse_q8(args.gt)
+        return _option_q8("--gt", args.gt)
     if getattr(args, "gt_pose", None):
         return _parse_gt_pose(args.gt_pose)
     return None
@@ -92,16 +100,13 @@ def _emit(args, payload: dict):
         print(json.dumps(payload, indent=2, default=str))
         return
     for key, value in payload.items():
-        if isinstance(value, float):
-            print(f"{key}: {value:.9g}")
-        else:
-            print(f"{key}: {value}")
+        value = f"{value:.9g}" if isinstance(value, float) else value
+        print(f"{key}: {value}")
 
 
 def _median_time_ms(fn, repeats: int) -> tuple[object, float]:
-    result = None
     samples = []
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         t0 = time.perf_counter()
         result = fn()
         samples.append((time.perf_counter() - t0) * 1e3)
@@ -110,59 +115,54 @@ def _median_time_ms(fn, repeats: int) -> tuple[object, float]:
 
 # -- subcommands ----------------------------------------------------------------
 
+def _entry(sol, acc, gt, **timing) -> dict:
+    """``calibrate``'s entry for a solver's record: estimate (lifted to 3D),
+    certificate, verdict, ``timing`` and the error against ``gt``."""
+    q_hat = lift_solution(sol, acc).q_hat
+    entry = _describe_solution(q_hat)
+    entry.update(cost=sol.primal_cost, gap=sol.gap, is_global=sol.is_global,
+                 null_dim=sol.null_dim, degenerate=sol.degenerate,
+                 diagnostic=sol.diagnostic, **timing)
+    if gt is not None:
+        err = calib_error(q_hat, gt)
+        entry.update(eps_r_deg=err.eps_r_deg, eps_t_m=err.eps_t)
+    return entry
+
+
 def cmd_calibrate(args) -> int:
-    gt = _ground_truth(args)  # a malformed value fails before the load
+    gt = _ground_truth(args)  # malformed option values fail before the load
+    init = _option_q8("--init", args.init).vec() if args.init else None
+    if args.repeat < 1:
+        raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise errors.EmptyData("no pairs in input file")
     plane_a, plane_b = _alignments(args)
-    mode = _mode(args)
-    if plane_a is not None:
-        mode = ConstraintMode.PLANAR
-    align_a = plane_alignment_dq(plane_a) if plane_a else None
-    align_b = plane_alignment_dq(plane_b) if plane_b else None
-
-    acc = CostAccumulator(mode, align_a=align_a, align_b=align_b)
+    mode = ConstraintMode.PLANAR if plane_a is not None else _mode(args)
+    acc = CostAccumulator(mode, *[
+        None if p is None else plane_alignment_dq(p) for p in (plane_a, plane_b)])
     acc.add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
     Q = acc.normalized_q
 
     payload = {"n_pairs": len(pairs), "mode": mode.value}
-    solutions = {}
+    sols = {}
     if args.solver in ("global", "both"):
-        sol, ms = _median_time_ms(
+        sols["global"], ms = _median_time_ms(
             lambda: solve_global(acc, args.gap_threshold), args.repeat)
-        solutions["global"] = (sol.q_hat, sol.primal_cost, sol.gap,
-                               sol.is_global, ms, {})
+        payload["global"] = _entry(sols["global"], acc, gt, time_ms=ms)
     if args.solver in ("fast", "both"):
-        init = _parse_q8(args.init).vec() if args.init else None
         local, ms = _median_time_ms(lambda: solve_local(Q, mode, init),
                                     args.repeat)
-        cert = certify(Q, local.q_hat, mode, args.gap_threshold)
-        solutions["fast"] = (local.q_hat, local.cost, cert.gap,
-                             cert.is_global, ms,
-                             {"iterations": local.iterations,
-                              "converged": local.converged})
-
-    for name, (q_hat, cost, gap, is_global, ms, extra) in solutions.items():
-        entry = _describe_solution(_maybe_lift(q_hat, align_a, align_b))
-        entry.update(cost=float(cost), gap=float(gap), is_global=bool(is_global),
-                     time_ms=ms, **extra)
-        if gt is not None:
-            err = calib_error(_maybe_lift(q_hat, align_a, align_b), gt)
-            entry.update(eps_r_deg=err.eps_r_deg, eps_t_m=err.eps_t)
-        payload[name] = entry
-    if len(solutions) == 2:
-        d = calib_error(solutions["global"][0], solutions["fast"][0])
+        sols["fast"] = certify(Q, local.q_hat, mode, args.gap_threshold)
+        payload["fast"] = _entry(sols["fast"], acc, gt, time_ms=ms,
+                                 iterations=local.iterations,
+                                 converged=local.converged)
+    if len(sols) == 2:
+        d = calib_error(sols["global"].q_hat, sols["fast"].q_hat)
         payload["solver_agreement"] = {"eps_r_deg": d.eps_r_deg,
                                        "eps_t_m": d.eps_t}
     _emit(args, payload)
     return EXIT_OK
-
-
-def _maybe_lift(q_hat, align_a, align_b):
-    if align_a is None:
-        return q_hat
-    return lift_calibration(q_hat, align_a, align_b)
 
 
 def cmd_online(args) -> int:
@@ -177,10 +177,8 @@ def cmd_online(args) -> int:
                           gap_threshold=args.gap_threshold)
     calib = OnlineCalibrator(config)
     print("t,eps_r_deg,eps_t_m,gap,provenance,is_global,time_ms")
-    last = None
     for pair in pairs.motion_pairs():
         sol = calib.update(pair)
-        last = sol
         if gt is not None:
             err = calib_error(sol.q_hat, gt)
             eps_r, eps_t = err.eps_r_deg, err.eps_t
@@ -188,12 +186,10 @@ def cmd_online(args) -> int:
             eps_r, eps_t = float("nan"), float("nan")
         print(f"{pair.timestamp:.6f},{eps_r:.9g},{eps_t:.9g},{sol.gap:.9g},"
               f"{sol.provenance},{sol.is_global},{sol.solve_time * 1e3:.3f}")
-    if last is not None:
-        summary = {"final": _describe_solution(last.q_hat),
-                   "provenance": last.provenance,
-                   "is_global": last.is_global,
-                   "degenerate": last.degenerate}
-        print("# " + json.dumps(summary), file=sys.stderr)
+    summary = {"final": _describe_solution(sol.q_hat),  # pairs is not empty
+               "provenance": sol.provenance, "is_global": sol.is_global,
+               "degenerate": sol.degenerate}
+    print("# " + json.dumps(summary), file=sys.stderr)
     return EXIT_OK
 
 
@@ -282,15 +278,15 @@ def _study_cell_star(params):
 
 
 def cmd_certify(args) -> int:
+    candidate = _parse_q8(args.candidate)  # a malformed one fails first
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise errors.EmptyData("no pairs in input file")
     mode = _mode(args)
     acc = CostAccumulator(mode).add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
-    candidate = _parse_q8(args.candidate)
-    cert = certify(acc.normalized_q, candidate, mode, args.gap_threshold)
-    _emit(args, {"gap": cert.gap, "is_global": cert.is_global,
-                 "diagnostic": cert.diagnostic})
+    sol = certify(acc.normalized_q, candidate, mode, args.gap_threshold)
+    _emit(args, {"gap": sol.gap, "is_global": sol.is_global,
+                 "null_dim": sol.null_dim, "diagnostic": sol.diagnostic})
     return EXIT_OK
 
 

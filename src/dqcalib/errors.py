@@ -43,10 +43,6 @@ class NonUniqueSolution(DQCalibError):
         self.estimate = None
 
 
-class NoNullSpace(DQCalibError):
-    """No eigenvalue of Z fell below the null-space threshold."""
-
-
 class EmptyData(DQCalibError):
     """Operation requires at least one accumulated motion pair."""
 

@@ -45,7 +45,7 @@ from .constraints import (NULL_TOL, ConstraintMode, assemble_Z,
                           solve_planar)
 from .cost import CostAccumulator
 from .dualquat import DualQuat
-from .errors import EmptyData, NoNullSpace, NonUniqueSolution
+from .errors import EmptyData, NonUniqueSolution
 from .local_solver import project_feasible
 
 GAP_THRESHOLD = 1e-6
@@ -61,14 +61,17 @@ def check_gap_threshold(gap_threshold: float) -> None:
 
 @dataclass(frozen=True)
 class CalibSolution:
-    """Solver output: estimate, duality diagnostics, and provenance.
+    """The one record of an estimate: point, certificate and provenance.
 
-    ``lam`` holds the multipliers of (g1, g2) and ``dual_value`` the lower
-    bound lam_1.  In planar mode ``lam`` is (p*, 0) and ``dual_value`` is
-    p*, the exact planar optimum: restricted to the planar coordinates, G2
-    vanishes and Q - p* G1 is positive semidefinite.  ``null_dim`` counts
-    the near-null directions of Z at the optimum (1 for a unique planar
-    optimum).
+    ``lam`` holds the multipliers of (g1, g2), ``dual_value`` the lower
+    bound lam_1 and ``gap`` the primal cost above it.  In planar mode
+    ``lam`` is (p*, 0) and ``dual_value`` is p*, the exact planar optimum:
+    restricted to the planar coordinates, G2 vanishes and Q - p* G1 is
+    positive semidefinite.  ``null_dim`` counts the near-null directions
+    of Z at the optimum (1 for a unique planar optimum).  ``provenance``
+    is "global" for :func:`solve_global`'s optimum, "local" for a candidate
+    :func:`dqcalib.verify.certify` judged; a local record may be both
+    ``degenerate`` (``diagnostic`` says why) and ``is_global``.
     """
 
     q_hat: DualQuat
@@ -275,20 +278,38 @@ def recover_primal(Q: np.ndarray, lam: Multipliers) -> tuple[np.ndarray, int]:
     Both are read off the :func:`dual_bound` that ``lam`` carries, with no
     further decomposition: q8 is the lifted point made exactly feasible
     and sign-canonical, and the eigenpairs of Z give the verdict
-    (:func:`nullspace_verdict`).  Raises :class:`NoNullSpace` when Z has no
-    sufficiently small eigenvalue (dual not converged) and
-    :class:`NonUniqueSolution` when the data does not pin down a single
-    calibration (e.g. all rotation axes parallel without planar
-    constraints).
+    (:func:`nullspace_verdict`).  Raises :class:`NonUniqueSolution` when
+    the data does not pin down a single calibration (e.g. all rotation
+    axes parallel without planar constraints).
     """
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
     V, diag = nullspace_verdict(Q, lam.vals, lam.vecs)
-    null_dim = V.shape[1]
-    if null_dim == 0:
-        raise NoNullSpace("no null space within tolerance")
     if diag is not None:
-        raise NonUniqueSolution(diag, basis=V, null_dim=null_dim)
-    return _feasible(lam.q), null_dim
+        raise NonUniqueSolution(diag, basis=V, null_dim=V.shape[1])
+    return _feasible(lam.q), V.shape[1]
+
+
+def _planar_bound(Q: np.ndarray):
+    """:func:`solve_planar` as ``(q8, lam, null_dim, degeneracy)``: its
+    optimum p* is the bound, so ``lam`` is (p*, 0)."""
+    q8, p_star, degeneracy = solve_planar(Q)
+    return (q8, np.array([p_star, 0.0]),
+            1 if degeneracy is None else degeneracy.null_dim, degeneracy)
+
+
+def _solution(Q, q8, lam, gap_threshold, provenance, null_dim, degeneracy,
+              solve_time=0.0) -> CalibSolution:
+    """The record of the feasible ``q8`` against the bound ``lam[0]``: its
+    cost on Q, the gap, and whether that is below ``gap_threshold``.
+    ``degeneracy`` (a diagnostic or a NonUniqueSolution) or None."""
+    primal = float(q8 @ Q @ q8)
+    gap = primal - float(lam[0])
+    return CalibSolution(
+        q_hat=DualQuat.from_vec(q8), lam=lam, primal_cost=primal,
+        dual_value=float(lam[0]), gap=gap, is_global=bool(gap < gap_threshold),
+        provenance=provenance, solve_time=solve_time, null_dim=null_dim,
+        degenerate=degeneracy is not None,
+        diagnostic=None if degeneracy is None else str(degeneracy))
 
 
 def solve_global(acc: CostAccumulator, gap_threshold: float = GAP_THRESHOLD,
@@ -310,9 +331,7 @@ def solve_global(acc: CostAccumulator, gap_threshold: float = GAP_THRESHOLD,
     Q, mode = acc.normalized_q, acc.mode
     t0 = time.perf_counter()
     if mode is ConstraintMode.PLANAR:
-        q8, p_star, degeneracy = solve_planar(Q)
-        lam = np.array([p_star, 0.0])
-        null_dim = 1 if degeneracy is None else degeneracy.null_dim
+        q8, lam, null_dim, degeneracy = _planar_bound(Q)
     else:
         lam, degeneracy = solve_dual(Q, lam2_start), None
         try:
@@ -320,15 +339,9 @@ def solve_global(acc: CostAccumulator, gap_threshold: float = GAP_THRESHOLD,
         except NonUniqueSolution as err:
             q8, null_dim, degeneracy = _feasible(lam.q), err.null_dim, err
         lam = np.array(lam)
-    primal = float(q8 @ Q @ q8)
-    elapsed = time.perf_counter() - t0
-    gap = primal - float(lam[0])
-    sol = CalibSolution(
-        q_hat=DualQuat.from_vec(q8), lam=lam, primal_cost=primal,
-        dual_value=float(lam[0]), gap=gap, is_global=bool(gap < gap_threshold),
-        provenance="global", solve_time=elapsed, null_dim=null_dim)
+    sol = _solution(Q, q8, lam, gap_threshold, "global", null_dim, degeneracy,
+                    time.perf_counter() - t0)
     if degeneracy is not None:
-        degeneracy.estimate = replace(sol, is_global=False, degenerate=True,
-                                      diagnostic=str(degeneracy))
+        degeneracy.estimate = replace(sol, is_global=False)
         raise degeneracy
     return sol

@@ -60,32 +60,23 @@ class OnlineConfig:
         check_planes(self.mode, self.plane_a, self.plane_b)
 
 
-def _fast_estimate(local, cert, provenance: str, is_global: bool,
-                   error: NonUniqueSolution | None = None) -> CalibSolution:
-    """The fast solver's estimate with its certificate's multipliers, gap
-    and null space; degenerate with ``error`` or its diagnostic."""
-    diagnostic = cert.diagnostic if error is None else str(error)
-    return CalibSolution(
-        q_hat=local.q_hat, lam=cert.lam, primal_cost=local.cost,
-        dual_value=float(cert.lam[0]), gap=cert.gap,
-        is_global=is_global, provenance=provenance, null_dim=cert.null_dim,
-        degenerate=diagnostic is not None, diagnostic=diagnostic)
+def lift_solution(sol: CalibSolution, acc: CostAccumulator) -> CalibSolution:
+    """``sol`` lifted from ``acc``'s plane-aligned frame to 3D, keeping the
+    planar estimate; unchanged without alignments."""
+    if acc.align_a is None:
+        return sol
+    return replace(sol, q_hat_planar=sol.q_hat, plane_derived=PLANE_DERIVED_DOFS,
+                   q_hat=lift_calibration(sol.q_hat, acc.align_a, acc.align_b))
 
 
 class OnlineCalibrator:
     """Sequential estimator; single owner, mutated only through update()."""
 
     def __init__(self, config: OnlineConfig | None = None):
-        self.config = config or OnlineConfig()
-        if self.config.plane_a is not None:
-            self._align_a = plane_alignment_dq(self.config.plane_a)
-            self._align_b = plane_alignment_dq(self.config.plane_b)
-        else:
-            self._align_a = None
-            self._align_b = None
-        self.acc = CostAccumulator(self.config.mode,
-                                   align_a=self._align_a,
-                                   align_b=self._align_b)
+        cfg = self.config = config or OnlineConfig()
+        self.acc = CostAccumulator(cfg.mode, *[
+            None if p is None else plane_alignment_dq(p)
+            for p in (cfg.plane_a, cfg.plane_b)])
         self.t_last_local_error: float | None = None
         self._last_time = -np.inf
         self._warm: np.ndarray | None = None
@@ -113,12 +104,8 @@ class OnlineCalibrator:
         self._warm = sol.q_hat.vec()
         self._lam2 = float(sol.lam[1])
 
-        if self._align_a is not None:
-            lifted = lift_calibration(sol.q_hat, self._align_a, self._align_b)
-            sol = replace(sol, q_hat=lifted, q_hat_planar=sol.q_hat,
-                          plane_derived=PLANE_DERIVED_DOFS)
-        sol = replace(sol, solve_time=time.perf_counter() - t0)
-        return sol
+        sol = lift_solution(sol, self.acc)
+        return replace(sol, solve_time=time.perf_counter() - t0)
 
     def _solve_global(self) -> CalibSolution:
         return solve_global(self.acc, self.config.gap_threshold,
@@ -130,15 +117,16 @@ class OnlineCalibrator:
         cfg = self.config
         Q = self.acc.normalized_q
         local = solve_local(Q, cfg.mode, self._warm)
-        cert = certify(Q, local.q_hat, cfg.mode, cfg.gap_threshold)
-        if not (cert.is_global and local.converged):
+        sol = certify(Q, local.q_hat, cfg.mode, cfg.gap_threshold)
+        if not (sol.is_global and local.converged):
             self.t_last_local_error = timestamp
         if timestamp - self.t_last_local_error > cfg.t_no_fail:
-            return _fast_estimate(local, cert, "local", cert.is_global)
+            return sol
         try:
             return self._solve_global()
         except NonUniqueSolution as err:
-            return _fast_estimate(local, cert, "global", False, err)
+            return replace(sol, provenance="global", is_global=False,
+                           degenerate=True, diagnostic=str(err))
 
 
 def replay(pairs, config: OnlineConfig | None = None) -> list[CalibSolution]:

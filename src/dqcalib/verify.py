@@ -17,53 +17,37 @@ Planar mode needs no fit: the exact optimum p* of the reduced problem
 q^T Q q - p* is the candidate's exact excess cost, and the reduced solve
 judges degeneracy.  Cost normalization makes the gap threshold independent
 of the number of accumulated pairs.
+
+The verdict is the candidate's :class:`CalibSolution`, with provenance
+"local".  A degeneracy diagnostic does not clear ``is_global``: the gap
+bounds the candidate's cost, not the number of calibrations that reach it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .constraints import ConstraintMode, eval_g, fit_multipliers, solve_planar
+from .constraints import ConstraintMode, eval_g, fit_multipliers
 from .dualquat import DualQuat
 from .errors import InfeasiblePoint
-from .global_solver import (GAP_THRESHOLD, check_gap_threshold, dual_bound,
+from .global_solver import (GAP_THRESHOLD, CalibSolution, _planar_bound,
+                            _solution, check_gap_threshold, dual_bound,
                             nullspace_verdict)
 
 FEAS_TOL = 1e-6  # largest constraint residual of a candidate, linear scale
 
 
-@dataclass(frozen=True)
-class Certificate:
-    """Verdict plus its evidence.
-
-    ``lam`` holds the multipliers of (g1, g2) behind the lower bound
-    ``lam[0]`` (in 3D mode Z(lam) is positive semidefinite up to
-    rounding); ``gap`` is the candidate's cost minus that bound.
-    ``null_dim`` counts the near-null eigenvalues of Z(phi(lam_2), lam_2)
-    at the fitted lam_2 and ``diagnostic`` says why they allow other than
-    one calibration (None if they do not).  In planar mode ``lam`` is
-    (p*, 0) and ``null_dim`` and ``diagnostic`` come from the reduced
-    solve.
-    """
-
-    lam: np.ndarray
-    gap: float
-    is_global: bool
-    null_dim: int
-    diagnostic: str | None
-
-
 def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
-            gap_threshold: float = GAP_THRESHOLD) -> Certificate:
-    """Certificate for a candidate solution.
+            gap_threshold: float = GAP_THRESHOLD) -> CalibSolution:
+    """The candidate's :class:`CalibSolution`, with provenance "local".
 
     ``q_hat`` may be a DualQuat or an 8-vector; it must satisfy the mode's
     constraints within ``FEAS_TOL`` (every residual on the linear scale),
-    else :class:`InfeasiblePoint` is raised.  The candidate is certified
-    globally optimal when its gap is below ``gap_threshold``, which must be
-    finite and nonnegative (ValueError).
+    else :class:`InfeasiblePoint` is raised.  In 3D mode Z(lam) is positive
+    semidefinite up to rounding and ``null_dim`` counts its near-null
+    eigenvalues at (phi(lam_2), lam_2), lam_2 the fitted one.  The candidate
+    is certified globally optimal when its gap is below ``gap_threshold``,
+    which must be finite and nonnegative (ValueError).
     """
     check_gap_threshold(gap_threshold)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
@@ -76,17 +60,11 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
             f"constraint residual {np.max(np.abs(g)):.3e} exceeds {FEAS_TOL}")
 
     if mode is ConstraintMode.PLANAR:
-        _, p_star, degeneracy = solve_planar(Q)
-        lam = np.array([p_star, 0.0])
-        null_dim = 1 if degeneracy is None else degeneracy.null_dim
-        diagnostic = None if degeneracy is None else str(degeneracy)
+        _, lam, null_dim, degeneracy = _planar_bound(Q)
     else:
         lam, _, vals, vecs = dual_bound(Q, fit_multipliers(q8, Q @ q8)[1])
         if not lam[0] > 0.0:
             lam = np.zeros(2)
-        V, diagnostic = nullspace_verdict(Q, vals, vecs)
+        V, degeneracy = nullspace_verdict(Q, vals, vecs)
         null_dim = V.shape[1]
-
-    gap = float(q8 @ Q @ q8) - float(lam[0])
-    return Certificate(lam=lam, gap=gap, is_global=bool(gap < gap_threshold),
-                       null_dim=null_dim, diagnostic=diagnostic)
+    return _solution(Q, q8, lam, gap_threshold, "local", null_dim, degeneracy)

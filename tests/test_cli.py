@@ -139,6 +139,35 @@ class TestCalibrate:
         assert out["fast"]["is_global"] is False
         assert out["fast"]["gap"] > 1e-3
 
+    def test_fast_solver_reports_the_degeneracy_verdict(self, tmp_path,
+                                                        capsys):
+        # planar motion in 3D mode: the global solver exits 3, and the fast
+        # entry certifies the zero-cost optimum but names the continuum
+        rig = planar_rig(n_steps=30, seed=106)
+        path = tmp_path / "pairs.jsonl"
+        save_pairs_jsonl(rig.pairs, path)
+        rc = main(["--output", "json", "calibrate", "--pairs", str(path),
+                   "--solver", "fast", "--repeat", "1"])
+        assert rc == 0
+        fast = json.loads(capsys.readouterr().out)["fast"]
+        assert fast["is_global"] is True
+        assert fast["null_dim"] == 3
+        assert fast["degenerate"] is True
+        assert fast["diagnostic"] == "feasible set in null space is a continuum"
+
+    def test_both_entries_report_the_verdict(self, sim_pairs_file, capsys):
+        path, _ = sim_pairs_file
+        rc = main(["--output", "json", "calibrate", "--pairs", str(path),
+                   "--solver", "both", "--repeat", "1"])
+        assert rc == 0
+        out = json.loads(capsys.readouterr().out)
+        for name in ("global", "fast"):
+            # noise-free data: the truth plus the structural pure-dual
+            # direction
+            assert out[name]["null_dim"] == 2
+            assert out[name]["degenerate"] is False
+            assert out[name]["diagnostic"] is None
+
     def test_planar_pipeline_with_plane_clouds(self, tmp_path, capsys, rng):
         rig = planar_rig(n_steps=40, seed=103)
         pairs_path = tmp_path / "pairs.jsonl"
@@ -164,7 +193,9 @@ class TestCertifyCommand:
                    "--candidate", q8_arg(q_t)])
         assert rc == 0
         out = json.loads(capsys.readouterr().out)
-        assert out == {"gap": out["gap"], "is_global": True, "diagnostic": None}
+        # noise-free data: the truth plus the structural pure-dual direction
+        assert out == {"gap": out["gap"], "is_global": True, "null_dim": 2,
+                       "diagnostic": None}
         assert out["gap"] < 1e-10
 
     def test_degenerate_candidate_names_its_diagnostic(self, tmp_path, capsys):
@@ -442,6 +473,47 @@ class TestNonFiniteInput:
         out = capsys.readouterr()
         assert out.out == ""
         assert "ground planes must be given for both sensors" in out.err
+        assert calls == []
+
+    @pytest.mark.parametrize("command, shown", [
+        (["calibrate", "--solver", "both", "--init", "1,2,3"],
+         "expected 8 comma-separated floats, got 3"),
+        (["certify", "--candidate", "1,2"],
+         "expected 8 comma-separated floats, got 2"),
+        (["calibrate", "--repeat", "0"], "--repeat must be at least 1, got 0"),
+        (["calibrate", "--repeat", "-3"],
+         "--repeat must be at least 1, got -3")],
+        ids=["init", "candidate", "repeat-0", "repeat-negative"])
+    def test_bad_option_value_fails_before_the_load(
+            self, sim_pairs_file, capsys, monkeypatch, command, shown):
+        path, _ = sim_pairs_file
+        calls = count_calls(monkeypatch, "load_pairs_jsonl")
+        rc = main([command[0], "--pairs", str(path), *command[1:]])
+        assert rc == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert f"error: {shown}" in out.err
+        assert calls == []
+
+    @pytest.mark.parametrize("command, shown", [
+        (["calibrate", "--gt", "2,0,0,0,0,0,0,0"],
+         "--gt: real-part norm 2.0 too far from 1"),
+        (["calibrate", "--solver", "fast", "--init", "2,0,0,0,0,0,0,0"],
+         "--init: real-part norm 2.0 too far from 1"),
+        (["online", "--gt", "nan,0,0,0,0,0,0,0"],
+         "--gt: non-finite component")],
+        ids=["calibrate-gt", "calibrate-init", "online-gt"])
+    def test_non_unit_option_value_exits_2(self, sim_pairs_file, capsys,
+                                           monkeypatch, command, shown):
+        # a ground truth or an init that is no unit dual quaternion is a bad
+        # option value, not an infeasible candidate (that stays exit 3)
+        path, _ = sim_pairs_file
+        calls = count_calls(monkeypatch, "load_pairs_jsonl")
+        rc = main([command[0], "--pairs", str(path), *command[1:]])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"error: {shown}" in err
+        assert "infeasible candidate" not in err
         assert calls == []
 
     def test_nan_plane_point_names_its_line(self, tmp_path, capsys, rng):

@@ -252,8 +252,8 @@ class TestStreamInvariants:
         # certificate the reduced dual's two 4x4 eigh (of the dual block
         # and of the Schur complement) and one 8x8 eigh of Z at the bound
         # (plus the verdict's eigh of the null space's real parts, 1x1 on a
-        # unique optimum), and _fast_estimate none; no lstsq, QR or
-        # eigvalsh anywhere on a fast step
+        # unique optimum), its record included; no lstsq, QR or eigvalsh
+        # anywhere on a fast step
         import dqcalib.online
         from dqcalib.sim import SimConfig, simulate_pairs
 
@@ -265,7 +265,7 @@ class TestStreamInvariants:
                 calls.append((_name, np.shape(a)))
                 return _kernel(a, *args, **kwargs)
             monkeypatch.setattr(np.linalg, name, counted)
-        per_call = {"solve_local": [], "certify": [], "_fast_estimate": []}
+        per_call = {"solve_local": [], "certify": []}
 
         def counting(name, func):
             def wrapper(*args, **kwargs):
@@ -279,7 +279,7 @@ class TestStreamInvariants:
                                 counting(name, getattr(dqcalib.online, name)))
         pairs, _ = simulate_pairs(SimConfig(n_steps=300, noise_level=0.05,
                                             seed=33))
-        replay(pairs, OnlineConfig(t_no_fail=5.0))
+        sols = replay(pairs, OnlineConfig(t_no_fail=5.0))
 
         assert len(per_call["solve_local"]) == len(per_call["certify"]) == 300
         for sol, kernels in per_call["solve_local"][1:]:
@@ -288,8 +288,7 @@ class TestStreamInvariants:
             assert kernels[:3] == [("eigh", (4, 4)), ("eigh", (4, 4)),
                                    ("eigh", (8, 8))]
             assert kernels[3:] == [("eigh", (cert.null_dim,) * 2)]
-        assert len(per_call["_fast_estimate"]) >= 249
-        assert all(kernels == [] for _, kernels in per_call["_fast_estimate"])
+        assert sum(s.provenance == "local" for s in sols) >= 249
 
     def test_default_step_is_one_warm_global_solve(self, monkeypatch):
         # the default replay neither fast-solves nor certifies; a step's
