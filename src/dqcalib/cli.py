@@ -278,7 +278,10 @@ def _study_cell_star(params):
 
 
 def cmd_certify(args) -> int:
-    candidate = _parse_q8(args.candidate)  # a malformed one fails first
+    try:  # a malformed candidate fails first
+        candidate = _parse_q8(args.candidate)
+    except errors.NotUnit as err:
+        raise errors.InfeasiblePoint(str(err)) from err
     pairs = load_pairs_jsonl(args.pairs)
     if not pairs:
         raise errors.EmptyData("no pairs in input file")
@@ -363,7 +366,7 @@ def main(argv=None) -> int:
         return command(args)
     except (errors.ParseError, errors.NonOrthogonalRotation, FileNotFoundError,
             json.JSONDecodeError, ValueError, errors.NonMonotonicTime,
-            errors.EmptyData, errors.InvalidWeight) as err:
+            errors.EmptyData, errors.InvalidWeight, errors.NotUnit) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE
     except errors.NonUniqueSolution as err:
@@ -374,7 +377,7 @@ def main(argv=None) -> int:
             for row in np.array2string(err.basis, precision=6).splitlines():
                 print("  " + row, file=sys.stderr)
         return EXIT_DEGENERATE
-    except (errors.InfeasiblePoint, errors.NotUnit) as err:
+    except errors.InfeasiblePoint as err:
         print(f"infeasible candidate: {err}", file=sys.stderr)
         return EXIT_DEGENERATE
     except errors.DQCalibError as err:

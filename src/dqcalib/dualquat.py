@@ -435,7 +435,8 @@ def _unit_rows(real: np.ndarray, translation: np.ndarray) -> np.ndarray:
 
 
 def from_homogeneous_rows(T: np.ndarray) -> np.ndarray:
-    """Row-wise :meth:`DualQuat.from_homogeneous` of an (n, 4, 4) array."""
+    """Row-wise :meth:`DualQuat.from_homogeneous` of an (n, 4, 4) array or
+    of its (n, 3, 4) top rows."""
     T = np.asarray(T, dtype=float)
     return _unit_rows(rot_to_quat_rows(T[:, :3, :3]), T[:, :3, 3])
 
@@ -458,6 +459,27 @@ def from_rot_trans_rows(axis: np.ndarray, angle: np.ndarray,
     return _unit_rows(real, translation)
 
 
+def quat_to_rot_rows(q: np.ndarray) -> np.ndarray:
+    """Row-wise :func:`quat_to_rot` of an (n, 4) array, as (n, 3, 3)."""
+    w, x, y, z = q.T
+    return np.stack([
+        1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
+        2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w),
+        2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y),
+    ], axis=1).reshape(-1, 3, 3)
+
+
+def require_unit_rows(v: np.ndarray) -> None:
+    """Row-wise :meth:`DualQuat._require_unit` of an (n, 8) array; the
+    error's ``row`` is the index of the first row it rejects."""
+    real, dual = v[:, :4], v[:, 4:]
+    bad = ~((np.abs(_row_dots(real, real) - 1.0) <= TOL_UNIT)
+            & (np.abs(2.0 * _row_dots(real, dual)) <= TOL_UNIT))
+    if bad.any():
+        raise NotUnit("operation requires a unit dual quaternion",
+                      row=int(np.argmax(bad)))
+
+
 def angle_translation_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Row-wise angle (n,) and translation (n, 3) of
     :meth:`DualQuat.to_rot_trans` on an (n, 8) array.
@@ -465,12 +487,7 @@ def angle_translation_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Raises :class:`NotUnit` for the first row that is not a unit dual
     quaternion within ``TOL_UNIT``; the error's ``row`` is its index.
     """
-    real, dual = v[:, :4], v[:, 4:]
-    bad = ~((np.abs(_row_dots(real, real) - 1.0) <= TOL_UNIT)
-            & (np.abs(2.0 * _row_dots(real, dual)) <= TOL_UNIT))
-    if bad.any():
-        raise NotUnit("operation requires a unit dual quaternion",
-                      row=int(np.argmax(bad)))
+    require_unit_rows(v)
     q = canonicalized_rows(v)
     vector = q[:, 1:4]
     angle = 2.0 * np.arctan2(np.sqrt(_row_dots(vector, vector)), q[:, 0])

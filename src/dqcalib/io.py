@@ -1,10 +1,17 @@
-"""File formats and stream pairing.
+"""File formats and stream pairing, as rows.
 
 Supported inputs: TUM trajectories ("t tx ty tz qx qy qz qw", scalar-last
 quaternions on disk), 3x4 row-major pose matrices with synthesized
 timestamps, whitespace xyz point clouds, and a native motion-pair JSONL
-format.  Two trajectories are paired on the first stream's time grid with
-screw-linear interpolation of the second stream's poses.
+format.
+
+A trajectory file loads into one :class:`Trajectory` record, times and
+(n, 8) pose rows, the record the simulator's ``generate_path`` returns
+too.  Each line's fields are parsed on their own, so a bad value raises a
+ParseError naming its line; the poses are then converted at once, with the
+bits the per-pose scalar methods give.  Two trajectories are paired on the
+first stream's time grid, the second stream's poses screw-linearly
+interpolated or matched to the nearest one, into a :class:`PairArrays`.
 
 A motion-pair file loads into one :class:`PairArrays` record of rows, ready
 for :meth:`CostAccumulator.add_batch`; no per-pair object is built.  Its
@@ -23,8 +30,11 @@ from itertools import islice
 
 import numpy as np
 
-from .cost import MotionPair
-from .dualquat import DualQuat, canonicalized_rows, normalized_rows, quat_mul
+from .cost import MotionPair, _motion_rows
+from .dualquat import (DualQuat, _row_dots, _unit_rows, angle_translation_rows,
+                       canonicalized_rows, conjugate_rows, dq_mul_rows,
+                       from_homogeneous_rows, normalized_rows, quat_to_rot_rows,
+                       require_unit_rows)
 from .errors import (InvalidWeight, NoOverlap, NonOrthogonalRotation, NotUnit,
                      ParseError)
 
@@ -33,18 +43,27 @@ STUDY_CSV_HEADER = "noise_level,n,seed,eps_r_deg,eps_t_m,gap,time_ms"
 
 @dataclass(frozen=True)
 class Trajectory:
-    sensor_id: str
+    """Poses of one sensor: ``times`` (n,), finite and strictly increasing,
+    and ``poses`` (n, 8), one dual-quaternion row per time."""
+
     times: np.ndarray
-    poses: tuple[DualQuat, ...]
+    poses: np.ndarray
 
     def __post_init__(self):
         t = np.asarray(self.times, dtype=float)
-        t.setflags(write=False)
+        poses = np.asarray(self.poses, dtype=float)
+        if t.ndim != 1 or poses.shape != (len(t), 8):
+            raise ValueError(f"need (n,) times and (n, 8) poses, got shapes "
+                             f"{t.shape} and {poses.shape}")
+        if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
+            raise ValueError("timestamps must be finite and strictly increasing")
+        for rows in (t, poses):
+            rows.setflags(write=False)
         object.__setattr__(self, "times", t)
-        object.__setattr__(self, "poses", tuple(self.poses))
+        object.__setattr__(self, "poses", poses)
 
     def __len__(self):
-        return len(self.poses)
+        return len(self.times)
 
 
 @dataclass(frozen=True)
@@ -53,192 +72,188 @@ class PairingConfig:
     interpolate: bool = True
 
     def __post_init__(self):
-        if self.max_skew < 0:
-            raise ValueError("max_skew must be nonnegative")
+        if not self.max_skew >= 0:
+            raise ValueError(f"max_skew must be nonnegative, got {self.max_skew!r}")
 
 
 # -- screw-linear interpolation ----------------------------------------------
 
-def _screw_power(q: DualQuat, tau: float) -> DualQuat:
-    """q**tau via screw parameters; q must be unit and sign-canonical."""
-    sin_half = np.linalg.norm(q.real[1:])
-    t = q.translation()
-    if sin_half < 1e-12:
-        return DualQuat.from_translation(tau * t)
-    theta = 2.0 * math.atan2(sin_half, q.real[0])
-    axis = q.real[1:] / sin_half
-    d = float(t @ axis)
-    moment = 0.5 * (np.cross(t, axis)
-                    + np.cross(axis, np.cross(t, axis)) / math.tan(theta / 2.0))
+def _screw_power(q: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Rows q**tau of unit sign-canonical rows q, via screw parameters."""
+    theta, t = angle_translation_rows(q)
+    sin_half = np.sqrt(_row_dots(q[:, 1:4], q[:, 1:4]))
+    pure = sin_half < 1e-12  # a pure translation, scaled by tau below
+    axis = q[:, 1:4] / np.where(pure, 1.0, sin_half)[:, None]
+    d = _row_dots(t, axis)
+    t_axis = np.cross(t, axis)
+    moment = 0.5 * (t_axis + np.cross(axis, t_axis)
+                    / np.tan(np.where(pure, 1.0, theta) / 2.0)[:, None])
     half = 0.5 * tau * theta
-    s, c = math.sin(half), math.cos(half)
-    real = np.concatenate(([c], s * axis))
-    dual = np.concatenate(([-0.5 * tau * d * s],
-                           s * moment + 0.5 * tau * d * c * axis))
-    return DualQuat(real, dual)
+    s, c = np.sin(half), np.cos(half)
+    screw = np.concatenate([c[:, None], s[:, None] * axis,
+                            (-0.5 * tau * d * s)[:, None],
+                            s[:, None] * moment + (0.5 * tau * d * c)[:, None] * axis],
+                           axis=1)
+    shift = _unit_rows(np.tile([1.0, 0.0, 0.0, 0.0], (len(q), 1)), tau[:, None] * t)
+    return np.where(pure[:, None], shift, screw)
 
 
-def sclerp(p: DualQuat, q: DualQuat, tau: float) -> DualQuat:
-    """Screw-linear interpolation between unit displacements.
+def sclerp(p: np.ndarray, q: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """Screw-linear interpolation between rows of unit displacements: p and
+    q (n, 8) at fractions ``tau`` (n,).
 
-    Exact at the endpoints; follows the shorter of the two double-cover
-    paths.
+    A row is exactly p at tau 0 and exactly q at tau 1; in between it is
+    sign-canonical and follows the shorter of the two double-cover paths.
     """
-    for x in (p, q):
-        x._require_unit()
-    if tau == 0.0:
-        return p
-    if tau == 1.0:
-        return q
-    if float(p.real @ q.real) < 0:
-        q = -q
-    rel = (p.conjugate() * q).canonicalized()
-    return (p * _screw_power(rel, tau)).canonicalized()
+    for rows in (p, q):
+        require_unit_rows(rows)
+    near = np.where((_row_dots(p[:, :4], q[:, :4]) < 0)[:, None], -q, q)
+    rel = canonicalized_rows(dq_mul_rows(conjugate_rows(p), near))
+    mid = canonicalized_rows(dq_mul_rows(p, _screw_power(rel, tau)))
+    return np.where((tau == 0.0)[:, None], p, np.where((tau == 1.0)[:, None], q, mid))
 
 
 # -- trajectory formats --------------------------------------------------------
 
-def load_trajectory(path, fmt: str = "tum", rate: float = 10.0,
-                    sensor_id: str | None = None) -> Trajectory:
-    """Read a trajectory file; ``fmt`` is "tum" or "kitti_pose".
+_FIELDS = {"tum": 8, "kitti_pose": 12}
 
-    Pose-matrix rotations are re-orthogonalized when they deviate mildly
-    from SO(3) and rejected beyond 1e-3.
-    """
-    times, poses = [], []
+
+def _numeric_lines(path, width: int) -> tuple[list[int], np.ndarray]:
+    """(line numbers, (n, width) values) of the lines of a whitespace
+    separated text file, skipping blank lines and lines starting with "#".
+    A line with another number of fields or a value that is not a finite
+    float raises a ParseError naming it."""
+    linenos, rows = [], []
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
+            fields = raw.split()
+            if not fields or fields[0].startswith("#"):
                 continue
-            fields = line.split()
-            if fmt == "tum":
-                if len(fields) != 8:
-                    raise ParseError(f"expected 8 fields, got {len(fields)}",
-                                     line=lineno)
-                try:
-                    vals = [float(x) for x in fields]
-                except ValueError as err:
-                    raise ParseError(str(err), line=lineno) from None
-                t, tx, ty, tz, qx, qy, qz, qw = vals
-                real = np.array([qw, qx, qy, qz])
-                try:
-                    dq = DualQuat(
-                        real, 0.5 * quat_mul(np.array([0.0, tx, ty, tz]), real)
-                    ).normalized().canonicalized()
-                except NotUnit as err:
-                    raise ParseError(str(err), line=lineno) from None
-                times.append(t)
-                poses.append(dq)
-            elif fmt == "kitti_pose":
-                if len(fields) != 12:
-                    raise ParseError(f"expected 12 fields, got {len(fields)}",
-                                     line=lineno)
-                try:
-                    vals = np.array([float(x) for x in fields]).reshape(3, 4)
-                except ValueError as err:
-                    raise ParseError(str(err), line=lineno) from None
-                R = vals[:, :3]
-                defect = max(np.max(np.abs(R.T @ R - np.eye(3))),
-                             abs(np.linalg.det(R) - 1.0))
-                if defect > 1e-3:
-                    raise NonOrthogonalRotation(
-                        f"line {lineno}: rotation defect {defect:.2e}")
-                if defect > 1e-12:
-                    u, _, vt = np.linalg.svd(R)
-                    R = u @ vt
-                T = np.eye(4)
-                T[:3, :3] = R
-                T[:3, 3] = vals[:, 3]
-                times.append(len(poses) / rate)
-                poses.append(DualQuat.from_homogeneous(T))
-            else:
-                raise ValueError(f"unknown trajectory format {fmt!r}")
-    arr = np.asarray(times, dtype=float)
-    if len(arr) > 1 and np.any(np.diff(arr) <= 0):
-        bad = int(np.argmax(np.diff(arr) <= 0)) + 2
-        raise ParseError("timestamps not strictly increasing", line=bad)
-    return Trajectory(sensor_id=sensor_id or fmt, times=arr, poses=tuple(poses))
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}",
+                                 line=lineno)
+            try:
+                row = [float(x) for x in fields]
+            except ValueError as err:
+                raise ParseError(str(err), line=lineno) from None
+            if not all(map(math.isfinite, row)):
+                raise ParseError("values must be finite", line=lineno)
+            linenos.append(lineno)
+            rows.append(row)
+    return linenos, np.array(rows, dtype=float).reshape(-1, width)
+
+
+def load_trajectory(path, fmt: str = "tum", rate: float = 10.0) -> Trajectory:
+    """Read a trajectory file; ``fmt`` is "tum" or "kitti_pose".
+
+    Pose-matrix lines are stamped i / ``rate``.  Their rotations are
+    re-orthogonalized when they deviate mildly from SO(3) and rejected
+    beyond 1e-3.  A bad value, a TUM quaternion too far from unit and a
+    timestamp not after its predecessor raise a ParseError naming the line;
+    an unknown format or a rate that is not finite and positive raises
+    ValueError.
+    """
+    if fmt not in _FIELDS:
+        raise ValueError(f"unknown trajectory format {fmt!r}")
+    if not (math.isfinite(rate) and rate > 0):
+        raise ValueError(f"rate must be finite and positive, got {rate!r}")
+    linenos, vals = _numeric_lines(path, _FIELDS[fmt])
+    if fmt == "tum":
+        times = vals[:, 0]
+        try:  # normalizing is sign-symmetric: canonical first, same bits
+            poses = _motion_rows(_unit_rows(vals[:, [7, 4, 5, 6]], vals[:, 1:4]))
+        except NotUnit as err:
+            raise ParseError(str(err), line=linenos[err.row]) from None
+    else:
+        mats = vals.reshape(-1, 3, 4)
+        R = mats[:, :, :3]
+        defect = np.maximum(
+            np.abs(np.swapaxes(R, 1, 2) @ R - np.eye(3)).max(axis=(1, 2)),
+            np.abs(np.linalg.det(R) - 1.0))
+        if (defect > 1e-3).any():
+            i = int(np.argmax(defect > 1e-3))
+            raise NonOrthogonalRotation(
+                f"line {linenos[i]}: rotation defect {defect[i]:.2e}")
+        drift = defect > 1e-12
+        if drift.any():
+            u, _, vt = np.linalg.svd(R[drift])
+            mats[drift, :, :3] = u @ vt
+        times = np.arange(len(vals)) / rate
+        poses = from_homogeneous_rows(mats)
+    late = np.diff(times) <= 0
+    if late.any():
+        raise ParseError("timestamps not strictly increasing",
+                         line=linenos[int(np.argmax(late)) + 1])
+    return Trajectory(times=times, poses=poses)
 
 
 def save_trajectory(traj: Trajectory, path, fmt: str = "tum"):
-    with open(path, "w") as fh:
-        for t, pose in zip(traj.times, traj.poses):
-            if fmt == "tum":
-                x, y, z = pose.translation()
-                qw, qx, qy, qz = pose.real
-                fh.write(f"{t:.17g} {x:.17g} {y:.17g} {z:.17g} "
-                         f"{qx:.17g} {qy:.17g} {qz:.17g} {qw:.17g}\n")
-            elif fmt == "kitti_pose":
-                T = pose.to_homogeneous()
-                fh.write(" ".join(f"{v:.17g}" for v in T[:3].ravel()) + "\n")
-            else:
-                raise ValueError(f"unknown trajectory format {fmt!r}")
+    """Write a trajectory that :func:`load_trajectory` reads back, each
+    value with 17 significant digits; its poses must be unit (NotUnit)."""
+    _, t = angle_translation_rows(traj.poses)
+    if fmt == "tum":
+        real = traj.poses[:, :4]
+        table = np.column_stack([traj.times, t, real[:, 1:], real[:, :1]])
+    elif fmt == "kitti_pose":
+        table = np.concatenate([quat_to_rot_rows(traj.poses[:, :4]), t[:, :, None]],
+                               axis=2).reshape(-1, 12)
+    else:
+        raise ValueError(f"unknown trajectory format {fmt!r}")
+    np.savetxt(path, table, fmt="%.17g")
 
 
-def relative_motions(traj: Trajectory) -> list[tuple[float, DualQuat]]:
-    """Incremental motions in the sensor frame, stamped at interval ends.
+def relative_motions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
+    """Incremental motions in the sensor frame, stamped at interval ends:
+    (times (n - 1,), sign-canonical motion rows (n - 1, 8)).
 
     Folding the motions onto the first pose reproduces the trajectory.
     """
     if len(traj) < 2:
         raise ValueError("need at least two poses")
-    out = []
-    for i in range(len(traj) - 1):
-        motion = (traj.poses[i].conjugate() * traj.poses[i + 1]).canonicalized()
-        out.append((float(traj.times[i + 1]), motion))
-    return out
+    steps = dq_mul_rows(conjugate_rows(traj.poses[:-1]), traj.poses[1:])
+    return traj.times[1:], canonicalized_rows(steps)
 
 
 # -- pairing --------------------------------------------------------------------
 
-def _pose_at(traj: Trajectory, t: float, cfg: PairingConfig):
-    times = traj.times
+def _poses_at(traj: Trajectory, t: np.ndarray, cfg: PairingConfig):
+    """Rows of ``traj``'s poses at times ``t``, and which of them exist:
+    inside the time range when interpolating, within ``max_skew`` of the
+    nearest pose (the earlier one on a tie) otherwise."""
+    times, poses = traj.times, traj.poses
     if cfg.interpolate:
-        if t < times[0] or t > times[-1]:
-            return None
-        idx = int(np.searchsorted(times, t, side="right")) - 1
-        idx = max(0, min(idx, len(times) - 2))
-        t0, t1 = times[idx], times[idx + 1]
-        if t == t0:
-            return traj.poses[idx]
-        tau = (t - t0) / (t1 - t0)
-        return sclerp(traj.poses[idx], traj.poses[idx + 1], float(tau))
-    idx = int(np.searchsorted(times, t))
-    candidates = [i for i in (idx - 1, idx) if 0 <= i < len(times)]
-    nearest = min(candidates, key=lambda i: abs(times[i] - t))
-    if abs(times[nearest] - t) > cfg.max_skew:
-        return None
-    return traj.poses[nearest]
+        i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
+        tau = (t - times[i]) / (times[i + 1] - times[i])
+        return sclerp(poses[i], poses[i + 1], tau), (t >= times[0]) & (t <= times[-1])
+    i = np.searchsorted(times, t)
+    before, after = np.maximum(i - 1, 0), np.minimum(i, len(times) - 1)
+    near = np.where(np.abs(times[after] - t) < np.abs(times[before] - t),
+                    after, before)
+    return poses[near], np.abs(times[near] - t) <= cfg.max_skew
 
 
 def pair_streams(traj_a: Trajectory, traj_b: Trajectory,
-                 cfg: PairingConfig | None = None
-                 ) -> tuple[list[MotionPair], int]:
+                 cfg: PairingConfig | None = None) -> tuple[PairArrays, int]:
     """Motion pairs on stream a's time grid; returns (pairs, dropped count).
 
     Stream b's poses are screw-interpolated at a's pose times (or matched
     nearest-neighbor within ``max_skew``); a-intervals without a valid
-    b-pose at both ends are dropped and counted.
+    b-pose at both ends are dropped and counted.  The motions are
+    normalized and sign-canonicalized as a :class:`MotionPair` holds them.
     """
     cfg = cfg or PairingConfig()
     if len(traj_a) < 2 or len(traj_b) < 2:
         raise ValueError("both trajectories need at least two poses")
     if traj_a.times[0] > traj_b.times[-1] or traj_a.times[-1] < traj_b.times[0]:
         raise NoOverlap("trajectory time ranges are disjoint")
-    pairs = []
-    dropped = 0
-    for i in range(len(traj_a) - 1):
-        t0, t1 = float(traj_a.times[i]), float(traj_a.times[i + 1])
-        b0 = _pose_at(traj_b, t0, cfg)
-        b1 = _pose_at(traj_b, t1, cfg)
-        if b0 is None or b1 is None:
-            dropped += 1
-            continue
-        q_a = (traj_a.poses[i].conjugate() * traj_a.poses[i + 1]).canonicalized()
-        q_b = (b0.conjugate() * b1).canonicalized()
-        pairs.append(MotionPair(q_a=q_a, q_b=q_b, timestamp=t1))
-    return pairs, dropped
+    poses_b, found = _poses_at(traj_b, traj_a.times, cfg)
+    keep = found[:-1] & found[1:]
+    t, q_a = relative_motions(traj_a)
+    _, q_b = relative_motions(Trajectory(traj_a.times, poses_b))
+    n = int(keep.sum())
+    return PairArrays(t=t[keep], q_a=_motion_rows(q_a[keep]),
+                      q_b=_motion_rows(q_b[keep]), w=np.ones((n, 8)),
+                      eta=np.ones(n)), len(keep) - n
 
 
 # -- motion-pair JSONL -----------------------------------------------------------
@@ -466,26 +481,9 @@ def load_pairs_jsonl(path) -> PairArrays:
 
 
 def load_point_cloud(path) -> np.ndarray:
-    """Whitespace-separated xyz rows; a non-finite coordinate raises a
-    ParseError naming its line."""
-    rows = []
-    with open(path) as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            fields = line.split()
-            if len(fields) != 3:
-                raise ParseError(f"expected 3 fields, got {len(fields)}",
-                                 line=lineno)
-            try:
-                row = [float(x) for x in fields]
-            except ValueError as err:
-                raise ParseError(str(err), line=lineno) from None
-            if not all(map(math.isfinite, row)):
-                raise ParseError("coordinates must be finite", line=lineno)
-            rows.append(row)
-    return np.asarray(rows, dtype=float).reshape(-1, 3)
+    """Whitespace-separated xyz rows; a malformed or non-finite coordinate
+    raises a ParseError naming its line."""
+    return _numeric_lines(path, 3)[1]
 
 
 def write_study_csv(rows, path):

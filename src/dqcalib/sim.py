@@ -13,8 +13,10 @@ loop over poses or pairs:
 * the frames of all poses at once (surface gradient, normal, Gram-Schmidt
   x-axis, cross product), turned into (n + 1, 8) pose rows by the row form
   of Shepperd's method in :func:`~dqcalib.dualquat.from_homogeneous_rows`;
+  :func:`generate_path` returns them as the one pose record,
+  :class:`~dqcalib.io.Trajectory`, that a loaded trajectory file also is;
 * the motions as (n, 2, 8) rows, ``[:, 0]`` sensor A's and ``[:, 1]``
-  sensor B's, by row products;
+  sensor B's, by :func:`~dqcalib.io.relative_motions` and row products;
 * the noise as one block of normal draws, turned into perturbation rows
   and left-composed with the motions.
 
@@ -22,8 +24,9 @@ Every row carries exactly the bits the per-pose scalar methods give,
 including the normalize and sign-canonicalize passes that a
 :class:`~dqcalib.cost.MotionPair` applies to its motions, so
 :func:`simulate_rows` returns the rows that :func:`simulate_pairs`'s pairs
-hold.  The functions that take or return ``DualQuat`` and ``MotionPair``
-objects wrap the rows at the boundary.
+hold.  :func:`sensor_pair_motions`, :func:`simulate_pairs` and
+:func:`planar_rig` build MotionPairs from these rows, and
+:func:`noise_sigmas` and :func:`add_noise` read MotionPairs into rows.
 
 RNG draw order (an invariant: every seeded dataset depends on it): the
 noise generator is ``default_rng(seed)``.  It draws for the motions in
@@ -44,10 +47,10 @@ import numpy as np
 
 from .cost import MotionPair, _motion_rows
 from .dualquat import (DualQuat, _row_dots, angle_translation_rows,
-                       canonicalized_rows, conjugate_rows, dq_mul_rows,
-                       from_homogeneous_rows, from_rot_trans_rows, quat_mul)
+                       canonicalized_rows, dq_mul_rows, from_homogeneous_rows,
+                       from_rot_trans_rows, quat_mul)
 from .errors import DegeneratePath
-from .io import PairArrays
+from .io import PairArrays, Trajectory, relative_motions
 from .planar import GroundPlane, transform_plane
 
 
@@ -205,29 +208,12 @@ class SimConfig:
         _check_noise_level(self.noise_level)
 
 
-@dataclass(frozen=True)
-class PoseSequence:
-    times: np.ndarray
-    poses: tuple[DualQuat, ...]
-
-    def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if np.any(np.diff(t) <= 0):
-            raise ValueError("timestamps must be strictly increasing")
-        t.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "poses", tuple(self.poses))
-
-    def __len__(self):
-        return len(self.poses)
-
-
 def _unit_vectors(v: np.ndarray) -> np.ndarray:
     return v / np.sqrt(_row_dots(v, v))[:, None]
 
 
-def _path_rows(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Times and (n_steps + 1, 8) pose rows along the configured path."""
+def generate_path(config: SimConfig) -> Trajectory:
+    """6-DOF poses along the configured path projected onto the surface."""
     height, gradient = surface_from_spec(config.surface)
     dense = _dense_path_2d(config.path, config.n_steps, config.step_length)
     xy = _resample_by_arclength(dense, config.step_length, config.n_steps)
@@ -251,25 +237,21 @@ def _path_rows(config: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     T[:, :3, 2] = normal
     T[:, :3, 3] = np.column_stack([x, y, height(x, y)])
     T[:, 3, 3] = 1.0
-    return np.arange(len(xy)) / config.rate, from_homogeneous_rows(T)
+    return Trajectory(times=np.arange(len(xy)) / config.rate,
+                      poses=from_homogeneous_rows(T))
 
 
-def generate_path(config: SimConfig) -> PoseSequence:
-    """6-DOF poses along the configured path projected onto the surface."""
-    times, rows = _path_rows(config)
-    return PoseSequence(times=times, poses=tuple(map(DualQuat.from_vec, rows)))
-
-
-def _sensor_motions(poses: np.ndarray, true_calib: DualQuat) -> np.ndarray:
-    """(n, 2, 8) incremental motions of sensor A with (n + 1, 8) pose rows
-    and of sensor B, mounted on it by ``true_calib``; sign-canonical, not
-    yet normalized."""
+def _sensor_motions(traj: Trajectory, true_calib: DualQuat
+                    ) -> tuple[np.ndarray, np.ndarray]:
+    """Times and (n, 2, 8) incremental motions of sensor A, moving along
+    ``traj``, and of sensor B, mounted on it by ``true_calib``;
+    sign-canonical, not yet normalized."""
     qt = true_calib.normalized().canonicalized()
-    v_a = canonicalized_rows(dq_mul_rows(conjugate_rows(poses[:-1]), poses[1:]))
+    times, v_a = relative_motions(traj)
     qt_inv = np.broadcast_to(qt.conjugate().vec(), v_a.shape)
     v_b = canonicalized_rows(dq_mul_rows(dq_mul_rows(qt_inv, v_a),
                                          np.broadcast_to(qt.vec(), v_a.shape)))
-    return np.stack([v_a, v_b], axis=1)
+    return times, np.stack([v_a, v_b], axis=1)
 
 
 def _held(motions: np.ndarray) -> np.ndarray:
@@ -288,17 +270,14 @@ def _pair_motions(pairs) -> np.ndarray:
     return np.array([(p.q_a.vec(), p.q_b.vec()) for p in pairs]).reshape(-1, 2, 8)
 
 
-def sensor_pair_motions(poses: PoseSequence, true_calib: DualQuat) -> list[MotionPair]:
+def sensor_pair_motions(poses: Trajectory, true_calib: DualQuat) -> list[MotionPair]:
     """Incremental motion pairs of two sensors rigidly related by ``true_calib``.
 
     The pose sequence is sensor A's; sensor B moves rigidly attached with
     calibration ``true_calib`` (mapping B coordinates into A).  Every pair
     then satisfies q_a * q_T = q_T * q_b exactly.
     """
-    if len(poses) < 2:
-        raise ValueError("need at least two poses")
-    rows = np.array([p.vec() for p in poses.poses])
-    return _motion_pairs(poses.times[1:], _sensor_motions(rows, true_calib))
+    return _motion_pairs(*_sensor_motions(poses, true_calib))
 
 
 # -- noise --------------------------------------------------------------------
@@ -393,10 +372,8 @@ def _simulate(config: SimConfig) -> tuple[np.ndarray, np.ndarray, DualQuat]:
     truth = config.true_calib
     if truth is None:
         truth = sample_study_calibration(rng)
-    times, poses = _path_rows(config)
-    motions = _noisy(_sensor_motions(poses, truth), config.noise_level,
-                     seed=config.seed + 1)
-    return times[1:], motions, truth
+    times, motions = _sensor_motions(generate_path(config), truth)
+    return times, _noisy(motions, config.noise_level, seed=config.seed + 1), truth
 
 
 def simulate_rows(config: SimConfig) -> tuple[PairArrays, DualQuat]:
@@ -449,12 +426,11 @@ def planar_rig(n_steps: int = 60, seed: int = 0, step_length: float = 1.0,
                                "fx": 1.0, "fy": 2.0},
                          surface={"kind": "flat"}, step_length=step_length,
                          n_steps=n_steps, rate=rate)
-    times, body = _path_rows(body_cfg)
-    sensor_a = canonicalized_rows(
-        dq_mul_rows(body, np.broadcast_to(mount_a.vec(), body.shape)))
-    motions = _noisy(_sensor_motions(sensor_a, true_calib), noise_level,
-                     seed=seed + 1)
-    pairs = _motion_pairs(times[1:], motions)
+    body = generate_path(body_cfg)
+    sensor_a = Trajectory(body.times, canonicalized_rows(
+        dq_mul_rows(body.poses, np.broadcast_to(mount_a.vec(), body.poses.shape))))
+    times, motions = _sensor_motions(sensor_a, true_calib)
+    pairs = _motion_pairs(times, _noisy(motions, noise_level, seed=seed + 1))
 
     body_plane = GroundPlane(normal=np.array([0.0, 0.0, 1.0]), distance=body_height)
     plane_a = transform_plane(body_plane, mount_a)

@@ -210,8 +210,9 @@ def use_oracle_kernels(monkeypatch):
 
 def oracle_generate_path(config):
     from dqcalib.errors import DegeneratePath
-    from dqcalib.sim import (PoseSequence, _dense_path_2d,
-                             _resample_by_arclength, surface_from_spec)
+    from dqcalib.io import Trajectory
+    from dqcalib.sim import (_dense_path_2d, _resample_by_arclength,
+                             surface_from_spec)
 
     height, gradient = surface_from_spec(config.surface)
     dense = _dense_path_2d(config.path, config.n_steps, config.step_length)
@@ -240,15 +241,16 @@ def oracle_generate_path(config):
         T[:3, 3] = (x, y, float(height(x, y)))
         poses.append(DualQuat.from_homogeneous(T))
     times = np.arange(len(poses)) / config.rate
-    return PoseSequence(times=times, poses=tuple(poses))
+    return Trajectory(times=times, poses=np.array([p.vec() for p in poses]))
 
 
 def oracle_sensor_pair_motions(poses, true_calib):
     qt = true_calib.normalized().canonicalized()
     qt_inv = qt.conjugate()
+    dqs = [DualQuat.from_vec(v) for v in poses.poses]
     pairs = []
     for i in range(len(poses) - 1):
-        v_a = (poses.poses[i].conjugate() * poses.poses[i + 1]).canonicalized()
+        v_a = (dqs[i].conjugate() * dqs[i + 1]).canonicalized()
         v_b = (qt_inv * v_a * qt).canonicalized()
         pairs.append(MotionPair(q_a=v_a, q_b=v_b,
                                 timestamp=float(poses.times[i + 1])))
@@ -307,7 +309,8 @@ def oracle_simulate_pairs(config):
 def oracle_planar_rig(n_steps=60, seed=0, step_length=1.0, noise_level=0.0,
                       mount_translation=1.5, rate=10.0):
     """The pairs, truth and mounts of ``planar_rig`` with these arguments."""
-    from dqcalib.sim import PoseSequence, SimConfig
+    from dqcalib.io import Trajectory
+    from dqcalib.sim import SimConfig
 
     rng = np.random.default_rng(seed)
     mount_a = random_unit_dq(rng, max_translation=mount_translation)
@@ -318,9 +321,10 @@ def oracle_planar_rig(n_steps=60, seed=0, step_length=1.0, noise_level=0.0,
                          surface={"kind": "flat"}, step_length=step_length,
                          n_steps=n_steps, rate=rate)
     body = oracle_generate_path(body_cfg)
-    sensor_a = PoseSequence(times=body.times,
-                            poses=tuple((w * mount_a).canonicalized()
-                                        for w in body.poses))
+    sensor_a = Trajectory(times=body.times,
+                          poses=np.array([(DualQuat.from_vec(w) * mount_a)
+                                          .canonicalized().vec()
+                                          for w in body.poses]))
     pairs = oracle_sensor_pair_motions(sensor_a, true_calib)
     pairs = oracle_add_noise(pairs, noise_level, seed=seed + 1)
     return pairs, true_calib, mount_a, mount_b

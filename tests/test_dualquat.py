@@ -8,7 +8,8 @@ from dqcalib.dualquat import (DualQuat, angle_translation_rows,
                               canonicalized_rows, conjugate_rows, dq_mul_rows,
                               from_homogeneous_rows, from_rot_trans_rows,
                               left_mat, normalized_rows, quat_mul, quat_to_rot,
-                              right_mat, rot_to_quat, rot_to_quat_rows)
+                              quat_to_rot_rows, right_mat, rot_to_quat,
+                              rot_to_quat_rows)
 from dqcalib.errors import NonUnitAxis, NotUnit
 
 from conftest import unit_dqs, unit_quats
@@ -384,6 +385,7 @@ def test_pose_row_forms_match_scalar_methods(rng):
     assert same_bits(t, [e[2] for e in expected])
     T = np.array([q.to_homogeneous() for q in scalar])
     R = T[:, :3, :3]
+    assert same_bits(quat_to_rot_rows(V[:, :4]), R)
     assert {int(np.argmax([np.trace(M), *np.diag(M)])) for M in R} == {0, 1, 2, 3}
     assert same_bits(rot_to_quat_rows(R), [rot_to_quat(M) for M in R])
     assert same_bits(from_homogeneous_rows(T),

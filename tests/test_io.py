@@ -18,13 +18,22 @@ from dqcalib.io import (PairArrays, PairingConfig, STUDY_CSV_HEADER,
 from dqcalib.sim import random_unit_dq
 
 
-def make_traj(rng, n=10, dt=0.1, sensor_id="a", start=0.0):
+def make_traj(rng, n=10, dt=0.1, start=0.0):
     poses = [DualQuat.identity()]
     for _ in range(n - 1):
         step = random_unit_dq(rng, max_translation=0.5)
         poses.append((poses[-1] * step).canonicalized())
     times = start + dt * np.arange(n)
-    return Trajectory(sensor_id=sensor_id, times=times, poses=tuple(poses))
+    return Trajectory(times=times, poses=rows_of(poses))
+
+
+def rows_of(dqs):
+    return np.array([q.vec() for q in dqs]).reshape(-1, 8)
+
+
+def same_bits(a, b):
+    return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
+                          np.asarray(b, dtype=float).view(np.int64))
 
 
 class TestTrajectoryFormats:
@@ -33,13 +42,15 @@ class TestTrajectoryFormats:
         p.write_text("0.0 0 0 0 0 0 0 1\n")
         traj = load_trajectory(p, fmt="tum")
         assert len(traj) == 1
-        assert traj.poses[0].is_close(DualQuat.identity(), atol=1e-15)
+        assert DualQuat.from_vec(traj.poses[0]).is_close(DualQuat.identity(),
+                                                         atol=1e-15)
 
     def test_kitti_identity_line(self, tmp_path):
         p = tmp_path / "poses.txt"
         p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n")
         traj = load_trajectory(p, fmt="kitti_pose")
-        assert traj.poses[0].is_close(DualQuat.identity(), atol=1e-15)
+        assert DualQuat.from_vec(traj.poses[0]).is_close(DualQuat.identity(),
+                                                         atol=1e-15)
         assert traj.times[0] == 0.0
 
     def test_kitti_timestamps_at_rate(self, tmp_path):
@@ -50,14 +61,13 @@ class TestTrajectoryFormats:
 
     @pytest.mark.parametrize("fmt", ["tum", "kitti_pose"])
     def test_round_trip_1000_poses(self, tmp_path, rng, fmt):
-        poses = tuple(random_unit_dq(rng, max_translation=5.0)
-                      for _ in range(1000))
-        traj = Trajectory("s", 0.1 * np.arange(1000), poses)
+        poses = rows_of(random_unit_dq(rng, max_translation=5.0)
+                        for _ in range(1000))
+        traj = Trajectory(0.1 * np.arange(1000), poses)
         p = tmp_path / "t.txt"
         save_trajectory(traj, p, fmt=fmt)
         back = load_trajectory(p, fmt=fmt, rate=10.0)
-        worst = max(np.max(np.abs(a.vec() - b.vec()))
-                    for a, b in zip(traj.poses, back.poses))
+        worst = np.max(np.abs(traj.poses - back.poses))
         assert worst < 1e-9
 
     def test_tum_parse_error_carries_line(self, tmp_path):
@@ -82,7 +92,7 @@ class TestTrajectoryFormats:
         p = tmp_path / "drift.txt"
         p.write_text(line + "\n")
         traj = load_trajectory(p, fmt="kitti_pose")
-        R_back = traj.poses[0].rotation_matrix()
+        R_back = DualQuat.from_vec(traj.poses[0]).rotation_matrix()
         assert np.allclose(R_back.T @ R_back, np.eye(3), atol=1e-12)
         assert np.allclose(R_back, R, atol=1e-4)
 
@@ -92,111 +102,168 @@ class TestTrajectoryFormats:
         with pytest.raises(ParseError):
             load_trajectory(p, fmt="tum")
 
+    def test_non_monotone_timestamp_names_its_line(self, tmp_path):
+        # comment and blank lines count: the error names the file's line
+        p = tmp_path / "bad.txt"
+        p.write_text("# t tx ty tz qx qy qz qw\n\n0.0 0 0 0 0 0 0 1\n"
+                     "1.0 0 0 0 0 0 0 1\n1.0 0 0 0 0 0 0 1\n")
+        with pytest.raises(ParseError) as err:
+            load_trajectory(p, fmt="tum")
+        assert err.value.line == 5
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_kitti_non_finite_value_names_its_line(self, tmp_path, bad):
+        p = tmp_path / "bad.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n"
+                     f"1 0 0 {bad} 0 1 0 0 0 0 1 0\n")
+        with pytest.raises(ParseError, match="finite") as err:
+            load_trajectory(p, fmt="kitti_pose")
+        assert err.value.line == 2
+
+    def test_tum_nan_timestamp_names_its_line(self, tmp_path):
+        p = tmp_path / "bad.txt"
+        p.write_text("0.0 0 0 0 0 0 0 1\nnan 0 0 0 0 0 0 1\n")
+        with pytest.raises(ParseError, match="finite") as err:
+            load_trajectory(p, fmt="tum")
+        assert err.value.line == 2
+
+    @pytest.mark.parametrize("rate", [float("nan"), 0.0, -10.0],
+                             ids=["nan", "zero", "negative"])
+    def test_bad_rate_rejected(self, tmp_path, rate):
+        p = tmp_path / "poses.txt"
+        p.write_text("1 0 0 0 0 1 0 0 0 0 1 0\n" * 3)
+        with pytest.raises(ValueError, match="rate must be finite and positive"):
+            load_trajectory(p, fmt="kitti_pose", rate=rate)
+
+    def test_record_rejects_unordered_times_and_bad_shapes(self):
+        poses = np.tile(DualQuat.identity().vec(), (3, 1))
+        for times in ([0.0, 0.2, 0.1], [0.0, np.nan, 0.2]):
+            with pytest.raises(ValueError, match="strictly increasing"):
+                Trajectory(times, poses)
+        with pytest.raises(ValueError, match="shapes"):
+            Trajectory([0.0, 0.1], poses)
+
 
 class TestRelativeMotions:
     def test_constant_trajectory_gives_identities(self):
         pose = DualQuat.from_translation([1, 2, 3])
-        traj = Trajectory("s", np.arange(5.0), (pose,) * 5)
-        for _, m in relative_motions(traj):
-            assert m.is_close(DualQuat.identity(), atol=1e-12)
+        traj = Trajectory(np.arange(5.0), rows_of([pose] * 5))
+        for m in relative_motions(traj)[1]:
+            assert DualQuat.from_vec(m).is_close(DualQuat.identity(), atol=1e-12)
 
     def test_two_poses_give_known_displacement(self, rng):
         d = random_unit_dq(rng)
         start = random_unit_dq(rng)
-        traj = Trajectory("s", np.array([0.0, 1.0]),
-                          (start, (start * d).canonicalized()))
-        motions = relative_motions(traj)
+        traj = Trajectory(np.array([0.0, 1.0]),
+                          rows_of([start, (start * d).canonicalized()]))
+        times, motions = relative_motions(traj)
         assert len(motions) == 1
-        assert motions[0][1].is_close(d, atol=1e-12)
+        assert DualQuat.from_vec(motions[0]).is_close(d, atol=1e-12)
 
     def test_chain_recomposition(self, rng):
         traj = make_traj(rng, n=40)
-        pose = traj.poses[0]
-        for _, m in relative_motions(traj):
-            pose = pose * m
-        assert pose.canonicalized().is_close(traj.poses[-1], atol=1e-9)
+        pose = DualQuat.from_vec(traj.poses[0])
+        for m in relative_motions(traj)[1]:
+            pose = pose * DualQuat.from_vec(m)
+        assert pose.canonicalized().is_close(DualQuat.from_vec(traj.poses[-1]),
+                                             atol=1e-9)
 
 
 class TestSclerp:
     def test_endpoints_exact(self, rng):
-        p, q = random_unit_dq(rng), random_unit_dq(rng)
-        assert sclerp(p, q, 0.0) is p
-        assert sclerp(p, q, 1.0) is q
+        p = rows_of(random_unit_dq(rng) for _ in range(5))
+        q = rows_of(random_unit_dq(rng) for _ in range(5))
+        assert same_bits(sclerp(p, q, np.zeros(5)), p)
+        assert same_bits(sclerp(p, q, np.ones(5)), q)
 
     def test_midpoint_unit(self, rng):
-        for _ in range(20):
-            p, q = random_unit_dq(rng, 2.0), random_unit_dq(rng, 2.0)
-            mid = sclerp(p, q, 0.37)
-            assert mid.is_unit(tol=1e-9)
+        p = rows_of(random_unit_dq(rng, 2.0) for _ in range(20))
+        q = rows_of(random_unit_dq(rng, 2.0) for _ in range(20))
+        for mid in sclerp(p, q, np.full(20, 0.37)):
+            assert DualQuat.from_vec(mid).is_unit(tol=1e-9)
 
     def test_rotation_part_matches_scipy_slerp(self, rng):
-        for _ in range(20):
-            p, q = random_unit_dq(rng), random_unit_dq(rng)
-            tau = rng.uniform(0, 1)
-            mid = sclerp(p, q, float(tau))
+        p = [random_unit_dq(rng) for _ in range(20)]
+        q = [random_unit_dq(rng) for _ in range(20)]
+        tau = rng.uniform(0, 1, 20)
+        mids = sclerp(rows_of(p), rows_of(q), tau)
+        for p_i, q_i, tau_i, mid in zip(p, q, tau, mids):
             key_rots = Rotation.concatenate([
-                Rotation.from_matrix(p.rotation_matrix()),
-                Rotation.from_matrix(q.rotation_matrix())])
-            oracle = Slerp([0.0, 1.0], key_rots)(tau).as_matrix()
-            assert np.allclose(mid.rotation_matrix(), oracle, atol=1e-9)
+                Rotation.from_matrix(p_i.rotation_matrix()),
+                Rotation.from_matrix(q_i.rotation_matrix())])
+            oracle = Slerp([0.0, 1.0], key_rots)(tau_i).as_matrix()
+            assert np.allclose(DualQuat.from_vec(mid).rotation_matrix(), oracle,
+                               atol=1e-9)
 
     def test_pure_translation_is_linear(self):
         p = DualQuat.identity()
         q = DualQuat.from_translation([2.0, -4.0, 6.0])
-        mid = sclerp(p, q, 0.25)
+        mid = DualQuat.from_vec(sclerp(rows_of([p]), rows_of([q]),
+                                       np.array([0.25]))[0])
         assert np.allclose(mid.translation(), [0.5, -1.0, 1.5], atol=1e-12)
+
+    def test_non_unit_row_rejected(self, rng):
+        p = rows_of(random_unit_dq(rng) for _ in range(3))
+        q = p.copy()
+        q[1, 0] += 1e-6
+        with pytest.raises(NotUnit) as err:
+            sclerp(p, q, np.full(3, 0.5))
+        assert err.value.row == 1
 
 
 class TestPairStreams:
     def test_identical_timestamps_exact(self, rng):
         a = make_traj(rng, n=12)
         q_t = random_unit_dq(rng)
-        b = Trajectory("b", a.times,
-                       tuple((p * q_t).canonicalized() for p in a.poses))
+        b = Trajectory(a.times, rows_of((DualQuat.from_vec(p) * q_t).canonicalized()
+                                        for p in a.poses))
         pairs, dropped = pair_streams(a, b)
+        assert isinstance(pairs, PairArrays)
         assert dropped == 0
         assert len(pairs) == 11
-        for pair in pairs:
-            lhs = (pair.q_a * q_t).vec()
-            rhs = (q_t * pair.q_b).vec()
+        for q_a, q_b in zip(pairs.q_a, pairs.q_b):
+            lhs = (DualQuat.from_vec(q_a) * q_t).vec()
+            rhs = (q_t * DualQuat.from_vec(q_b)).vec()
             assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_double_rate_constant_twist(self, rng):
         # constant-twist motion: screw interpolation is exact, so every
         # a-motion must match the analytic relative pose
         twist = DualQuat.from_rot_trans([0, 0, 1], 0.3, [1.0, 0.2, 0.0])
-        times_b = 0.05 * np.arange(41)
-        poses_b = tuple(sclerp(DualQuat.identity(), twist, t / 2.0)
-                        for t in times_b)
-        b = Trajectory("b", times_b, poses_b)
-        times_a = 0.1 * np.arange(20) + 0.025
-        poses_a = tuple(sclerp(DualQuat.identity(), twist, t / 2.0)
-                        for t in times_a)
-        a = Trajectory("a", times_a, poses_a)
+
+        def stream(times):
+            n = len(times)
+            return Trajectory(times, sclerp(np.tile(DualQuat.identity().vec(), (n, 1)),
+                                            np.tile(twist.vec(), (n, 1)),
+                                            times / 2.0))
+
+        b = stream(0.05 * np.arange(41))
+        a = stream(0.1 * np.arange(20) + 0.025)
         pairs, dropped = pair_streams(a, b)
         assert dropped == 0
         assert len(pairs) == 19
-        expected = (poses_a[0].conjugate() * poses_a[1]).canonicalized()
-        for pair in pairs:
-            assert pair.q_a.is_close(expected, atol=1e-9)
-            assert pair.q_b.is_close(expected, atol=1e-9)
+        expected = (DualQuat.from_vec(a.poses[0]).conjugate()
+                    * DualQuat.from_vec(a.poses[1])).canonicalized()
+        for q_a, q_b in zip(pairs.q_a, pairs.q_b):
+            assert DualQuat.from_vec(q_a).is_close(expected, atol=1e-9)
+            assert DualQuat.from_vec(q_b).is_close(expected, atol=1e-9)
 
     def test_disjoint_ranges(self, rng):
         a = make_traj(rng, n=5, start=0.0)
-        b = make_traj(rng, n=5, start=10.0, sensor_id="b")
+        b = make_traj(rng, n=5, start=10.0)
         with pytest.raises(NoOverlap):
             pair_streams(a, b)
 
     def test_partial_overlap_drops_and_counts(self, rng):
         a = make_traj(rng, n=10, dt=0.1, start=0.0)
-        b = make_traj(rng, n=6, dt=0.1, start=0.35, sensor_id="b")
+        b = make_traj(rng, n=6, dt=0.1, start=0.35)
         pairs, dropped = pair_streams(a, b)
         assert dropped > 0
         assert len(pairs) + dropped == 9
 
     def test_nearest_neighbor_mode(self, rng):
         a = make_traj(rng, n=8, dt=0.1)
-        b = Trajectory("b", a.times + 0.004, a.poses)
+        b = Trajectory(a.times + 0.004, a.poses)
         pairs, dropped = pair_streams(a, b, PairingConfig(interpolate=False,
                                                           max_skew=0.02))
         assert dropped == 0
@@ -204,6 +271,12 @@ class TestPairStreams:
         _, dropped_strict = pair_streams(
             a, b, PairingConfig(interpolate=False, max_skew=0.001))
         assert dropped_strict == 7
+
+    @pytest.mark.parametrize("max_skew", [float("nan"), -0.01],
+                             ids=["nan", "negative"])
+    def test_bad_max_skew_rejected(self, max_skew):
+        with pytest.raises(ValueError, match="max_skew"):
+            PairingConfig(max_skew=max_skew)
 
 
 class TestPairsJsonl:

@@ -25,11 +25,11 @@ def flat_config(**kw):
 class TestGeneratePath:
     def test_straight_flat_path_has_identity_orientations(self):
         poses = generate_path(flat_config())
-        for p in poses.poses:
+        for p in map(DualQuat.from_vec, poses.poses):
             assert p.is_close(DualQuat.identity() *
                               DualQuat.from_translation(p.translation()), atol=1e-12)
             assert np.allclose(p.real, [1, 0, 0, 0], atol=1e-12)
-        positions = np.array([p.translation() for p in poses.poses])
+        positions = np.array([DualQuat.from_vec(p).translation() for p in poses.poses])
         assert np.allclose(positions[:, 1:], 0.0, atol=1e-12)
 
     def test_circle_flat_path_sweeps_yaw(self):
@@ -37,7 +37,7 @@ class TestGeneratePath:
                         surface={"kind": "flat"}, step_length=1.0, n_steps=63)
         poses = generate_path(cfg)
         yaws = []
-        for p in poses.poses:
+        for p in map(DualQuat.from_vec, poses.poses):
             axis, angle, _ = p.to_rot_trans()
             if angle > 1e-9:
                 assert np.allclose(np.abs(axis), [0, 0, 1], atol=1e-9)
@@ -51,7 +51,7 @@ class TestGeneratePath:
         poses = generate_path(cfg)
         height, _ = surface_from_spec({"kind": "sinusoid"})
         h = 1e-6
-        for p in poses.poses:
+        for p in map(DualQuat.from_vec, poses.poses):
             x, y, z = p.translation()
             assert abs(z - height(x, y)) < 1e-12
             gx = (height(x + h, y) - height(x - h, y)) / (2 * h)
@@ -66,9 +66,9 @@ class TestGeneratePath:
                         surface={"kind": "sinusoid"}, n_steps=30)
         poses = generate_path(cfg)
         height, _ = surface_from_spec({"kind": "sinusoid"})
-        positions = np.array([p.translation() for p in poses.poses])
+        positions = np.array([DualQuat.from_vec(p).translation() for p in poses.poses])
         h = 1e-6
-        for i, p in enumerate(poses.poses[:-1]):
+        for i, p in enumerate(map(DualQuat.from_vec, poses.poses[:-1])):
             x, y = positions[i, :2]
             gx = (height(x + h, y) - height(x - h, y)) / (2 * h)
             gy = (height(x, y + h) - height(x, y - h)) / (2 * h)
@@ -281,8 +281,7 @@ def test_row_pipeline_matches_oracle_bit_for_bit(case):
         return
     poses, expected_poses = generate_path(case), oracle_generate_path(case)
     assert _same_bits(poses.times, expected_poses.times)
-    assert _same_bits([p.vec() for p in poses.poses],
-                      [p.vec() for p in expected_poses.poses])
+    assert _same_bits(poses.poses, expected_poses.poses)
     pairs, truth = simulate_pairs(case)
     expected, expected_truth = oracle_simulate_pairs(case)
     assert _same_bits(truth.vec(), expected_truth.vec())
