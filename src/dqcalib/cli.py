@@ -56,6 +56,8 @@ def _parse_gt_pose(text: str) -> DualQuat:
     vals = [float(x) for x in text.split(",")]
     if len(vals) != 7:
         raise ValueError("expected tx,ty,tz,ax,ay,az,angle_deg")
+    if not np.isfinite(vals).all():
+        raise ValueError(f"--gt-pose values must be finite, got {text!r}")
     tx, ty, tz, ax, ay, az, angle_deg = vals
     axis = np.array([ax, ay, az])
     n = np.linalg.norm(axis)

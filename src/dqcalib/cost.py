@@ -26,9 +26,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .constraints import ConstraintMode
-from .dualquat import (DualQuat, canonicalized_rows, dq_mul_rows, left_mat,
-                       normalized_rows, right_mat)
+from .dualquat import (DualQuat, canonicalized_rows, left_mat, normalized_rows,
+                       right_mat)
 from .errors import InvalidWeight
+from .planar import project_motion
 
 
 @dataclass(frozen=True)
@@ -118,13 +119,6 @@ def _motion_rows(q: np.ndarray) -> np.ndarray:
     return canonicalized_rows(normalized_rows(q))
 
 
-def _project_rows(q: np.ndarray, align: DualQuat) -> np.ndarray:
-    """Motions conjugated into a plane frame, each as a MotionPair holds it."""
-    g = np.broadcast_to(align.vec(), q.shape)
-    g_conj = np.broadcast_to(align.conjugate().vec(), q.shape)
-    return _motion_rows(canonicalized_rows(dq_mul_rows(dq_mul_rows(g, q), g_conj)))
-
-
 class CostAccumulator:
     """Running sum of per-pair cost matrices with weight normalization.
 
@@ -174,8 +168,9 @@ class CostAccumulator:
         """Add checked rows: unit sign-canonical motions and finite,
         nonnegative weights."""
         if self.align_a is not None:
-            q_a = _project_rows(q_a, self.align_a)
-            q_b = _project_rows(q_b, self.align_b)
+            # each projected motion as a MotionPair holds it
+            q_a = _motion_rows(project_motion(q_a, self.align_a))
+            q_b = _motion_rows(project_motion(q_b, self.align_b))
         for i in range(0, len(q_a), BLOCK_ROWS):
             rows = slice(i, i + BLOCK_ROWS)
             terms = _cost_rows(q_a[rows], q_b[rows], w[rows])

@@ -59,60 +59,6 @@ def quat_right_mat(q: np.ndarray) -> np.ndarray:
     ])
 
 
-def quat_to_rot(q: np.ndarray) -> np.ndarray:
-    """Rotation matrix of a unit quaternion."""
-    w, x, y, z = q
-    return np.array([
-        [1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w)],
-        [2 * (x * y + z * w), 1 - 2 * (x * x + z * z), 2 * (y * z - x * w)],
-        [2 * (x * z - y * w), 2 * (y * z + x * w), 1 - 2 * (x * x + y * y)],
-    ])
-
-
-def rot_to_quat(R: np.ndarray) -> np.ndarray:
-    """Unit quaternion of a rotation matrix (Shepperd's method, w >= 0)."""
-    R = np.asarray(R, dtype=float)
-    tr = R[0, 0] + R[1, 1] + R[2, 2]
-    choices = np.array([tr, R[0, 0], R[1, 1], R[2, 2]])
-    case = int(np.argmax(choices))
-    if case == 0:
-        s = np.sqrt(tr + 1.0) * 2.0
-        q = np.array([
-            0.25 * s,
-            (R[2, 1] - R[1, 2]) / s,
-            (R[0, 2] - R[2, 0]) / s,
-            (R[1, 0] - R[0, 1]) / s,
-        ])
-    elif case == 1:
-        s = np.sqrt(1.0 + R[0, 0] - R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([
-            (R[2, 1] - R[1, 2]) / s,
-            0.25 * s,
-            (R[0, 1] + R[1, 0]) / s,
-            (R[0, 2] + R[2, 0]) / s,
-        ])
-    elif case == 2:
-        s = np.sqrt(1.0 - R[0, 0] + R[1, 1] - R[2, 2]) * 2.0
-        q = np.array([
-            (R[0, 2] - R[2, 0]) / s,
-            (R[0, 1] + R[1, 0]) / s,
-            0.25 * s,
-            (R[1, 2] + R[2, 1]) / s,
-        ])
-    else:
-        s = np.sqrt(1.0 - R[0, 0] - R[1, 1] + R[2, 2]) * 2.0
-        q = np.array([
-            (R[1, 0] - R[0, 1]) / s,
-            (R[0, 2] + R[2, 0]) / s,
-            (R[1, 2] + R[2, 1]) / s,
-            0.25 * s,
-        ])
-    q /= np.linalg.norm(q)
-    if q[0] < 0:
-        q = -q
-    return q
-
-
 def _frozen_array(values, n) -> np.ndarray:
     arr = np.array(values, dtype=float).reshape(n)
     arr.setflags(write=False)
@@ -152,19 +98,13 @@ class DualQuat:
         """Build a unit displacement from axis/angle rotation plus translation.
 
         The axis must be normalized (within 1e-9) unless the angle is zero,
-        in which case it is ignored.  The result is sign-canonical.
+        in which case it is ignored.  The result is sign-canonical.  This
+        is a one-row call of :func:`from_rot_trans_rows`.
         """
-        axis = np.asarray(axis, dtype=float).reshape(3)
-        translation = np.asarray(translation, dtype=float).reshape(3)
-        if angle != 0.0:
-            n = np.linalg.norm(axis)
-            if abs(n - 1.0) > 1e-9:
-                raise NonUnitAxis(f"axis norm {n} deviates from 1")
-        half = 0.5 * angle
-        real = np.concatenate(([np.cos(half)], np.sin(half) * axis))
-        t_quat = np.concatenate(([0.0], translation))
-        dual = 0.5 * quat_mul(t_quat, real)
-        return cls(real, dual).canonicalized()
+        return cls.from_vec(from_rot_trans_rows(
+            np.asarray(axis, dtype=float).reshape(1, 3),
+            np.array([angle], dtype=float),
+            np.asarray(translation, dtype=float).reshape(1, 3))[0])
 
     @classmethod
     def from_translation(cls, translation) -> "DualQuat":
@@ -172,12 +112,9 @@ class DualQuat:
 
     @classmethod
     def from_homogeneous(cls, T: np.ndarray) -> "DualQuat":
-        """Unit displacement from a 4x4 homogeneous matrix (R assumed in SO(3))."""
-        T = np.asarray(T, dtype=float)
-        real = rot_to_quat(T[:3, :3])
-        t_quat = np.concatenate(([0.0], T[:3, 3]))
-        dual = 0.5 * quat_mul(t_quat, real)
-        return cls(real, dual).canonicalized()
+        """Unit displacement from a 4x4 homogeneous matrix (R assumed in
+        SO(3)); a one-row call of :func:`from_homogeneous_rows`."""
+        return cls.from_vec(from_homogeneous_rows(np.asarray(T, dtype=float)[None])[0])
 
     # -- algebra -----------------------------------------------------------
 
@@ -251,28 +188,24 @@ class DualQuat:
 
     def rotation_matrix(self) -> np.ndarray:
         self._require_unit()
-        return quat_to_rot(self.real)
+        return quat_to_rot_rows(self.real[None])[0]
 
     def to_rot_trans(self):
         """Decompose into (axis, angle, translation) with angle in [0, pi].
 
         For a zero rotation the axis defaults to (1, 0, 0) so round trips
-        are deterministic.
+        are deterministic.  The angle and translation come from a one-row
+        call of :func:`angle_translation_rows`.
         """
-        self._require_unit()
-        q = self.canonicalized()
-        sin_half = np.linalg.norm(q.real[1:])
-        angle = 2.0 * np.arctan2(sin_half, q.real[0])
-        if sin_half > 1e-9:
-            axis = q.real[1:] / sin_half
-        else:
-            axis = np.array([1.0, 0.0, 0.0])
-        return axis, angle, q.translation()
+        (angle,), (translation,) = angle_translation_rows(self.vec()[None])
+        vector = self.canonicalized().real[1:]
+        sin_half = np.linalg.norm(vector)
+        axis = vector / sin_half if sin_half > 1e-9 else np.array([1.0, 0.0, 0.0])
+        return axis, angle, translation
 
     def to_homogeneous(self) -> np.ndarray:
-        self._require_unit()
         T = np.eye(4)
-        T[:3, :3] = quat_to_rot(self.real)
+        T[:3, :3] = self.rotation_matrix()
         T[:3, 3] = self.translation()
         return T
 
@@ -322,9 +255,14 @@ def right_mat(q: DualQuat) -> np.ndarray:
 
 # -- row-wise forms ------------------------------------------------------------
 # The pair loader, the cost kernel and the simulator work on (n, 8) arrays of
-# 8-vectors.  These functions repeat the scalar methods' arithmetic operation
-# by operation, so every row gets exactly the bits of the scalar method.  The
-# scalar methods stay: on a single dual quaternion they are faster.
+# 8-vectors.  The pose conversions exist only here: DualQuat's from_rot_trans,
+# from_homogeneous, to_rot_trans and rotation_matrix are one-row calls.  Five
+# scalar methods keep a twin of their row form, with the same arithmetic
+# operation by operation and so the same bits, because a per-step or per-pair
+# path calls them and a one-row call there costs several times more:
+# normalized and canonicalized (every MotionPair; the solvers' _feasible and
+# solve_local on every online step), __mul__, conjugate and is_unit (the
+# lift of a planar estimate and calib_error, on every online step).
 
 _CONJ_SIGNS = np.array([1.0, -1.0, -1.0, -1.0, 1.0, -1.0, -1.0, -1.0])
 
@@ -398,11 +336,9 @@ def conjugate_rows(v: np.ndarray) -> np.ndarray:
 
 
 def rot_to_quat_rows(R: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`rot_to_quat` of an (n, 3, 3) array of rotations.
-
-    Each row takes the branch of Shepperd's method the scalar function
-    would take for it.
-    """
+    """Unit quaternions, w >= 0, of an (n, 3, 3) array of rotations by
+    Shepperd's method: each row takes the branch of the largest of its
+    trace and diagonal entries."""
     R = np.asarray(R, dtype=float)
     R00, R01, R02 = R[:, 0, 0], R[:, 0, 1], R[:, 0, 2]
     R10, R11, R12 = R[:, 1, 0], R[:, 1, 1], R[:, 1, 2]
@@ -435,19 +371,19 @@ def _unit_rows(real: np.ndarray, translation: np.ndarray) -> np.ndarray:
 
 
 def from_homogeneous_rows(T: np.ndarray) -> np.ndarray:
-    """Row-wise :meth:`DualQuat.from_homogeneous` of an (n, 4, 4) array or
-    of its (n, 3, 4) top rows."""
+    """Sign-canonical unit displacements of an (n, 4, 4) array of
+    homogeneous matrices, or of its (n, 3, 4) top rows (R assumed in SO(3))."""
     T = np.asarray(T, dtype=float)
     return _unit_rows(rot_to_quat_rows(T[:, :3, :3]), T[:, :3, 3])
 
 
 def from_rot_trans_rows(axis: np.ndarray, angle: np.ndarray,
                         translation: np.ndarray) -> np.ndarray:
-    """Row-wise :meth:`DualQuat.from_rot_trans` of (n, 3) axes, (n,) angles
-    and (n, 3) translations.
+    """Sign-canonical unit displacements of (n, 3) axes, (n,) angles and
+    (n, 3) translations.
 
-    Raises :class:`NonUnitAxis` with the scalar method's message for the
-    first row it would reject.
+    Raises :class:`NonUnitAxis` for the first row with a nonzero angle
+    whose axis norm is more than 1e-9 from 1.
     """
     norm = np.sqrt(_row_dots(axis, axis))
     bad = (angle != 0.0) & (np.abs(norm - 1.0) > 1e-9)
@@ -460,7 +396,7 @@ def from_rot_trans_rows(axis: np.ndarray, angle: np.ndarray,
 
 
 def quat_to_rot_rows(q: np.ndarray) -> np.ndarray:
-    """Row-wise :func:`quat_to_rot` of an (n, 4) array, as (n, 3, 3)."""
+    """Rotation matrices (n, 3, 3) of an (n, 4) array of unit quaternions."""
     w, x, y, z = q.T
     return np.stack([
         1 - 2 * (y * y + z * z), 2 * (x * y - z * w), 2 * (x * z + y * w),
@@ -481,8 +417,8 @@ def require_unit_rows(v: np.ndarray) -> None:
 
 
 def angle_translation_rows(v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Row-wise angle (n,) and translation (n, 3) of
-    :meth:`DualQuat.to_rot_trans` on an (n, 8) array.
+    """Rotation angles (n,), in [0, pi], and translations (n, 3) of an
+    (n, 8) array of displacements.
 
     Raises :class:`NotUnit` for the first row that is not a unit dual
     quaternion within ``TOL_UNIT``; the error's ``row`` is its index.

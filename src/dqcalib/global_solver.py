@@ -71,7 +71,9 @@ class CalibSolution:
     of Z at the optimum (1 for a unique planar optimum).  ``provenance``
     is "global" for :func:`solve_global`'s optimum, "local" for a candidate
     :func:`dqcalib.verify.certify` judged; a local record may be both
-    ``degenerate`` (``diagnostic`` says why) and ``is_global``.
+    ``degenerate`` (``diagnostic`` says why) and ``is_global``, and one
+    that is not ``is_global`` has no verdict: ``null_dim`` None,
+    ``degenerate`` False, ``diagnostic`` None.
     """
 
     q_hat: DualQuat

@@ -8,10 +8,10 @@ format.
 A trajectory file loads into one :class:`Trajectory` record, times and
 (n, 8) pose rows, the record the simulator's ``generate_path`` returns
 too.  Each line's fields are parsed on their own, so a bad value raises a
-ParseError naming its line; the poses are then converted at once, with the
-bits the per-pose scalar methods give.  Two trajectories are paired on the
-first stream's time grid, the second stream's poses screw-linearly
-interpolated or matched to the nearest one, into a :class:`PairArrays`.
+ParseError naming its line; the poses are then converted at once.  Two
+trajectories are paired on the first stream's time grid, the second
+stream's poses screw-linearly interpolated or matched to the nearest one,
+into a :class:`PairArrays`.
 
 A motion-pair file loads into one :class:`PairArrays` record of rows, ready
 for :meth:`CostAccumulator.add_batch`; no per-pair object is built.  Its
@@ -31,10 +31,10 @@ from itertools import islice
 import numpy as np
 
 from .cost import MotionPair, _motion_rows
-from .dualquat import (DualQuat, _row_dots, _unit_rows, angle_translation_rows,
-                       canonicalized_rows, conjugate_rows, dq_mul_rows,
-                       from_homogeneous_rows, normalized_rows, quat_to_rot_rows,
-                       require_unit_rows)
+from .dualquat import (NORMALIZE_LIMIT, DualQuat, _row_dots, _unit_rows,
+                       angle_translation_rows, canonicalized_rows,
+                       conjugate_rows, dq_mul_rows, from_homogeneous_rows,
+                       normalized_rows, quat_to_rot_rows, require_unit_rows)
 from .errors import (InvalidWeight, NoOverlap, NonOrthogonalRotation, NotUnit,
                      ParseError)
 
@@ -68,6 +68,15 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class PairingConfig:
+    """How :func:`pair_streams` finds stream b's pose at an a-time.
+
+    With ``interpolate`` (the default) it is screw-interpolated between
+    the two b-poses around the a-time, which must be at most twice b's
+    median pose interval apart: a longer gap is a dropout.  Otherwise it
+    is the nearest b-pose, which must lie within ``max_skew`` seconds;
+    ``max_skew`` governs only this nearest-neighbour mode.
+    """
+
     max_skew: float = 0.02
     interpolate: bool = True
 
@@ -117,6 +126,11 @@ def sclerp(p: np.ndarray, q: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 _FIELDS = {"tum": 8, "kitti_pose": 12}
 
+# largest |r|^2 - 1 of a TUM quaternion that is scaled to unit on load: a
+# quaternion printed to 4 decimals, as the TUM RGB-D ground truth is, is off
+# by up to about 2e-4
+TUM_QUAT_LIMIT = 1e-3
+
 
 def _numeric_lines(path, width: int) -> tuple[list[int], np.ndarray]:
     """(line numbers, (n, width) values) of the lines of a whitespace
@@ -148,10 +162,11 @@ def load_trajectory(path, fmt: str = "tum", rate: float = 10.0) -> Trajectory:
 
     Pose-matrix lines are stamped i / ``rate``.  Their rotations are
     re-orthogonalized when they deviate mildly from SO(3) and rejected
-    beyond 1e-3.  A bad value, a TUM quaternion too far from unit and a
-    timestamp not after its predecessor raise a ParseError naming the line;
-    an unknown format or a rate that is not finite and positive raises
-    ValueError.
+    beyond 1e-3.  A TUM quaternion is scaled to unit when its |r|^2 - 1
+    is above ``NORMALIZE_LIMIT`` but at most ``TUM_QUAT_LIMIT``.  A bad
+    value, a TUM quaternion beyond that and a timestamp not after its
+    predecessor raise a ParseError naming the line; an unknown format or a
+    rate that is not finite and positive raises ValueError.
     """
     if fmt not in _FIELDS:
         raise ValueError(f"unknown trajectory format {fmt!r}")
@@ -159,9 +174,15 @@ def load_trajectory(path, fmt: str = "tum", rate: float = 10.0) -> Trajectory:
         raise ValueError(f"rate must be finite and positive, got {rate!r}")
     linenos, vals = _numeric_lines(path, _FIELDS[fmt])
     if fmt == "tum":
-        times = vals[:, 0]
+        times, real = vals[:, 0], vals[:, [7, 4, 5, 6]]
+        # the defect as normalizing measures it, so a row within its limit
+        # keeps its bits
+        nr = np.sqrt(_row_dots(real, real))
+        defect = np.abs(nr * nr - 1.0)
+        loose = (defect > NORMALIZE_LIMIT) & (defect <= TUM_QUAT_LIMIT)
+        real[loose] /= nr[loose, None]
         try:  # normalizing is sign-symmetric: canonical first, same bits
-            poses = _motion_rows(_unit_rows(vals[:, [7, 4, 5, 6]], vals[:, 1:4]))
+            poses = _motion_rows(_unit_rows(real, vals[:, 1:4]))
         except NotUnit as err:
             raise ParseError(str(err), line=linenos[err.row]) from None
     else:
@@ -218,13 +239,16 @@ def relative_motions(traj: Trajectory) -> tuple[np.ndarray, np.ndarray]:
 
 def _poses_at(traj: Trajectory, t: np.ndarray, cfg: PairingConfig):
     """Rows of ``traj``'s poses at times ``t``, and which of them exist:
-    inside the time range when interpolating, within ``max_skew`` of the
-    nearest pose (the earlier one on a tie) otherwise."""
+    inside the time range and between poses at most twice the median
+    interval apart when interpolating, within ``max_skew`` of the nearest
+    pose (the earlier one on a tie) otherwise."""
     times, poses = traj.times, traj.poses
     if cfg.interpolate:
         i = np.clip(np.searchsorted(times, t, side="right") - 1, 0, len(times) - 2)
-        tau = (t - times[i]) / (times[i + 1] - times[i])
-        return sclerp(poses[i], poses[i + 1], tau), (t >= times[0]) & (t <= times[-1])
+        gap = times[i + 1] - times[i]
+        found = ((t >= times[0]) & (t <= times[-1])
+                 & (gap <= 2.0 * np.median(np.diff(times))))
+        return sclerp(poses[i], poses[i + 1], (t - times[i]) / gap), found
     i = np.searchsorted(times, t)
     before, after = np.maximum(i - 1, 0), np.minimum(i, len(times) - 1)
     near = np.where(np.abs(times[after] - t) < np.abs(times[before] - t),
@@ -237,9 +261,10 @@ def pair_streams(traj_a: Trajectory, traj_b: Trajectory,
     """Motion pairs on stream a's time grid; returns (pairs, dropped count).
 
     Stream b's poses are screw-interpolated at a's pose times (or matched
-    nearest-neighbor within ``max_skew``); a-intervals without a valid
-    b-pose at both ends are dropped and counted.  The motions are
-    normalized and sign-canonicalized as a :class:`MotionPair` holds them.
+    nearest-neighbor within ``max_skew``), as :class:`PairingConfig` says;
+    a-intervals without a valid b-pose at both ends are dropped and
+    counted.  The motions are normalized and sign-canonicalized as a
+    :class:`MotionPair` holds them.
     """
     cfg = cfg or PairingConfig()
     if len(traj_a) < 2 or len(traj_b) < 2:
@@ -287,10 +312,12 @@ class PairArrays:
                                 dtype=float))
 
     def motion_pairs(self):
-        """The rows as :class:`MotionPair` objects, in order."""
+        """The rows as :class:`MotionPair` objects, in order; a confidence
+        of 1 is left at the default, None."""
         for t, q_a, q_b, w, eta in zip(self.t, self.q_a, self.q_b, self.w, self.eta):
             yield MotionPair(q_a=DualQuat.from_vec(q_a), q_b=DualQuat.from_vec(q_b),
-                             timestamp=float(t), weight_diag=w, eta=float(eta))
+                             timestamp=float(t), weight_diag=w,
+                             eta=None if eta == 1.0 else float(eta))
 
 
 def save_pair_rows_jsonl(rows: PairArrays, path):

@@ -126,7 +126,8 @@ class OnlineCalibrator:
             return self._solve_global()
         except NonUniqueSolution as err:
             return replace(sol, provenance="global", is_global=False,
-                           degenerate=True, diagnostic=str(err))
+                           null_dim=err.null_dim, degenerate=True,
+                           diagnostic=str(err))
 
 
 def replay(pairs, config: OnlineConfig | None = None) -> list[CalibSolution]:

@@ -12,7 +12,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualquat import DualQuat, quat_to_rot
+from .dualquat import (DualQuat, canonicalized_rows, dq_mul_rows,
+                       quat_to_rot_rows, require_unit_rows)
 from .errors import DegenerateInput, NotUnit
 
 _EZ = np.array([0.0, 0.0, 1.0])
@@ -61,11 +62,15 @@ def plane_alignment_dq(plane: GroundPlane) -> DualQuat:
     return DualQuat.from_rot_trans(axis, angle, plane.distance * _EZ)
 
 
-def project_motion(q: DualQuat, q_g: DualQuat) -> DualQuat:
-    """Express a motion in the plane-aligned frame (conjugation by q_g)."""
-    for x in (q, q_g):
-        x._require_unit()
-    return (q_g * q * q_g.conjugate()).canonicalized()
+def project_motion(q: np.ndarray, q_g: DualQuat) -> np.ndarray:
+    """Express (n, 8) unit motion rows in the plane-aligned frame: each is
+    conjugated by q_g and sign-canonicalized.  Raises :class:`NotUnit`
+    when q_g or a row is not a unit dual quaternion."""
+    q_g._require_unit()
+    require_unit_rows(q)
+    g = np.broadcast_to(q_g.vec(), q.shape)
+    g_conj = np.broadcast_to(q_g.conjugate().vec(), q.shape)
+    return canonicalized_rows(dq_mul_rows(dq_mul_rows(g, q), g_conj))
 
 
 def lift_calibration(q_tp: DualQuat, q_ga: DualQuat, q_gb: DualQuat) -> DualQuat:
@@ -82,7 +87,7 @@ def transform_plane(plane: GroundPlane, frame: DualQuat) -> GroundPlane:
     (x_old = frame(x_new)).
     """
     frame._require_unit()
-    R = quat_to_rot(frame.real)
+    R = quat_to_rot_rows(frame.real[None])[0]
     t = frame.translation()
     normal = R.T @ plane.normal
     distance = plane.distance + float(plane.normal @ t)

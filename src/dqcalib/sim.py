@@ -15,18 +15,15 @@ loop over poses or pairs:
   of Shepperd's method in :func:`~dqcalib.dualquat.from_homogeneous_rows`;
   :func:`generate_path` returns them as the one pose record,
   :class:`~dqcalib.io.Trajectory`, that a loaded trajectory file also is;
-* the motions as (n, 2, 8) rows, ``[:, 0]`` sensor A's and ``[:, 1]``
-  sensor B's, by :func:`~dqcalib.io.relative_motions` and row products;
+* the motions as a :class:`~dqcalib.io.PairArrays`, sensor A's in
+  ``q_a`` and sensor B's in ``q_b``, by
+  :func:`~dqcalib.io.relative_motions` and row products, normalized and
+  sign-canonicalized as a :class:`~dqcalib.cost.MotionPair` holds them;
 * the noise as one block of normal draws, turned into perturbation rows
   and left-composed with the motions.
 
-Every row carries exactly the bits the per-pose scalar methods give,
-including the normalize and sign-canonicalize passes that a
-:class:`~dqcalib.cost.MotionPair` applies to its motions, so
-:func:`simulate_rows` returns the rows that :func:`simulate_pairs`'s pairs
-hold.  :func:`sensor_pair_motions`, :func:`simulate_pairs` and
-:func:`planar_rig` build MotionPairs from these rows, and
-:func:`noise_sigmas` and :func:`add_noise` read MotionPairs into rows.
+:func:`simulate_pairs` and :func:`planar_rig` hand the rows out as
+MotionPairs, which hold them unchanged.
 
 RNG draw order (an invariant: every seeded dataset depends on it): the
 noise generator is ``default_rng(seed)``.  It draws for the motions in
@@ -241,78 +238,58 @@ def generate_path(config: SimConfig) -> Trajectory:
                       poses=from_homogeneous_rows(T))
 
 
-def _sensor_motions(traj: Trajectory, true_calib: DualQuat
-                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Times and (n, 2, 8) incremental motions of sensor A, moving along
-    ``traj``, and of sensor B, mounted on it by ``true_calib``;
-    sign-canonical, not yet normalized."""
-    qt = true_calib.normalized().canonicalized()
-    times, v_a = relative_motions(traj)
-    qt_inv = np.broadcast_to(qt.conjugate().vec(), v_a.shape)
-    v_b = canonicalized_rows(dq_mul_rows(dq_mul_rows(qt_inv, v_a),
-                                         np.broadcast_to(qt.vec(), v_a.shape)))
-    return times, np.stack([v_a, v_b], axis=1)
-
-
-def _held(motions: np.ndarray) -> np.ndarray:
-    """Motions normalized and sign-canonicalized as a MotionPair holds them."""
-    return _motion_rows(motions.reshape(-1, 8)).reshape(motions.shape)
-
-
-def _motion_pairs(times: np.ndarray, motions: np.ndarray) -> list[MotionPair]:
-    return [MotionPair(q_a=DualQuat.from_vec(a), q_b=DualQuat.from_vec(b),
-                       timestamp=t)
-            for t, (a, b) in zip(times.tolist(), motions)]
-
-
-def _pair_motions(pairs) -> np.ndarray:
-    """The motions a list of MotionPairs holds, as (n, 2, 8) rows."""
-    return np.array([(p.q_a.vec(), p.q_b.vec()) for p in pairs]).reshape(-1, 2, 8)
-
-
-def sensor_pair_motions(poses: Trajectory, true_calib: DualQuat) -> list[MotionPair]:
+def sensor_pair_motions(poses: Trajectory, true_calib: DualQuat) -> PairArrays:
     """Incremental motion pairs of two sensors rigidly related by ``true_calib``.
 
     The pose sequence is sensor A's; sensor B moves rigidly attached with
     calibration ``true_calib`` (mapping B coordinates into A).  Every pair
-    then satisfies q_a * q_T = q_T * q_b exactly.
+    then satisfies q_a * q_T = q_T * q_b exactly.  The weights are 1.
     """
-    return _motion_pairs(*_sensor_motions(poses, true_calib))
+    qt = true_calib.normalized().canonicalized()
+    times, v_a = relative_motions(poses)
+    qt_inv = np.broadcast_to(qt.conjugate().vec(), v_a.shape)
+    v_b = canonicalized_rows(dq_mul_rows(dq_mul_rows(qt_inv, v_a),
+                                         np.broadcast_to(qt.vec(), v_a.shape)))
+    n = len(times)
+    return PairArrays(t=times, q_a=_motion_rows(v_a), q_b=_motion_rows(v_b),
+                      w=np.ones((n, 8)), eta=np.ones(n))
 
 
 # -- noise --------------------------------------------------------------------
 
-def _sigmas(noise_level, held: np.ndarray) -> tuple[float, float]:
-    """:func:`noise_sigmas` of the (n, 2, 8) motions ``held``."""
+def _motions(rows: PairArrays) -> np.ndarray:
+    """The motions of ``rows`` in RNG order, q_a of a pair before its q_b."""
+    return np.stack([rows.q_a, rows.q_b], axis=1).reshape(-1, 8)
+
+
+def noise_sigmas(rows: PairArrays, noise_level) -> tuple[float, float]:
+    """Resolve a noise spec into absolute (sigma_trans, sigma_rot).
+
+    A scalar is a fraction of the dataset's mean per-step translation and
+    rotation magnitudes; a tuple is taken as absolute sigmas.
+    """
     _check_noise_level(noise_level)
     if not isinstance(noise_level, (int, float)):
         st, sr = noise_level
         return float(st), float(sr)
     if noise_level == 0:
         return 0.0, 0.0
-    # the mean runs over the motions in order, q_a of a pair before its q_b
-    angle, t = angle_translation_rows(held.reshape(-1, 8))
+    angle, t = angle_translation_rows(_motions(rows))
     mean_t = float(np.mean(np.sqrt(_row_dots(t, t))))
     return noise_level * mean_t, noise_level * float(np.mean(angle))
 
 
-def noise_sigmas(pairs: list[MotionPair], noise_level) -> tuple[float, float]:
-    """Resolve a noise spec into absolute (sigma_trans, sigma_rot).
+def add_noise(rows: PairArrays, noise_level, seed: int) -> PairArrays:
+    """Left-compose each motion with a random small displacement.
 
-    A scalar is a fraction of the dataset's mean per-step translation and
-    rotation magnitudes; a tuple is taken as absolute sigmas.
+    Rotation noise uses a uniformly random axis and a zero-mean normal
+    angle; translation noise is isotropic normal.  The times and weights
+    are kept; a zero level returns ``rows`` itself.
     """
-    return _sigmas(noise_level, _pair_motions(pairs))
-
-
-def _perturbed(held: np.ndarray, noise_level, seed: int) -> np.ndarray | None:
-    """The (n, 2, 8) motions ``held``, each left-composed with a random
-    displacement drawn in the module's RNG order; sign-canonical, not yet
-    normalized.  None when the noise level resolves to zero sigmas."""
-    sigma_t, sigma_r = _sigmas(noise_level, held)
+    sigma_t, sigma_r = noise_sigmas(rows, noise_level)
     if sigma_t == 0.0 and sigma_r == 0.0:
-        return None
-    motions = held.reshape(-1, 8)
+        return rows
+    motions = _motions(rows)
     n = len(motions)
     # a normal draw is loc + scale * z: the block holds 0.0 + 1.0 * z
     draws = np.random.default_rng(seed).normal(
@@ -320,28 +297,8 @@ def _perturbed(held: np.ndarray, noise_level, seed: int) -> np.ndarray | None:
     axis = _unit_vectors(draws[:, :3])
     angle = 0.0 + sigma_r * draws[:, 3] if sigma_r > 0 else np.zeros(n)
     t = 0.0 + sigma_t * draws[:, -3:] if sigma_t > 0 else np.zeros((n, 3))
-    noise = from_rot_trans_rows(axis, angle, t)
-    return canonicalized_rows(dq_mul_rows(noise, motions)).reshape(held.shape)
-
-
-def _noisy(motions: np.ndarray, noise_level, seed: int) -> np.ndarray:
-    """:func:`add_noise` on (n, 2, 8) motion rows, before the MotionPair pass."""
-    noisy = _perturbed(_held(motions), noise_level, seed)
-    return motions if noisy is None else noisy
-
-
-def add_noise(pairs: list[MotionPair], noise_level, seed: int) -> list[MotionPair]:
-    """Left-compose each motion with a random small displacement.
-
-    Rotation noise uses a uniformly random axis and a zero-mean normal
-    angle; translation noise is isotropic normal.  A zero level returns the
-    input pairs unchanged.
-    """
-    noisy = _perturbed(_pair_motions(pairs), noise_level, seed)
-    if noisy is None:
-        return list(pairs)
-    return [replace(p, q_a=DualQuat.from_vec(a), q_b=DualQuat.from_vec(b))
-            for p, (a, b) in zip(pairs, noisy)]
+    noisy = _motion_rows(dq_mul_rows(from_rot_trans_rows(axis, angle, t), motions))
+    return replace(rows, q_a=noisy[0::2].copy(), q_b=noisy[1::2].copy())
 
 
 # -- sampling helpers ----------------------------------------------------------
@@ -366,32 +323,21 @@ def sample_study_calibration(rng: np.random.Generator) -> DualQuat:
     return DualQuat(r, dual).canonicalized()
 
 
-def _simulate(config: SimConfig) -> tuple[np.ndarray, np.ndarray, DualQuat]:
-    """Timestamps, (n, 2, 8) motions before the MotionPair pass, and truth."""
+def simulate_rows(config: SimConfig) -> tuple[PairArrays, DualQuat]:
+    """Full pipeline as rows: path -> pair motions -> noise.  Returns
+    (rows, truth)."""
     rng = np.random.default_rng(config.seed)
     truth = config.true_calib
     if truth is None:
         truth = sample_study_calibration(rng)
-    times, motions = _sensor_motions(generate_path(config), truth)
-    return times, _noisy(motions, config.noise_level, seed=config.seed + 1), truth
-
-
-def simulate_rows(config: SimConfig) -> tuple[PairArrays, DualQuat]:
-    """Full pipeline as rows: the pairs :func:`simulate_pairs` returns, as
-    the :class:`PairArrays` that ``PairArrays.from_pairs`` makes of them,
-    and the truth."""
-    times, motions, truth = _simulate(config)
-    held = _held(motions)
-    n = len(times)
-    return PairArrays(t=times, q_a=np.ascontiguousarray(held[:, 0]),
-                      q_b=np.ascontiguousarray(held[:, 1]), w=np.ones((n, 8)),
-                      eta=np.ones(n)), truth
+    rows = sensor_pair_motions(generate_path(config), truth)
+    return add_noise(rows, config.noise_level, seed=config.seed + 1), truth
 
 
 def simulate_pairs(config: SimConfig) -> tuple[list[MotionPair], DualQuat]:
-    """Full pipeline: path -> pair motions -> noise. Returns (pairs, truth)."""
-    times, motions, truth = _simulate(config)
-    return _motion_pairs(times, motions), truth
+    """:func:`simulate_rows` as a MotionPair list.  Returns (pairs, truth)."""
+    rows, truth = simulate_rows(config)
+    return list(rows.motion_pairs()), truth
 
 
 # -- planar rig scenario --------------------------------------------------------
@@ -429,11 +375,11 @@ def planar_rig(n_steps: int = 60, seed: int = 0, step_length: float = 1.0,
     body = generate_path(body_cfg)
     sensor_a = Trajectory(body.times, canonicalized_rows(
         dq_mul_rows(body.poses, np.broadcast_to(mount_a.vec(), body.poses.shape))))
-    times, motions = _sensor_motions(sensor_a, true_calib)
-    pairs = _motion_pairs(times, _noisy(motions, noise_level, seed=seed + 1))
+    rows = add_noise(sensor_pair_motions(sensor_a, true_calib), noise_level,
+                     seed=seed + 1)
 
     body_plane = GroundPlane(normal=np.array([0.0, 0.0, 1.0]), distance=body_height)
     plane_a = transform_plane(body_plane, mount_a)
     plane_b = transform_plane(body_plane, mount_b)
-    return PlanarRig(pairs=pairs, plane_a=plane_a, plane_b=plane_b,
+    return PlanarRig(pairs=list(rows.motion_pairs()), plane_a=plane_a, plane_b=plane_b,
                      true_calib=true_calib, mount_a=mount_a, mount_b=mount_b)

@@ -8,15 +8,15 @@ the candidate's multipliers come from 2x2 normal equations
 is kept: the global solver's reduced dual gives the best lam_1 for it
 (:func:`dqcalib.global_solver.dual_bound`, lam_2 = 0 when the dual block
 of Q is singular).  The zero multiplier is always feasible, so the bound
-is max(lam_1, 0) and the gap is sound by construction.  The eigenpairs of
-Z(phi(lam_2), lam_2) give the degeneracy verdict
-(:func:`dqcalib.global_solver.nullspace_verdict`).
+is max(lam_1, 0) and the gap is sound by construction.  For a certified
+candidate, the eigenpairs of Z(phi(lam_2), lam_2) give the degeneracy
+verdict (:func:`dqcalib.global_solver.nullspace_verdict`).
 
 Planar mode needs no fit: the exact optimum p* of the reduced problem
 (:func:`dqcalib.constraints.solve_planar`) is the tightest bound, the gap
-q^T Q q - p* is the candidate's exact excess cost, and the reduced solve
-judges degeneracy.  Cost normalization makes the gap threshold independent
-of the number of accumulated pairs.
+q^T Q q - p* is the candidate's exact excess cost, and for a certified
+candidate the reduced solve judges degeneracy.  Cost normalization makes
+the gap threshold independent of the number of accumulated pairs.
 
 The verdict is the candidate's :class:`CalibSolution`, with provenance
 "local".  A degeneracy diagnostic does not clear ``is_global``: the gap
@@ -44,10 +44,13 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
     ``q_hat`` may be a DualQuat or an 8-vector; it must satisfy the mode's
     constraints within ``FEAS_TOL`` (every residual on the linear scale),
     else :class:`InfeasiblePoint` is raised.  In 3D mode Z(lam) is positive
-    semidefinite up to rounding and ``null_dim`` counts its near-null
-    eigenvalues at (phi(lam_2), lam_2), lam_2 the fitted one.  The candidate
-    is certified globally optimal when its gap is below ``gap_threshold``,
-    which must be finite and nonnegative (ValueError).
+    semidefinite up to rounding.  The candidate is certified globally
+    optimal when its gap is below ``gap_threshold``, which must be finite
+    and nonnegative (ValueError).  Only a certified candidate gets a
+    verdict: in 3D ``null_dim`` counts the near-null eigenvalues of Z at
+    (phi(lam_2), lam_2), lam_2 the fitted one.  An uncertified one has
+    ``null_dim`` None, ``degenerate`` False and ``diagnostic`` None: the
+    null space at the bound says nothing about a candidate off the optimum.
     """
     check_gap_threshold(gap_threshold)
     Q = np.asarray(Q, dtype=float).reshape(8, 8)
@@ -65,6 +68,9 @@ def certify(Q: np.ndarray, q_hat, mode: ConstraintMode,
         lam, _, vals, vecs = dual_bound(Q, fit_multipliers(q8, Q @ q8)[1])
         if not lam[0] > 0.0:
             lam = np.zeros(2)
+    if not float(q8 @ Q @ q8) - float(lam[0]) < gap_threshold:  # the record's gap
+        null_dim, degeneracy = None, None
+    elif mode is not ConstraintMode.PLANAR:
         V, degeneracy = nullspace_verdict(Q, vals, vecs)
         null_dim = V.shape[1]
     return _solution(Q, q8, lam, gap_threshold, "local", null_dim, degeneracy)

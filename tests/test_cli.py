@@ -111,6 +111,15 @@ class TestCalibrate:
         rc = main(["calibrate", "--pairs", str(path), "--gt-pose", "1,2,0.5"])
         assert rc == 2
         assert "expected tx,ty,tz" in capsys.readouterr().err
+        # a nan or inf angle and a nan translation, and online prints no
+        # CSV header first
+        for command in ("calibrate", "online"):
+            for pose in ("0,0,0,0,0,1,nan", "0,0,0,0,0,1,inf", "nan,0,0,0,0,1,30"):
+                rc = main([command, "--pairs", str(path), "--gt-pose", pose])
+                assert rc == 2
+                out, err = capsys.readouterr()
+                assert "--gt-pose values must be finite" in err
+                assert out == ""
         assert calls == []
 
     def test_degenerate_data_exits_3(self, tmp_path, capsys):

@@ -15,7 +15,7 @@ from dqcalib.io import (PairArrays, PairingConfig, STUDY_CSV_HEADER,
                         load_trajectory, pair_streams, relative_motions,
                         save_pairs_jsonl, save_trajectory, sclerp,
                         write_study_csv)
-from dqcalib.sim import random_unit_dq
+from dqcalib.sim import SimConfig, generate_path, random_unit_dq
 
 
 def make_traj(rng, n=10, dt=0.1, start=0.0):
@@ -76,6 +76,34 @@ class TestTrajectoryFormats:
         with pytest.raises(ParseError) as err:
             load_trajectory(p, fmt="tum")
         assert err.value.line == 2
+
+    def test_tum_quaternion_printed_to_4_decimals_loads(self, tmp_path):
+        # |r|^2 - 1 = -8.5e-5, as 4-decimal rounding leaves it: scaled to unit
+        p = tmp_path / "groundtruth.txt"
+        p.write_text("# ground truth trajectory\n# timestamp tx ty tz qx qy qz qw\n"
+                     "1305031102.1758 1.3405 0.6266 1.6575 "
+                     "0.6574 0.6126 -0.2949 -0.3248\n")
+        q = DualQuat.from_vec(load_trajectory(p, fmt="tum").poses[0])
+        r = np.array([-0.3248, 0.6574, 0.6126, -0.2949])
+        assert q.is_unit()
+        assert np.allclose(q.real, -r / np.linalg.norm(r), atol=1e-15)
+        assert np.allclose(q.translation(), [1.3405, 0.6266, 1.6575], atol=1e-12)
+
+    @pytest.mark.parametrize("qw", ["1.0004", "0.9996"])
+    def test_tum_quaternion_within_1e_3_loads_as_unit(self, tmp_path, qw):
+        p = tmp_path / "t.txt"
+        p.write_text(f"0.0 1 2 3 0 0 0 1\n0.1 1 2 3 0 0 0 {qw}\n")
+        traj = load_trajectory(p, fmt="tum")
+        assert same_bits(traj.poses[0], traj.poses[1])
+
+    @pytest.mark.parametrize("qw", ["1.001", "0.999"])
+    def test_tum_quaternion_beyond_1e_3_names_its_line(self, tmp_path, qw):
+        p = tmp_path / "t.txt"
+        p.write_text(f"# t tx ty tz qx qy qz qw\n0.0 0 0 0 0 0 0 1\n"
+                     f"0.1 0 0 0 0 0 0 {qw}\n")
+        with pytest.raises(ParseError, match="too far from 1") as err:
+            load_trajectory(p, fmt="tum")
+        assert err.value.line == 3
 
     def test_kitti_non_orthogonal_rejected(self, tmp_path):
         p = tmp_path / "bad.txt"
@@ -271,6 +299,22 @@ class TestPairStreams:
         _, dropped_strict = pair_streams(
             a, b, PairingConfig(interpolate=False, max_skew=0.001))
         assert dropped_strict == 7
+
+    def test_interpolation_drops_intervals_across_a_dropout(self):
+        # stream b loses 10 s after its 11th pose: the a-intervals inside
+        # the gap are dropped and counted, the others keep their bits
+        traj = generate_path(SimConfig(n_steps=120))
+        late = np.arange(len(traj)) >= 11
+        b = Trajectory(np.where(late, traj.times + 10.0, traj.times), traj.poses)
+        pairs, dropped = pair_streams(traj, b)
+        assert len(pairs) + dropped == 120
+        assert dropped == 102
+        # an interval [t - 0.1, t] is kept only outside the gap
+        gap_start, gap_end = b.times[10], b.times[11]
+        assert np.all((pairs.t <= gap_start) | (pairs.t - 0.1 >= gap_end - 1e-9))
+        # the intervals before the gap as pairing b's poses up to it gives
+        ref, _ = pair_streams(traj, Trajectory(b.times[:11], b.poses[:11]))
+        assert same_bits(pairs.q_b[:9], ref.q_b[:9])
 
     @pytest.mark.parametrize("max_skew", [float("nan"), -0.01],
                              ids=["nan", "negative"])

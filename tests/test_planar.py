@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from dqcalib.dualquat import DualQuat
-from dqcalib.errors import DegenerateInput
+from dqcalib.dualquat import DualQuat, dq_mul_rows
+from dqcalib.errors import DegenerateInput, NotUnit
+from dqcalib.io import PairArrays
 from dqcalib.planar import (INLIER_THRESHOLD, RANSAC_ITERATIONS, GroundPlane,
                             _hypotheses, _inlier_counts, _minimal_samples,
                             fit_ground_plane, lift_calibration,
@@ -59,33 +60,50 @@ class TestAlignment:
         assert np.max(np.abs(mapped[:, 2])) < 1e-9
 
 
+def random_rows(rng, n=20):
+    return np.array([random_unit_dq(rng).vec() for _ in range(n)])
+
+
+def close_up_to_sign(a, b, atol):
+    return np.all(np.minimum(np.abs(a - b).max(axis=1),
+                             np.abs(a + b).max(axis=1)) <= atol)
+
+
 class TestProjectMotion:
     def test_identity_alignment_is_noop(self, rng):
-        q = random_unit_dq(rng)
-        assert project_motion(q, DualQuat.identity()).is_close(q, atol=1e-15)
+        q = random_rows(rng)
+        assert close_up_to_sign(project_motion(q, DualQuat.identity()), q, 1e-15)
 
     def test_planar_motion_in_tilted_plane_projects_cleanly(self, rng):
         from dqcalib.constraints import ConstraintMode, eval_g
 
         rig = planar_rig(n_steps=20, seed=2)
-        g_a = plane_alignment_dq(rig.plane_a)
-        g_b = plane_alignment_dq(rig.plane_b)
-        for p in rig.pairs:
-            for q, g in ((p.q_a, g_a), (p.q_b, g_b)):
-                proj = project_motion(q, g)
-                assert np.max(np.abs(eval_g(proj.vec(), ConstraintMode.PLANAR))) < 1e-9
+        rows = PairArrays.from_pairs(rig.pairs)
+        for q, plane in ((rows.q_a, rig.plane_a), (rows.q_b, rig.plane_b)):
+            for proj in project_motion(q, plane_alignment_dq(plane)):
+                assert np.max(np.abs(eval_g(proj, ConstraintMode.PLANAR))) < 1e-9
 
     def test_project_then_inverse_recovers(self, rng):
-        q = random_unit_dq(rng)
+        q = random_rows(rng)
         g = random_unit_dq(rng)
         back = project_motion(project_motion(q, g), g.conjugate())
-        assert back.is_close(q, atol=1e-12)
+        assert close_up_to_sign(back, q, 1e-12)
 
     def test_conjugation_is_group_homomorphism(self, rng):
-        p, q, g = (random_unit_dq(rng) for _ in range(3))
-        lhs = project_motion(p * q, g)
-        rhs = project_motion(p, g) * project_motion(q, g)
-        assert lhs.is_close(rhs, atol=1e-10)
+        p, q = random_rows(rng), random_rows(rng)
+        g = random_unit_dq(rng)
+        lhs = project_motion(dq_mul_rows(p, q), g)
+        rhs = dq_mul_rows(project_motion(p, g), project_motion(q, g))
+        assert close_up_to_sign(lhs, rhs, 1e-10)
+
+    def test_non_unit_input_rejected(self, rng):
+        q = random_rows(rng, n=3)
+        q[1, 0] += 1e-6
+        with pytest.raises(NotUnit) as err:
+            project_motion(q, random_unit_dq(rng))
+        assert err.value.row == 1
+        with pytest.raises(NotUnit):
+            project_motion(q[:1], DualQuat.from_vec(q[1]))
 
 
 class TestLiftCalibration:

@@ -1,3 +1,5 @@
+from dataclasses import astuple
+
 import numpy as np
 import pytest
 
@@ -99,33 +101,35 @@ class TestGeneratePath:
 class TestSensorPairMotions:
     def test_identity_calibration_gives_equal_motions(self):
         poses = generate_path(flat_config())
-        pairs = sensor_pair_motions(poses, DualQuat.identity())
-        for p in pairs:
-            assert p.q_a.is_close(p.q_b, atol=1e-15)
+        rows = sensor_pair_motions(poses, DualQuat.identity())
+        for a, b in zip(rows.q_a, rows.q_b):
+            assert DualQuat.from_vec(a).is_close(DualQuat.from_vec(b), atol=1e-15)
 
     def test_loop_closure_exact(self, rng):
         cfg = SimConfig(n_steps=30, true_calib=random_unit_dq(rng, 2.0))
         poses = generate_path(cfg)
-        q_t = cfg.true_calib
-        pairs = sensor_pair_motions(poses, q_t)
-        assert len(pairs) == 30
-        for p in pairs:
-            lhs = (p.q_a * q_t).vec()
-            rhs = (q_t * p.q_b).vec()
-            assert np.max(np.abs(lhs - rhs)) < 1e-12
+        q_t = np.broadcast_to(cfg.true_calib.vec(), (30, 8))
+        rows = sensor_pair_motions(poses, cfg.true_calib)
+        assert len(rows) == 30
+        lhs = dq_mul_rows(rows.q_a, q_t)
+        rhs = dq_mul_rows(q_t, rows.q_b)
+        assert np.max(np.abs(lhs - rhs)) < 1e-12
 
     def test_two_poses_give_one_pair(self, rng):
         poses = generate_path(flat_config(n_steps=1))
-        pairs = sensor_pair_motions(poses, random_unit_dq(rng))
-        assert len(pairs) == 1
+        rows = sensor_pair_motions(poses, random_unit_dq(rng))
+        assert len(rows) == 1
+
+
+def motions(rows):
+    """The motions of ``rows``, q_a of a pair before its q_b."""
+    return np.stack([rows.q_a, rows.q_b], axis=1).reshape(-1, 8)
 
 
 class TestAddNoise:
     def test_zero_noise_returns_pairs_unchanged(self, rng):
-        pairs, _ = simulate_pairs(SimConfig(n_steps=10, noise_level=0.0))
-        noisy = add_noise(pairs, 0.0, seed=7)
-        for a, b in zip(pairs, noisy):
-            assert a is b
+        rows, _ = simulate_rows(SimConfig(n_steps=10, noise_level=0.0))
+        assert add_noise(rows, 0.0, seed=7) is rows
 
     def test_relative_sigma_from_average_motion(self, rng):
         # motions averaging exactly 1 m and 0.1 rad per step at 10% relative
@@ -140,7 +144,7 @@ class TestAddNoise:
             t /= np.linalg.norm(t)
             q = DualQuat.from_rot_trans(axis, 0.1, t)
             pairs.append(MotionPair(q_a=q, q_b=q))
-        sigma_t, sigma_r = noise_sigmas(pairs, 0.10)
+        sigma_t, sigma_r = noise_sigmas(PairArrays.from_pairs(pairs), 0.10)
         assert abs(sigma_t - 0.1) < 1e-12
         assert abs(sigma_r - 0.01) < 1e-12
 
@@ -149,25 +153,25 @@ class TestAddNoise:
         cfg = SimConfig(path={"kind": "circle", "radius": 10.0},
                         surface={"kind": "flat"}, step_length=1.0, n_steps=40,
                         true_calib=DualQuat.identity())
-        pairs = sensor_pair_motions(generate_path(cfg), DualQuat.identity())
-        sigma_t, sigma_r = noise_sigmas(pairs, 0.10)
+        rows = sensor_pair_motions(generate_path(cfg), DualQuat.identity())
+        sigma_t, sigma_r = noise_sigmas(rows, 0.10)
         assert abs(sigma_t - 0.1) < 2e-3
         assert abs(sigma_r - 0.01) < 5e-4
 
     def test_absolute_sigmas_passed_through(self, rng):
-        pairs, _ = simulate_pairs(SimConfig(n_steps=5))
-        assert noise_sigmas(pairs, (0.25, 0.03)) == (0.25, 0.03)
+        rows, _ = simulate_rows(SimConfig(n_steps=5))
+        assert noise_sigmas(rows, (0.25, 0.03)) == (0.25, 0.03)
 
     def test_injected_translation_noise_is_unbiased(self):
         cfg = SimConfig(path={"kind": "circle", "radius": 12.0},
                         surface={"kind": "flat"}, n_steps=200,
                         true_calib=DualQuat.identity())
-        pairs = sensor_pair_motions(generate_path(cfg), DualQuat.identity())
-        pairs = pairs * 250  # 50k pairs -> 100k perturbed motions
+        rows = sensor_pair_motions(generate_path(cfg), DualQuat.identity())
+        # 50k pairs -> 100k perturbed motions
+        rows = PairArrays(*(np.concatenate([r] * 250) for r in astuple(rows)))
         sigma_t = 0.1
-        noisy = add_noise(pairs, (sigma_t, 0.0), seed=11)
-        q0 = np.array([(p.q_a.vec(), p.q_b.vec()) for p in pairs]).reshape(-1, 8)
-        q1 = np.array([(p.q_a.vec(), p.q_b.vec()) for p in noisy]).reshape(-1, 8)
+        noisy = add_noise(rows, (sigma_t, 0.0), seed=11)
+        q0, q1 = motions(rows), motions(noisy)
         d = canonicalized_rows(dq_mul_rows(q1, conjugate_rows(q0)))
         # DualQuat.translation, row-wise
         deltas = 2.0 * quat_mul_rows(d[:, 4:], conjugate_rows(d)[:, :4])[:, 1:]
@@ -177,12 +181,10 @@ class TestAddNoise:
         assert np.allclose(deltas.std(axis=0), sigma_t, rtol=0.05)
 
     def test_deterministic_under_seed(self):
-        pairs, _ = simulate_pairs(SimConfig(n_steps=15))
-        a = add_noise(pairs, 0.1, seed=3)
-        b = add_noise(pairs, 0.1, seed=3)
-        for p, q in zip(a, b):
-            assert np.array_equal(p.q_a.vec(), q.q_a.vec())
-            assert np.array_equal(p.q_b.vec(), q.q_b.vec())
+        rows, _ = simulate_rows(SimConfig(n_steps=15))
+        a = add_noise(rows, 0.1, seed=3)
+        b = add_noise(rows, 0.1, seed=3)
+        assert np.array_equal(motions(a), motions(b))
 
     def test_full_config_determinism(self):
         p1, t1 = simulate_pairs(SimConfig(n_steps=12, noise_level=0.05, seed=9))
@@ -206,9 +208,9 @@ class TestPlanarRig:
 
         rig = planar_rig(n_steps=25, seed=5)
         g_a = plane_alignment_dq(rig.plane_a)
-        for p in rig.pairs[:10]:
-            proj = project_motion(p.q_a, g_a)
-            assert np.max(np.abs(eval_g(proj.vec(), ConstraintMode.PLANAR))) < 1e-9
+        q_a = PairArrays.from_pairs(rig.pairs[:10]).q_a
+        for proj in project_motion(q_a, g_a):
+            assert np.max(np.abs(eval_g(proj, ConstraintMode.PLANAR))) < 1e-9
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
@@ -241,6 +243,10 @@ def _pair_bits(pairs):
 def _same_bits(a, b):
     return np.array_equal(np.asarray(a, dtype=float).view(np.int64),
                           np.asarray(b, dtype=float).view(np.int64))
+
+
+def _same_rows(rows, expected):
+    return all(_same_bits(a, b) for a, b in zip(astuple(rows), astuple(expected)))
 
 
 WAVY = {"kind": "sinusoid", "terms": [
@@ -287,14 +293,13 @@ def test_row_pipeline_matches_oracle_bit_for_bit(case):
     assert _same_bits(truth.vec(), expected_truth.vec())
     assert _same_bits(_pair_bits(pairs), _pair_bits(expected))
     rows, _ = simulate_rows(case)
-    expected_rows = PairArrays.from_pairs(expected)
-    for name in ("t", "q_a", "q_b", "w", "eta"):
-        assert _same_bits(getattr(rows, name), getattr(expected_rows, name))
+    assert _same_rows(rows, PairArrays.from_pairs(expected))
     # the stages on their own, from the oracle's inputs
     clean = oracle_sensor_pair_motions(expected_poses, truth)
-    assert _same_bits(_pair_bits(sensor_pair_motions(expected_poses, truth)),
-                      _pair_bits(clean))
-    assert _same_bits(noise_sigmas(clean, case.noise_level),
+    clean_rows = PairArrays.from_pairs(clean)
+    assert _same_rows(sensor_pair_motions(expected_poses, truth), clean_rows)
+    assert _same_bits(noise_sigmas(clean_rows, case.noise_level),
                       oracle_noise_sigmas(clean, case.noise_level))
-    assert _same_bits(_pair_bits(add_noise(clean, case.noise_level, seed=9)),
-                      _pair_bits(oracle_add_noise(clean, case.noise_level, seed=9)))
+    assert _same_rows(add_noise(clean_rows, case.noise_level, seed=9),
+                      PairArrays.from_pairs(oracle_add_noise(clean, case.noise_level,
+                                                             seed=9)))

@@ -13,7 +13,8 @@ from dqcalib.errors import InfeasiblePoint
 from dqcalib.global_solver import dual_bound, nullspace_verdict, solve_global
 from dqcalib.local_solver import solve_local
 from dqcalib.planar import plane_alignment_dq
-from dqcalib.sim import SimConfig, planar_rig, random_unit_dq, simulate_pairs
+from dqcalib.sim import (SimConfig, planar_rig, random_unit_dq, simulate_pairs,
+                         simulate_rows)
 from dqcalib.verify import certify
 
 from conftest import (ILL_CONDITIONED_DRAWS, accumulate_pairs, forward_tol,
@@ -157,6 +158,24 @@ class TestCertify:
         assert not cert.is_global
         assert certify(Q, bad, ConstraintMode.FULL_3D, 2.0 * cert.gap).is_global
         assert not certify(Q, bad, ConstraintMode.FULL_3D, cert.gap).is_global
+
+    def test_uncertified_candidate_has_no_verdict(self):
+        # the truth of a noisy 50-pair set is well off its optimum (gap
+        # 0.0056); the null space at the bound says nothing about it
+        rows, truth = simulate_rows(SimConfig(n_steps=50, noise_level=0.05, seed=7))
+        acc = CostAccumulator().add_batch(rows.q_a, rows.q_b)
+        cert = certify(acc.normalized_q, truth, ConstraintMode.FULL_3D)
+        assert not cert.is_global and cert.gap > 1e-3
+        assert (cert.null_dim, cert.degenerate, cert.diagnostic) == (None, False, None)
+        rig = planar_rig(n_steps=60, seed=3, noise_level=0.05)
+        g_a = plane_alignment_dq(rig.plane_a)
+        g_b = plane_alignment_dq(rig.plane_b)
+        acc = accumulate_pairs(rig.pairs, mode=ConstraintMode.PLANAR,
+                               align_a=g_a, align_b=g_b)
+        q_tp = (g_a * rig.true_calib * g_b.conjugate()).canonicalized()
+        cert = certify(acc.normalized_q, q_tp, ConstraintMode.PLANAR)
+        assert not cert.is_global
+        assert (cert.null_dim, cert.degenerate, cert.diagnostic) == (None, False, None)
 
 
 @functools.cache
