@@ -2,7 +2,8 @@
 
 from .constraints import (ConstraintMode, assemble_Z, eval_g,
                           multiplier_matrices, solve_planar)
-from .cost import CostAccumulator, MotionPair, cost_value, pair_cost_matrix
+from .cost import (CostAccumulator, MotionPair, PairArrays, cost_value,
+                   pair_cost_matrix)
 from .dualquat import DualQuat, left_mat, right_mat
 from .global_solver import (CalibSolution, recover_primal, solve_dual,
                             solve_global)
@@ -21,7 +22,8 @@ __version__ = "0.1.0"
 __all__ = [
     "CalibError", "CalibSolution", "ConstraintMode", "CostAccumulator",
     "DualQuat", "GroundPlane", "LocalSolution", "MotionPair",
-    "OnlineCalibrator", "OnlineConfig", "SimConfig", "Trajectory",
+    "OnlineCalibrator", "OnlineConfig", "PairArrays", "SimConfig",
+    "Trajectory",
     "add_noise", "assemble_Z", "calib_error", "certify", "cost_value",
     "eval_g", "fit_ground_plane", "generate_path", "left_mat",
     "lift_calibration", "multiplier_matrices", "pair_cost_matrix",

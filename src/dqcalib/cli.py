@@ -9,9 +9,9 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 import time
+from dataclasses import replace
 
 import numpy as np
 
@@ -69,14 +69,23 @@ def _parse_gt_pose(text: str) -> DualQuat:
     return DualQuat.from_rot_trans(axis, np.deg2rad(angle_deg), [tx, ty, tz])
 
 
+def _load_pairs(path):
+    """The pair file's rows; EmptyData if it holds none."""
+    pairs = load_pairs_jsonl(path)
+    if not pairs:
+        raise errors.EmptyData("no pairs in input file")
+    return pairs
+
+
 def _mode(args) -> ConstraintMode:
     return ConstraintMode.PLANAR if args.mode == "planar" else ConstraintMode.FULL_3D
 
 
-def _alignments(args):
-    return [None if path is None else
-            fit_ground_plane(load_point_cloud(path), args.seed)
-            for path in (args.plane_a, args.plane_b)]
+def _planes_and_mode(args):
+    planes = [None if path is None else
+              fit_ground_plane(load_point_cloud(path), args.seed)
+              for path in (args.plane_a, args.plane_b)]
+    return (*planes, ConstraintMode.PLANAR if planes[0] is not None else _mode(args))
 
 
 def _ground_truth(args) -> DualQuat | None:
@@ -136,14 +145,10 @@ def cmd_calibrate(args) -> int:
     init = _option_q8("--init", args.init).vec() if args.init else None
     if args.repeat < 1:
         raise ValueError(f"--repeat must be at least 1, got {args.repeat}")
-    pairs = load_pairs_jsonl(args.pairs)
-    if not pairs:
-        raise errors.EmptyData("no pairs in input file")
-    plane_a, plane_b = _alignments(args)
-    mode = ConstraintMode.PLANAR if plane_a is not None else _mode(args)
-    acc = CostAccumulator(mode, *[
-        None if p is None else plane_alignment_dq(p) for p in (plane_a, plane_b)])
-    acc.add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
+    pairs = _load_pairs(args.pairs)
+    plane_a, plane_b, mode = _planes_and_mode(args)
+    acc = CostAccumulator(mode, *[None if p is None else plane_alignment_dq(p)
+                                  for p in (plane_a, plane_b)]).add_batch(pairs)
     Q = acc.normalized_q
 
     payload = {"n_pairs": len(pairs), "mode": mode.value}
@@ -169,11 +174,8 @@ def cmd_calibrate(args) -> int:
 
 def cmd_online(args) -> int:
     gt = _ground_truth(args)
-    pairs = load_pairs_jsonl(args.pairs)
-    if not pairs:
-        raise errors.EmptyData("no pairs in input file")
-    plane_a, plane_b = _alignments(args)
-    mode = ConstraintMode.PLANAR if plane_a is not None else _mode(args)
+    pairs = _load_pairs(args.pairs)
+    plane_a, plane_b, mode = _planes_and_mode(args)
     config = OnlineConfig(mode=mode, t_no_fail=args.t_no_fail,
                           plane_a=plane_a, plane_b=plane_b,
                           gap_threshold=args.gap_threshold)
@@ -231,15 +233,12 @@ def cmd_simulate(args) -> int:
 
 
 def study_cell(noise_level, n, seed, base: dict) -> dict:
-    """One study sweep cell; module-level so worker processes can import it."""
-    import dataclasses
-
-    calib = sample_study_calibration(np.random.default_rng(seed))
+    """One study sweep cell: a fresh dataset, its global solve and error."""
     cfg = _sim_config_from_dict({**base, "n_steps": int(n), "seed": int(seed),
                                  "noise_level": noise_level})
-    cfg = dataclasses.replace(cfg, true_calib=calib)
-    rows, truth = simulate_rows(cfg)
-    acc = CostAccumulator().add_batch(rows.q_a, rows.q_b, rows.w, rows.eta)
+    rows, truth = simulate_rows(replace(
+        cfg, true_calib=sample_study_calibration(np.random.default_rng(seed))))
+    acc = CostAccumulator().add_batch(rows)
     t0 = time.perf_counter()
     sol = solve_global(acc)
     elapsed_ms = (time.perf_counter() - t0) * 1e3
@@ -259,24 +258,11 @@ def cmd_study(args) -> int:
     base = {k: cfg[k] for k in ("path", "surface", "step_length", "rate")
             if k in cfg}
 
-    cells = [(nl, n, base_seed + 1000 * i)
-             for nl in noise_levels for n in sizes for i in range(n_seeds)]
-    workers = int(os.environ.get("DQCALIB_THREADS", "0")) or min(
-        os.cpu_count() or 1, 8)
-    if workers > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_study_cell_star,
-                                 [(nl, n, s, base) for nl, n, s in cells]))
-    else:
-        rows = [study_cell(nl, n, s, base) for nl, n, s in cells]
+    rows = [study_cell(nl, n, base_seed + 1000 * i, base)
+            for nl in noise_levels for n in sizes for i in range(n_seeds)]
     write_study_csv(rows, args.out)
     print(f"wrote {len(rows)} rows to {args.out}")
     return EXIT_OK
-
-
-def _study_cell_star(params):
-    return study_cell(*params)
 
 
 def cmd_certify(args) -> int:
@@ -284,11 +270,8 @@ def cmd_certify(args) -> int:
         candidate = _parse_q8(args.candidate)
     except errors.NotUnit as err:
         raise errors.InfeasiblePoint(str(err)) from err
-    pairs = load_pairs_jsonl(args.pairs)
-    if not pairs:
-        raise errors.EmptyData("no pairs in input file")
     mode = _mode(args)
-    acc = CostAccumulator(mode).add_batch(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
+    acc = CostAccumulator(mode).add_batch(_load_pairs(args.pairs))
     sol = certify(acc.normalized_q, candidate, mode, args.gap_threshold)
     _emit(args, {"gap": sol.gap, "is_global": sol.is_global,
                  "null_dim": sol.null_dim, "diagnostic": sol.diagnostic})

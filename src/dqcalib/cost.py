@@ -8,14 +8,18 @@ positive-semidefinite 8x8 cost matrix per pair.  Pair matrices are
 averaged with weights summing to one, which keeps the duality-gap
 threshold independent of the dataset size.
 
+A pair is checked once, where it is built: a :class:`MotionPair` checks
+itself, and a :class:`PairArrays` record, the rows that the loader, the
+stream pairing and the simulator hand on, checks all of its rows.
+
 One kernel forms every pair cost: it lays out the (n, 8, 8) residual
 matrices of a block of pairs by indexing their 8-vector rows and forms
 D^T diag(w) D with one batched matrix product.
-:meth:`CostAccumulator.add_batch` feeds it blocks of rows; ``add`` and
-:func:`pair_cost_matrix` are one-row calls.  Each pair's matrix carries the
-bits of the 2-D product ``D.T @ (w[:, None] * D)``, and the running sum
-adds the matrices one by one in input order, so the result does not depend
-on how the pairs are split into calls or blocks.
+:meth:`CostAccumulator.add_batch` feeds it a record's rows in blocks;
+``add`` and :func:`pair_cost_matrix` are one-row calls.  Each pair's
+matrix carries the bits of the 2-D product ``D.T @ (w[:, None] * D)``, and
+the running sum adds the matrices one by one in input order, so the result
+does not depend on how the pairs are split into calls or blocks.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import numpy as np
 from .constraints import ConstraintMode
 from .dualquat import (DualQuat, canonicalized_rows, left_mat, normalized_rows,
                        right_mat)
-from .errors import InvalidWeight
+from .errors import InvalidWeight, NotUnit
 from .planar import project_motion
 
 
@@ -70,11 +74,16 @@ def check_planes(mode: ConstraintMode, plane_a, plane_b) -> None:
 
 
 def _check_weights(w: np.ndarray, eta: np.ndarray) -> None:
-    """Raise InvalidWeight unless every weight is finite and nonnegative."""
-    if not (np.isfinite(w).all() and (w >= 0).all()):
-        raise InvalidWeight("residual weights must be finite and nonnegative")
-    if not (np.isfinite(eta).all() and (eta >= 0).all()):
-        raise InvalidWeight("eta must be finite and nonnegative")
+    """Raise InvalidWeight unless every value in ``w`` (n, 8) or (8,) and
+    ``eta`` (n,) or () is finite and nonnegative; ``row`` is the first bad
+    row, whose ``w`` is checked before its ``eta``."""
+    w_ok, eta_ok = np.isfinite(w) & (w >= 0), np.isfinite(eta) & (eta >= 0)
+    if w_ok.all() and eta_ok.all():
+        return
+    w_ok = w_ok.reshape(-1, 8).all(axis=1)
+    i = int(np.argmax(~(w_ok & eta_ok.reshape(-1))))
+    what = "eta" if w_ok[i] else "residual weights"
+    raise InvalidWeight(f"{what} must be finite and nonnegative", row=i)
 
 
 # rows handed to the cost kernel at once: bounds its temporaries (32 KB each
@@ -119,6 +128,74 @@ def _motion_rows(q: np.ndarray) -> np.ndarray:
     return canonicalized_rows(normalized_rows(q))
 
 
+@dataclass(frozen=True)
+class PairArrays:
+    """Motion pairs as rows, checked once here; every consumer trusts them.
+
+    Finite times ``t`` (N,), motions ``q_a`` and ``q_b`` (N, 8) normalized
+    and sign-canonicalized as a :class:`MotionPair` holds them, and finite,
+    nonnegative residual weights ``w`` (N, 8) and confidences ``eta`` (N,),
+    1 when omitted.  Disagreeing shapes or a non-finite time raise
+    ValueError; a motion too far from unit raises :class:`NotUnit` and a bad
+    weight :class:`InvalidWeight`, with the bad row's index as ``row``.  The
+    first bad row wins; in a row ``q_a`` goes before ``q_b``, then the
+    weights.  The record holds read-only copies of the caller's arrays.
+    """
+
+    t: np.ndarray
+    q_a: np.ndarray
+    q_b: np.ndarray
+    w: np.ndarray | None = None
+    eta: np.ndarray | None = None
+
+    def __post_init__(self):
+        t = np.array(self.t, dtype=float)
+        n = t.size
+        q_a, q_b = (np.asarray(q, dtype=float) for q in (self.q_a, self.q_b))
+        w = np.ones((n, 8)) if self.w is None else np.array(self.w, dtype=float)
+        eta = np.ones(n) if self.eta is None else np.array(self.eta, dtype=float)
+        shapes = (t.shape, q_a.shape, q_b.shape, w.shape, eta.shape)
+        if shapes != ((n,), (n, 8), (n, 8), (n, 8), (n,)):
+            raise ValueError(f"need (n,) t and eta, (n, 8) q_a, q_b and w: {shapes}")
+        if not np.isfinite(t).all():
+            raise ValueError(f"row {np.argmax(~np.isfinite(t))}: time is not finite")
+        # each check sees only the rows before the first fault found so far
+        checks = (lambda n: _motion_rows(q_a[:n]), lambda n: _motion_rows(q_b[:n]),
+                  lambda n: _check_weights(w[:n], eta[:n]))
+        fault, checked = None, []
+        for check in checks:
+            try:
+                checked.append(check(n))
+            except (NotUnit, InvalidWeight) as err:
+                n, fault = err.row, err
+        if fault is not None:
+            raise fault
+        q_a, q_b, _ = checked
+        for name, rows in zip(("t", "q_a", "q_b", "w", "eta"), (t, q_a, q_b, w, eta)):
+            rows.setflags(write=False)
+            object.__setattr__(self, name, rows)
+
+    def __len__(self):
+        return len(self.t)
+
+    @classmethod
+    def from_pairs(cls, pairs) -> "PairArrays":
+        return cls(t=np.array([p.timestamp for p in pairs], dtype=float),
+                   q_a=np.array([p.q_a.vec() for p in pairs]).reshape(-1, 8),
+                   q_b=np.array([p.q_b.vec() for p in pairs]).reshape(-1, 8),
+                   w=np.array([p.weight_diag for p in pairs]).reshape(-1, 8),
+                   eta=np.array([1.0 if p.eta is None else p.eta for p in pairs],
+                                dtype=float))
+
+    def motion_pairs(self):
+        """The rows as :class:`MotionPair` objects, in order; a confidence
+        of 1 is left at the default, None."""
+        for t, q_a, q_b, w, eta in zip(self.t, self.q_a, self.q_b, self.w, self.eta):
+            yield MotionPair(q_a=DualQuat.from_vec(q_a), q_b=DualQuat.from_vec(q_b),
+                             timestamp=float(t), weight_diag=w,
+                             eta=None if eta == 1.0 else float(eta))
+
+
 class CostAccumulator:
     """Running sum of per-pair cost matrices with weight normalization.
 
@@ -146,23 +223,11 @@ class CostAccumulator:
                               pair.weight_diag[None],
                               np.array([1.0 if pair.eta is None else pair.eta]))
 
-    def add_batch(self, q_a, q_b, w=None, eta=None) -> "CostAccumulator":
-        """Add n pairs given as rows, in order.
-
-        ``q_a`` and ``q_b`` are (n, 8) motions, normalized and
-        sign-canonicalized as :class:`MotionPair` does (a row too far from
-        unit raises :class:`NotUnit`); ``w`` holds (n, 8) residual weights
-        and ``eta`` (n,) confidence weights, both 1 when omitted.  Raises
-        :class:`InvalidWeight` for a negative or non-finite weight.  The
-        result equals n one-row calls bit for bit.
-        """
-        q_a = _motion_rows(np.asarray(q_a, dtype=float).reshape(-1, 8))
-        q_b = _motion_rows(np.asarray(q_b, dtype=float).reshape(-1, 8))
-        n = len(q_a)
-        w = np.ones((n, 8)) if w is None else np.asarray(w, dtype=float).reshape(n, 8)
-        eta = np.ones(n) if eta is None else np.asarray(eta, dtype=float).reshape(n)
-        _check_weights(w, eta)
-        return self._add_rows(q_a, q_b, w, eta)
+    def add_batch(self, pairs: PairArrays) -> "CostAccumulator":
+        """Add the rows of a :class:`PairArrays` record, in order.  The
+        record's constructor checked them, so nothing is checked here; the
+        result equals one :meth:`add` per row bit for bit."""
+        return self._add_rows(pairs.q_a, pairs.q_b, pairs.w, pairs.eta)
 
     def _add_rows(self, q_a, q_b, w, eta) -> "CostAccumulator":
         """Add checked rows: unit sign-canonical motions and finite,

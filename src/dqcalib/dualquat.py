@@ -254,12 +254,13 @@ def right_mat(q: DualQuat) -> np.ndarray:
 
 
 # -- row-wise forms ------------------------------------------------------------
-# The pair loader, the cost kernel and the simulator work on (n, 8) arrays of
-# 8-vectors.  The pose conversions exist only here: DualQuat's from_rot_trans,
-# from_homogeneous, to_rot_trans and rotation_matrix are one-row calls.  Five
-# scalar methods keep a twin of their row form, with the same arithmetic
-# operation by operation and so the same bits, because a per-step or per-pair
-# path calls them and a one-row call there costs several times more:
+# The pair record's row check, the cost kernel, the loaders, stream pairing
+# and the simulator work on (n, 8) arrays of 8-vectors.  The pose conversions
+# exist only here: DualQuat's from_rot_trans, from_homogeneous, to_rot_trans
+# and rotation_matrix are one-row calls.  Five scalar methods keep a twin of
+# their row form, with the same arithmetic operation by operation and so the
+# same bits, because a per-step or per-pair path calls them and a one-row call
+# there costs several times more:
 # normalized and canonicalized (every MotionPair; the solvers' _feasible and
 # solve_local on every online step), __mul__, conjugate and is_unit (the
 # lift of a planar estimate and calib_error, on every online step).

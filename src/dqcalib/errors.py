@@ -5,22 +5,23 @@ class DQCalibError(Exception):
     """Base class for all library errors."""
 
 
-class NotUnit(DQCalibError):
-    """A dual quaternion violates the unit constraints beyond tolerance.
-
-    Row-wise checks set ``row`` to the index of the first rejected row.
-    """
+class _RowFault(DQCalibError):
+    """Row-wise checks set ``row`` to the index of the first rejected row."""
 
     def __init__(self, message, row=None):
         super().__init__(message)
         self.row = row
 
 
+class NotUnit(_RowFault):
+    """A dual quaternion violates the unit constraints beyond tolerance."""
+
+
 class NonUnitAxis(DQCalibError):
     """Rotation axis is not normalized."""
 
 
-class InvalidWeight(DQCalibError):
+class InvalidWeight(_RowFault):
     """Negative or non-finite residual or confidence weight."""
 
 

@@ -14,11 +14,12 @@ stream's poses screw-linearly interpolated or matched to the nearest one,
 into a :class:`PairArrays`.
 
 A motion-pair file loads into one :class:`PairArrays` record of rows, ready
-for :meth:`CostAccumulator.add_batch`; no per-pair object is built.  Its
-rows carry the bits a :class:`MotionPair` built from the same line would
-hold, and a bad file raises the error such a MotionPair would, naming the
-first bad line.  The file is read line by line, never whole, and the
-numbers of 64 lines at a time are converted together.
+for :meth:`CostAccumulator.add_batch`; no per-pair object is built.  The
+loader only parses: the record's constructor checks the rows, which then
+carry the bits a :class:`MotionPair` built from the same line would hold,
+and a bad file raises the error such a MotionPair would, naming the first
+bad line.  The file is read line by line, never whole, and the numbers of
+64 lines at a time are converted together.
 """
 
 from __future__ import annotations
@@ -30,11 +31,11 @@ from itertools import islice
 
 import numpy as np
 
-from .cost import MotionPair, _motion_rows
-from .dualquat import (NORMALIZE_LIMIT, DualQuat, _row_dots, _unit_rows,
+from .cost import PairArrays, _motion_rows
+from .dualquat import (NORMALIZE_LIMIT, _row_dots, _unit_rows,
                        angle_translation_rows, canonicalized_rows,
                        conjugate_rows, dq_mul_rows, from_homogeneous_rows,
-                       normalized_rows, quat_to_rot_rows, require_unit_rows)
+                       quat_to_rot_rows, require_unit_rows)
 from .errors import (InvalidWeight, NoOverlap, NonOrthogonalRotation, NotUnit,
                      ParseError)
 
@@ -50,17 +51,16 @@ class Trajectory:
     poses: np.ndarray
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        poses = np.asarray(self.poses, dtype=float)
+        t = np.array(self.times, dtype=float)
+        poses = np.array(self.poses, dtype=float)
         if t.ndim != 1 or poses.shape != (len(t), 8):
             raise ValueError(f"need (n,) times and (n, 8) poses, got shapes "
                              f"{t.shape} and {poses.shape}")
         if not (np.isfinite(t).all() and (np.diff(t) > 0).all()):
             raise ValueError("timestamps must be finite and strictly increasing")
-        for rows in (t, poses):
+        for name, rows in (("times", t), ("poses", poses)):
             rows.setflags(write=False)
-        object.__setattr__(self, "times", t)
-        object.__setattr__(self, "poses", poses)
+            object.__setattr__(self, name, rows)
 
     def __len__(self):
         return len(self.times)
@@ -263,8 +263,7 @@ def pair_streams(traj_a: Trajectory, traj_b: Trajectory,
     Stream b's poses are screw-interpolated at a's pose times (or matched
     nearest-neighbor within ``max_skew``), as :class:`PairingConfig` says;
     a-intervals without a valid b-pose at both ends are dropped and
-    counted.  The motions are normalized and sign-canonicalized as a
-    :class:`MotionPair` holds them.
+    counted.  The record normalizes and sign-canonicalizes the motions.
     """
     cfg = cfg or PairingConfig()
     if len(traj_a) < 2 or len(traj_b) < 2:
@@ -275,50 +274,10 @@ def pair_streams(traj_a: Trajectory, traj_b: Trajectory,
     keep = found[:-1] & found[1:]
     t, q_a = relative_motions(traj_a)
     _, q_b = relative_motions(Trajectory(traj_a.times, poses_b))
-    n = int(keep.sum())
-    return PairArrays(t=t[keep], q_a=_motion_rows(q_a[keep]),
-                      q_b=_motion_rows(q_b[keep]), w=np.ones((n, 8)),
-                      eta=np.ones(n)), len(keep) - n
+    return PairArrays(t[keep], q_a[keep], q_b[keep]), len(keep) - int(keep.sum())
 
 
 # -- motion-pair JSONL -----------------------------------------------------------
-
-@dataclass(frozen=True)
-class PairArrays:
-    """Motion pairs as rows: ``t`` (N,), unit sign-canonical ``q_a`` and
-    ``q_b`` (N, 8), residual weights ``w`` (N, 8) and confidences ``eta``
-    (N,); a weight or confidence the file leaves out is 1."""
-
-    t: np.ndarray
-    q_a: np.ndarray
-    q_b: np.ndarray
-    w: np.ndarray
-    eta: np.ndarray
-
-    def __post_init__(self):
-        for rows in (self.t, self.q_a, self.q_b, self.w, self.eta):
-            rows.setflags(write=False)
-
-    def __len__(self):
-        return len(self.t)
-
-    @classmethod
-    def from_pairs(cls, pairs) -> "PairArrays":
-        return cls(t=np.array([p.timestamp for p in pairs], dtype=float),
-                   q_a=np.array([p.q_a.vec() for p in pairs]).reshape(-1, 8),
-                   q_b=np.array([p.q_b.vec() for p in pairs]).reshape(-1, 8),
-                   w=np.array([p.weight_diag for p in pairs]).reshape(-1, 8),
-                   eta=np.array([1.0 if p.eta is None else p.eta for p in pairs],
-                                dtype=float))
-
-    def motion_pairs(self):
-        """The rows as :class:`MotionPair` objects, in order; a confidence
-        of 1 is left at the default, None."""
-        for t, q_a, q_b, w, eta in zip(self.t, self.q_a, self.q_b, self.w, self.eta):
-            yield MotionPair(q_a=DualQuat.from_vec(q_a), q_b=DualQuat.from_vec(q_b),
-                             timestamp=float(t), weight_diag=w,
-                             eta=None if eta == 1.0 else float(eta))
-
 
 def save_pair_rows_jsonl(rows: PairArrays, path):
     """Write rows as a motion-pair file, one line per row; a line leaves
@@ -340,32 +299,25 @@ def save_pairs_jsonl(pairs, path):
     save_pair_rows_jsonl(PairArrays.from_pairs(pairs), path)
 
 
-def _weight_rows(w_rows: list, eta_rows: list) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``w`` and ``eta``, absent ones 1, checked as MotionPair does
-    and also for finiteness.
-
-    The error raised for a bad row carries the row's index as ``row``.
-    A file whose rows carry neither is not scanned row by row.
-    """
+def _weight_rows(w_rows: list, eta_rows: list):
+    """Rows of ``w`` (n, 8) and ``eta`` (n,) converted from JSON values,
+    absent ones 1, and the error of the first row that does not convert (its
+    ``row`` set, its values left at 1) or None; a :class:`PairArrays` checks
+    the values.  A file whose rows carry neither is not scanned row by row."""
     n = len(w_rows)
     w, eta = np.ones((n, 8)), np.ones(n)
     if w_rows.count(None) == eta_rows.count(None) == n:
-        return w, eta
+        return w, eta, None
     for i, (w_i, eta_i) in enumerate(zip(w_rows, eta_rows)):
         try:
             if w_i is not None:
                 w[i] = np.asarray(w_i, dtype=float).reshape(8)
-                if not np.all((w[i] >= 0) & (w[i] < np.inf)):
-                    raise InvalidWeight("residual weights must be finite and "
-                                        "nonnegative")
             if eta_i is not None:
-                if not 0 <= eta_i < math.inf:
-                    raise InvalidWeight("eta must be finite and nonnegative")
-                eta[i] = eta_i
-        except (ValueError, TypeError, InvalidWeight) as err:
-            err.row = i
-            raise
-    return w, eta
+                eta[i] = float(eta_i)
+        except (ValueError, TypeError, OverflowError) as err:
+            w[i], eta[i], err.row = 1.0, 1.0, i
+            return w, eta, err
+    return w, eta, None
 
 
 # rows converted per numpy call; a block goes through the per-line
@@ -465,8 +417,8 @@ def load_pairs_jsonl(path) -> PairArrays:
     Each non-blank line is decoded once, as one whole JSON value, and the
     ``t``, ``qa`` and ``qb`` of 64 lines at a time are converted with one
     numpy call per field; a block that does not convert cleanly is
-    converted line by line, up to its first bad line.  The value checks
-    then run on all rows at once.
+    converted line by line, up to its first bad line.  The
+    :class:`PairArrays` record then checks the values of all rows at once.
     """
     # flat buffers hold the motions: far smaller than one array per line
     lines, w, eta = [], [], []
@@ -487,24 +439,20 @@ def load_pairs_jsonl(path) -> PairArrays:
             eta += [rec.get("eta") for rec in recs]
             if fault is not None:
                 break
-    # the row checks run in a MotionPair's order; each looks only at the
-    # rows before the first fault found so far, so the first bad line wins
+    # a weight that does not convert loses to a motion fault on its row or
+    # before it, and the record's first bad row wins, as in a MotionPair
+    w, eta, bad = _weight_rows(w, eta)
+    n = len(lines) if bad is None else bad.row + 1
     qa, qb = np.frombuffer(qa).reshape(-1, 8), np.frombuffer(qb).reshape(-1, 8)
-    checks = (lambda n: canonicalized_rows(normalized_rows(qa[:n])),
-              lambda n: canonicalized_rows(normalized_rows(qb[:n])),
-              lambda n: _weight_rows(w[:n], eta[:n]))
-    n, arrays = len(lines), []
-    for check in checks:
-        try:
-            arrays.append(check(n))
-        except (NotUnit, InvalidWeight, ValueError, TypeError) as err:
-            n = err.row
-            fault = type(err)(f"line {lines[n]}: {err}")
+    try:
+        pairs = PairArrays(np.frombuffer(t)[:n], qa[:n], qb[:n], w[:n], eta[:n])
+    except (NotUnit, InvalidWeight) as err:
+        bad = err
+    if bad is not None:
+        raise type(bad)(f"line {lines[bad.row]}: {bad}")
     if fault is not None:
         raise fault
-    q_a, q_b, (w_rows, eta_rows) = arrays
-    return PairArrays(t=np.frombuffer(t), q_a=q_a, q_b=q_b, w=w_rows,
-                      eta=eta_rows)
+    return pairs
 
 
 def load_point_cloud(path) -> np.ndarray:

@@ -15,12 +15,13 @@ loop over poses or pairs:
   of Shepperd's method in :func:`~dqcalib.dualquat.from_homogeneous_rows`;
   :func:`generate_path` returns them as the one pose record,
   :class:`~dqcalib.io.Trajectory`, that a loaded trajectory file also is;
-* the motions as a :class:`~dqcalib.io.PairArrays`, sensor A's in
+* the motions as a :class:`~dqcalib.cost.PairArrays`, sensor A's in
   ``q_a`` and sensor B's in ``q_b``, by
-  :func:`~dqcalib.io.relative_motions` and row products, normalized and
-  sign-canonicalized as a :class:`~dqcalib.cost.MotionPair` holds them;
+  :func:`~dqcalib.io.relative_motions` and row products; the record
+  normalizes and sign-canonicalizes them as a
+  :class:`~dqcalib.cost.MotionPair` holds them;
 * the noise as one block of normal draws, turned into perturbation rows
-  and left-composed with the motions.
+  and left-composed with the motions into a new record.
 
 :func:`simulate_pairs` and :func:`planar_rig` hand the rows out as
 MotionPairs, which hold them unchanged.
@@ -42,12 +43,12 @@ from typing import Callable
 
 import numpy as np
 
-from .cost import MotionPair, _motion_rows
+from .cost import MotionPair, PairArrays
 from .dualquat import (DualQuat, _row_dots, angle_translation_rows,
                        canonicalized_rows, dq_mul_rows, from_homogeneous_rows,
                        from_rot_trans_rows, quat_mul)
 from .errors import DegeneratePath
-from .io import PairArrays, Trajectory, relative_motions
+from .io import Trajectory, relative_motions
 from .planar import GroundPlane, transform_plane
 
 
@@ -248,11 +249,8 @@ def sensor_pair_motions(poses: Trajectory, true_calib: DualQuat) -> PairArrays:
     qt = true_calib.normalized().canonicalized()
     times, v_a = relative_motions(poses)
     qt_inv = np.broadcast_to(qt.conjugate().vec(), v_a.shape)
-    v_b = canonicalized_rows(dq_mul_rows(dq_mul_rows(qt_inv, v_a),
-                                         np.broadcast_to(qt.vec(), v_a.shape)))
-    n = len(times)
-    return PairArrays(t=times, q_a=_motion_rows(v_a), q_b=_motion_rows(v_b),
-                      w=np.ones((n, 8)), eta=np.ones(n))
+    v_b = dq_mul_rows(dq_mul_rows(qt_inv, v_a), np.broadcast_to(qt.vec(), v_a.shape))
+    return PairArrays(t=times, q_a=v_a, q_b=v_b)
 
 
 # -- noise --------------------------------------------------------------------
@@ -297,8 +295,8 @@ def add_noise(rows: PairArrays, noise_level, seed: int) -> PairArrays:
     axis = _unit_vectors(draws[:, :3])
     angle = 0.0 + sigma_r * draws[:, 3] if sigma_r > 0 else np.zeros(n)
     t = 0.0 + sigma_t * draws[:, -3:] if sigma_t > 0 else np.zeros((n, 3))
-    noisy = _motion_rows(dq_mul_rows(from_rot_trans_rows(axis, angle, t), motions))
-    return replace(rows, q_a=noisy[0::2].copy(), q_b=noisy[1::2].copy())
+    noisy = dq_mul_rows(from_rot_trans_rows(axis, angle, t), motions)
+    return replace(rows, q_a=noisy[0::2], q_b=noisy[1::2])
 
 
 # -- sampling helpers ----------------------------------------------------------

@@ -1,17 +1,19 @@
 import json
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
 from dqcalib.cli import main
-from dqcalib.dualquat import DualQuat, canonicalized_rows, dq_mul_rows
+from dqcalib.dualquat import (DualQuat, canonicalized_rows, dq_mul_rows,
+                              normalized_rows)
 from dqcalib.io import (STUDY_CSV_HEADER, Trajectory, load_pairs_jsonl,
                         load_trajectory, pair_streams, save_pair_rows_jsonl,
                         save_pairs_jsonl, save_trajectory, sclerp)
 from dqcalib.planar import GroundPlane
 from dqcalib.sim import (SimConfig, generate_path, planar_rig,
-                         sample_study_calibration)
+                         sample_study_calibration, simulate_rows)
 
 from conftest import make_dataset
 
@@ -197,6 +199,30 @@ class TestCalibrate:
         assert out["global"]["eps_r_deg"] < 1e-5
         assert out["global"]["eps_t_m"] < 1e-6
 
+    def test_5000_pairs_are_normalized_once(self, tmp_path, capsys,
+                                            monkeypatch):
+        # each of a 5000-pair file's two motion columns makes one
+        # normalized_rows pass, in the pair record's constructor
+        rows, truth = simulate_rows(SimConfig(n_steps=5000, noise_level=0.05,
+                                              seed=5))
+        path = tmp_path / "pairs.jsonl"
+        save_pair_rows_jsonl(rows, path)
+        passes = []
+
+        def counted(v):
+            passes.append(len(v))
+            return normalized_rows(v)
+
+        for name, module in list(sys.modules.items()):
+            if (name.startswith("dqcalib")
+                    and getattr(module, "normalized_rows", None) is not None):
+                monkeypatch.setattr(module, "normalized_rows", counted)
+        rc = main(["--output", "json", "calibrate", "--pairs", str(path),
+                   "--solver", "both", "--repeat", "1", "--gt", q8_arg(truth)])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["global"]["is_global"]
+        assert passes == [5000, 5000]
+
 
 class TestCertifyCommand:
     def test_global_solution_certifies(self, sim_pairs_file, capsys):
@@ -358,8 +384,7 @@ class TestSimulateAndStudy:
         sidecar = json.loads((tmp_path / "pairs.jsonl.gt.json").read_text())
         assert sidecar["true_calib"] == list(truth.vec())
 
-    def test_study_row_count_and_header(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("DQCALIB_THREADS", "1")
+    def test_study_row_count_and_header(self, tmp_path):
         cfg = {"noise_levels": [0.02, 0.1], "sizes": [10, 20], "seeds": 2}
         cfg_path = tmp_path / "study.json"
         cfg_path.write_text(json.dumps(cfg))

@@ -2,11 +2,10 @@ import numpy as np
 import pytest
 
 from dqcalib.constraints import ConstraintMode
-from dqcalib.cost import (BLOCK_ROWS, CostAccumulator, MotionPair, cost_value,
-                          pair_cost_matrix)
+from dqcalib.cost import (BLOCK_ROWS, CostAccumulator, MotionPair, PairArrays,
+                          cost_value, pair_cost_matrix)
 from dqcalib.dualquat import DualQuat, left_mat, right_mat
 from dqcalib.errors import InvalidWeight, NotUnit
-from dqcalib.io import PairArrays
 from dqcalib.planar import plane_alignment_dq
 from dqcalib.sim import SimConfig, planar_rig, random_unit_dq, simulate_pairs
 
@@ -197,8 +196,7 @@ def with_weights(pairs, seed):
 
 
 def add_in_one_call(pairs, **kwargs):
-    rows = PairArrays.from_pairs(pairs)
-    return CostAccumulator(**kwargs).add_batch(rows.q_a, rows.q_b, rows.w, rows.eta)
+    return CostAccumulator(**kwargs).add_batch(PairArrays.from_pairs(pairs))
 
 
 @pytest.fixture(scope="module")
@@ -237,8 +235,7 @@ def test_add_batch_split_across_calls(pairs_5000):
     pairs = pairs_5000[:1500]
     acc = CostAccumulator()
     for chunk in (pairs[:1], pairs[1:700], pairs[700:]):
-        rows = PairArrays.from_pairs(chunk)
-        acc.add_batch(rows.q_a, rows.q_b)
+        acc.add_batch(PairArrays.from_pairs(chunk))
     assert np.array_equal(acc.sum_q, add_in_one_call(pairs).sum_q)
 
 
@@ -280,9 +277,10 @@ def test_add_batch_rejects_negative_weights(pairs_5000):
     w = np.ones((4, 8))
     w[2, 5] = -1e-3
     with pytest.raises(InvalidWeight):
-        CostAccumulator().add_batch(rows.q_a, rows.q_b, w=w)
+        CostAccumulator().add_batch(PairArrays(rows.t, rows.q_a, rows.q_b, w=w))
     with pytest.raises(InvalidWeight):
-        CostAccumulator().add_batch(rows.q_a, rows.q_b, eta=[1.0, 1.0, -0.5, 1.0])
+        CostAccumulator().add_batch(PairArrays(rows.t, rows.q_a, rows.q_b,
+                                               eta=[1.0, 1.0, -0.5, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -292,11 +290,12 @@ def test_add_batch_rejects_non_finite_weights(pairs_5000, bad):
     w[3, 0] = bad
     acc = CostAccumulator()
     with pytest.raises(InvalidWeight):
-        acc.add_batch(rows.q_a, rows.q_b, w=w)
+        acc.add_batch(PairArrays(rows.t, rows.q_a, rows.q_b, w=w))
     with pytest.raises(InvalidWeight):
-        acc.add_batch(rows.q_a, rows.q_b, eta=[1.0, bad, 1.0, 1.0])
+        acc.add_batch(PairArrays(rows.t, rows.q_a, rows.q_b,
+                                 eta=[1.0, bad, 1.0, 1.0]))
     with pytest.raises(InvalidWeight):
-        acc.add_batch(rows.q_a[:1], rows.q_b[:1], eta=[bad])
+        acc.add_batch(PairArrays(rows.t[:1], rows.q_a[:1], rows.q_b[:1], eta=[bad]))
     # a rejected call leaves the accumulator as it was
     assert acc.n == 0 and np.array_equal(acc.normalized_q, np.zeros((8, 8)))
 
@@ -311,14 +310,93 @@ def test_add_batch_normalizes_rows_as_motion_pair_does(pairs_5000):
     seq = CostAccumulator()
     for a, b in zip(q_a, q_b):
         seq.add(MotionPair(q_a=DualQuat.from_vec(a), q_b=DualQuat.from_vec(b)))
-    batch = CostAccumulator().add_batch(q_a, q_b)
+    batch = CostAccumulator().add_batch(PairArrays(rows.t, q_a, q_b))
     assert np.array_equal(batch.sum_q, seq.sum_q)
     q_a[7, :4] *= 1.01
     with pytest.raises(NotUnit):
-        CostAccumulator().add_batch(q_a, q_b)
+        CostAccumulator().add_batch(PairArrays(rows.t, q_a, q_b))
 
 
 def test_add_batch_of_no_rows_changes_nothing():
-    acc = CostAccumulator().add_batch(np.zeros((0, 8)), np.zeros((0, 8)))
+    acc = CostAccumulator().add_batch(PairArrays(np.zeros(0), np.zeros((0, 8)),
+                                                 np.zeros((0, 8))))
     assert acc.n == 0 and acc.sum_eta == 0.0
     assert np.array_equal(acc.sum_q, np.zeros((8, 8)))
+
+
+class TestPairArrays:
+    """The record's constructor is the one check of pair rows."""
+
+    @staticmethod
+    def rows(pairs_5000, n=6):
+        return PairArrays.from_pairs(pairs_5000[:n])
+
+    def test_mismatched_shapes_rejected(self, pairs_5000):
+        rows = self.rows(pairs_5000)
+        for t, q_a, q_b, w, eta in [
+                (rows.t[:3], rows.q_a[:2], rows.q_b[:5], None, None),
+                (rows.t, rows.q_a[:5], rows.q_b, None, None),
+                (rows.t, rows.q_a, rows.q_b[:, :7], None, None),
+                (rows.t, rows.q_a, rows.q_b, rows.w[:5], None),
+                (rows.t, rows.q_a, rows.q_b, None, rows.eta[:, None]),
+                (rows.t[:, None], rows.q_a, rows.q_b, None, None),
+                (rows.q_a[:0], rows.q_a[:0], rows.q_b[:0], None, None)]:
+            with pytest.raises(ValueError, match="need"):
+                PairArrays(t, q_a, q_b, w, eta)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_time_rejected(self, pairs_5000, bad):
+        rows = self.rows(pairs_5000)
+        t = rows.t.copy()
+        t[4] = bad
+        with pytest.raises(ValueError, match="row 4"):
+            PairArrays(t, rows.q_a, rows.q_b)
+
+    def test_errors_carry_the_first_bad_row(self, pairs_5000):
+        rows = self.rows(pairs_5000)
+
+        def fault(q_a_row=None, q_b_row=None, w_row=None, eta_row=None):
+            """(error type, row, message) of a record with the given rows
+            spoiled: q_a's norm, q_b's orthogonality, a w and an eta."""
+            q_a, q_b = rows.q_a.copy(), rows.q_b.copy()
+            w, eta = rows.w.copy(), rows.eta.copy()
+            if q_a_row is not None:
+                q_a[q_a_row, :4] *= 1.1
+            if q_b_row is not None:
+                q_b[q_b_row, 4:] += 1e-3 * q_b[q_b_row, :4]
+            if w_row is not None:
+                w[w_row, 3] = -1.0
+            if eta_row is not None:
+                eta[eta_row] = np.nan
+            with pytest.raises((NotUnit, InvalidWeight)) as err:
+                PairArrays(rows.t, q_a, q_b, w, eta)
+            return type(err.value), err.value.row, str(err.value).split()[0]
+
+        for i in (0, 3, 5):
+            assert fault(q_a_row=i) == (NotUnit, i, "real-part")
+            assert fault(q_b_row=i) == (NotUnit, i, "real/dual")
+            assert fault(w_row=i) == (InvalidWeight, i, "residual")
+            assert fault(eta_row=i) == (InvalidWeight, i, "eta")
+        # the first bad row wins, whatever its fault
+        assert fault(q_a_row=4, q_b_row=2) == (NotUnit, 2, "real/dual")
+        assert fault(q_a_row=4, w_row=1) == (InvalidWeight, 1, "residual")
+        assert fault(q_b_row=5, eta_row=2) == (InvalidWeight, 2, "eta")
+        assert fault(q_a_row=3, eta_row=4, w_row=5) == (NotUnit, 3, "real-part")
+        # within a row: q_a, then q_b, then w, then eta
+        assert fault(q_a_row=2, q_b_row=2, w_row=2) == (NotUnit, 2, "real-part")
+        assert fault(q_b_row=2, w_row=2, eta_row=2) == (NotUnit, 2, "real/dual")
+        assert fault(w_row=2, eta_row=2) == (InvalidWeight, 2, "residual")
+
+    def test_record_holds_read_only_copies(self, pairs_5000):
+        rows = self.rows(pairs_5000)
+        given = [rows.t.copy(), rows.q_a.copy(), rows.q_b.copy(), rows.w.copy(),
+                 rows.eta.copy()]
+        record = PairArrays(*given)
+        for name, mine in zip(("t", "q_a", "q_b", "w", "eta"), given):
+            held = getattr(record, name)
+            assert mine.flags.writeable
+            assert not held.flags.writeable
+            assert not np.shares_memory(held, mine)
+            assert held.tobytes() == mine.tobytes()
+        for name in ("w", "eta"):
+            assert not getattr(PairArrays(*given[:3]), name).flags.writeable

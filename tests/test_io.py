@@ -171,6 +171,15 @@ class TestTrajectoryFormats:
         with pytest.raises(ValueError, match="shapes"):
             Trajectory([0.0, 0.1], poses)
 
+    def test_record_copies_its_inputs(self, rng):
+        times, poses = np.arange(4) * 0.1, make_traj(rng, n=4).poses.copy()
+        traj = Trajectory(times, poses)
+        assert times.flags.writeable and poses.flags.writeable
+        assert not (traj.times.flags.writeable or traj.poses.flags.writeable)
+        assert not (np.shares_memory(traj.times, times)
+                    or np.shares_memory(traj.poses, poses))
+        assert same_bits(traj.times, times) and same_bits(traj.poses, poses)
+
 
 class TestRelativeMotions:
     def test_constant_trajectory_gives_identities(self):

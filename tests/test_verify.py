@@ -163,7 +163,7 @@ class TestCertify:
         # the truth of a noisy 50-pair set is well off its optimum (gap
         # 0.0056); the null space at the bound says nothing about it
         rows, truth = simulate_rows(SimConfig(n_steps=50, noise_level=0.05, seed=7))
-        acc = CostAccumulator().add_batch(rows.q_a, rows.q_b)
+        acc = CostAccumulator().add_batch(rows)
         cert = certify(acc.normalized_q, truth, ConstraintMode.FULL_3D)
         assert not cert.is_global and cert.gap > 1e-3
         assert (cert.null_dim, cert.degenerate, cert.diagnostic) == (None, False, None)
